@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import (
     Callable,
-    Dict,
     Optional,
     Protocol,
     runtime_checkable,
@@ -134,26 +133,16 @@ class NumpyBackend:
     """Real numeric inference: forward-propagate the payload through the
     graph with deterministically initialized parameters.
 
-    Parameters are materialized once per graph and cached on the backend
-    instance, so repeated inferences (an engine's ``infer`` loop) pay
-    the initialization cost once — same behaviour the engine had before
-    the backend split.
+    The graph owns its parameters: it materializes them on its first
+    forward pass and keeps them, so repeated inferences (an engine's
+    ``infer`` loop) pay the initialization cost once and the weights die
+    with the graph.
     """
 
     name = "numpy"
 
-    def __init__(self) -> None:
-        self._params: Dict[int, dict] = {}
-
-    def params_for(self, graph: NetworkGraph) -> dict:
-        """Materialized (cached) parameters for ``graph``."""
-        key = id(graph)
-        if key not in self._params:
-            self._params[key] = graph.materialize_params()
-        return self._params[key]
-
     def infer(self, graph: NetworkGraph, payload: np.ndarray) -> np.ndarray:
-        return graph.forward(payload, self.params_for(graph))
+        return graph.forward(payload)
 
     def execute(
         self,

@@ -112,7 +112,6 @@ class EdgeNN:
         self.config = config or EdgeNNConfig()
         self._tuning: Optional[TuningResult] = None
         self._compiled: Optional["CompiledPlan"] = None
-        self._numpy_backend = None
         # Plans are only shareable when the network is a catalog model
         # named by string: a user-built NetworkGraph may reuse a name for
         # a different topology, so it always tunes privately.
@@ -234,13 +233,10 @@ class EdgeNN:
 
         Independent of the timing simulation: the placement of a layer on
         CPU or GPU never changes its mathematical result, so this path
-        needs no plan and never triggers tuning.
+        needs no plan and never triggers tuning.  Parameters are
+        materialized on the first call and kept by the graph.
         """
-        from ..compile.backends import NumpyBackend
-
-        if self._numpy_backend is None:
-            self._numpy_backend = NumpyBackend()
-        return self._numpy_backend.infer(self.graph, x)
+        return self.graph.forward(x)
 
     def summary(self) -> str:
         """Engine + plan description for logs."""

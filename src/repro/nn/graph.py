@@ -89,6 +89,7 @@ class NetworkGraph:
         self._nodes: Dict[str, Node] = {}
         self._order: List[str] = []       # insertion order == topological
         self._last_added: Optional[str] = None
+        self._params: Optional[Dict[str, Dict[str, np.ndarray]]] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -134,6 +135,7 @@ class NetworkGraph:
                 self._nodes[src].successors.append(name)
         self._order.append(name)
         self._last_added = name
+        self._params = None
         return name
 
     # -- structure --------------------------------------------------------------
@@ -326,7 +328,7 @@ class NetworkGraph:
     # -- numerics -------------------------------------------------------------------
 
     def materialize_params(self) -> Dict[str, Dict[str, np.ndarray]]:
-        """Deterministic parameters for every layer."""
+        """Deterministic parameters for every layer (a fresh copy)."""
         return {
             name: weights.materialize(
                 self.name, name, node.layer.param_shapes(node.in_shapes)
@@ -339,14 +341,30 @@ class NetworkGraph:
         x: np.ndarray,
         params: Optional[Dict[str, Dict[str, np.ndarray]]] = None,
     ) -> np.ndarray:
-        """Reference forward pass; validates the input shape."""
+        """Reference forward pass; validates the input shape.
+
+        Without ``params`` the graph's own parameters are used: they are
+        materialized on the first such call and kept for the graph's
+        lifetime (adding a layer discards them).  Each activation is
+        dropped as soon as its last consumer has run, so the pass holds
+        only the live frontier of the DAG rather than every layer's
+        output.  ``x`` itself is never written to.
+        """
         if tuple(x.shape) != self.input_shape:
             raise ShapeError(
                 f"input shape {x.shape} != network input {self.input_shape}"
             )
         if params is None:
-            params = self.materialize_params()
-        values: Dict[str, np.ndarray] = {INPUT: x.astype(np.float32)}
+            if self._params is None:
+                self._params = self.materialize_params()
+            params = self._params
+        pending: Dict[str, int] = {
+            name: node.out_degree for name, node in self._nodes.items()
+        }
+        pending[INPUT] = sum(
+            node.input_names.count(INPUT) for node in self._nodes.values()
+        )
+        values: Dict[str, np.ndarray] = {INPUT: x.astype(np.float32, copy=False)}
         for name in self._order:
             node = self._nodes[name]
             inputs = [values[src] for src in node.input_names]
@@ -356,6 +374,11 @@ class NetworkGraph:
                     f"layer {name!r} produced {out.shape}, "
                     f"declared {node.out_shape}"
                 )
+            del inputs  # would keep dead inputs alive through the next layer
+            for src in node.input_names:
+                pending[src] -= 1
+                if not pending[src]:
+                    del values[src]
             values[name] = out
         return values[self.output_name]
 

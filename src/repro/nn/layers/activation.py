@@ -29,7 +29,7 @@ class ReLU(Layer):
         self, inputs: List[np.ndarray], params: Dict[str, np.ndarray]
     ) -> np.ndarray:
         (x,) = inputs
-        return np.maximum(x, 0.0).astype(np.float32)
+        return np.maximum(x, 0.0).astype(np.float32, copy=False)
 
 
 class Add(Layer):
@@ -50,7 +50,7 @@ class Add(Layer):
         self, inputs: List[np.ndarray], params: Dict[str, np.ndarray]
     ) -> np.ndarray:
         a, b = inputs
-        return (a + b).astype(np.float32)
+        return (a + b).astype(np.float32, copy=False)
 
 
 class Softmax(Layer):
@@ -74,4 +74,4 @@ class Softmax(Layer):
         (x,) = inputs
         shifted = x - x.max()
         e = np.exp(shifted)
-        return (e / e.sum()).astype(np.float32)
+        return (e / e.sum()).astype(np.float32, copy=False)

@@ -11,6 +11,29 @@ from .. import tensor
 from ..layer import Layer, Shape
 
 
+#: im2col matrices up to this many bytes are built whole; larger ones
+#: are unfolded and multiplied a band of output rows at a time.
+IM2COL_BUDGET = 32 * 2**20
+#: Smallest im2col matrix of one band when tiling.
+TILE_BYTES = 2 * 2**20
+
+
+def _unfold_rows(
+    xp: np.ndarray, kernel: int, stride: int, row0: int, cols: np.ndarray
+) -> None:
+    """Fill ``cols`` of shape ``(C, k, k, rows, out_w)`` with the patches
+    of output rows ``row0 : row0 + rows`` of the already-padded ``xp``."""
+    rows, out_w = cols.shape[3:]
+    top = row0 * stride
+    for ki in range(kernel):
+        for kj in range(kernel):
+            cols[:, ki, kj] = xp[
+                :,
+                top + ki : top + ki + stride * rows : stride,
+                kj : kj + stride * out_w : stride,
+            ]
+
+
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """Unfold ``(C, H, W)`` into ``(C*k*k, out_h*out_w)`` patches."""
     c, h, w = x.shape
@@ -18,13 +41,7 @@ def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     cols = np.empty((c, kernel, kernel, out_h, out_w), dtype=x.dtype)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            cols[:, ki, kj] = x[
-                :,
-                ki : ki + stride * out_h : stride,
-                kj : kj + stride * out_w : stride,
-            ]
+    _unfold_rows(x, kernel, stride, 0, cols)
     return cols.reshape(c * kernel * kernel, out_h * out_w)
 
 
@@ -33,6 +50,15 @@ class Conv2D(Layer):
 
     FLOPs count multiply-accumulates as 2 ops plus the bias add, the
     convention used by the networks the paper evaluates.
+
+    The forward pass is im2col + GEMM.  When the whole im2col matrix
+    would exceed :data:`IM2COL_BUDGET` it runs in equal bands of output
+    rows, each GEMM writing its columns of one preallocated output.  The
+    remainder rows are spread over the bands rather than left as a short
+    last band: every band's matrix is at least :data:`TILE_BYTES`, which
+    keeps each GEMM off BLAS small-matrix kernels (OpenBLAS switches
+    below about 10^6 multiply-adds), whose summation order differs.
+    Each output element is then the same dot product as untiled.
     """
 
     kernel_class = "conv"
@@ -83,9 +109,27 @@ class Conv2D(Layer):
         (x,) = inputs
         weight, bias = params["weight"], params["bias"]
         o, c, k, _ = weight.shape
-        out_h, out_w = tensor.conv_output_hw(
-            x.shape[1:], self.kernel_size, self.stride, self.padding
-        )
-        cols = im2col(x, k, self.stride, self.padding)
-        out = weight.reshape(o, c * k * k) @ cols + bias[:, None]
-        return out.reshape(o, out_h, out_w).astype(np.float32)
+        s, p = self.stride, self.padding
+        out_h, out_w = tensor.conv_output_hw(x.shape[1:], k, s, p)
+        if p:
+            x = np.pad(x, ((0, 0), (p, p), (p, p)))
+        w2d = weight.reshape(o, c * k * k)
+        row_bytes = c * k * k * out_w * x.itemsize
+        bands = 1
+        if row_bytes * out_h > IM2COL_BUDGET:
+            bands = max(1, out_h // max(1, TILE_BYTES // row_bytes))
+        bounds = [out_h * i // bands for i in range(bands + 1)]
+        out = np.empty((o, out_h * out_w), dtype=np.result_type(w2d, x))
+        most_rows = (out_h + bands - 1) // bands
+        buf = np.empty(c * k * k * most_rows * out_w, dtype=x.dtype)
+        for row0, row1 in zip(bounds, bounds[1:]):
+            n = (row1 - row0) * out_w
+            cols = buf[: c * k * k * n].reshape(c, k, k, row1 - row0, out_w)
+            _unfold_rows(x, k, s, row0, cols)
+            np.matmul(
+                w2d,
+                cols.reshape(c * k * k, n),
+                out=out[:, row0 * out_w : row1 * out_w],
+            )
+        out += bias[:, None]
+        return out.reshape(o, out_h, out_w).astype(np.float32, copy=False)

@@ -47,4 +47,4 @@ class Dense(Layer):
         self, inputs: List[np.ndarray], params: Dict[str, np.ndarray]
     ) -> np.ndarray:
         (x,) = inputs
-        return (params["weight"] @ x + params["bias"]).astype(np.float32)
+        return (params["weight"] @ x + params["bias"]).astype(np.float32, copy=False)

@@ -73,4 +73,5 @@ class DepthwiseConv2D(Layer):
             for kj in range(k):
                 window = x[:, ki : ki + s * out_h : s, kj : kj + s * out_w : s]
                 out += window * weight[:, ki, kj][:, None, None]
-        return (out + bias[:, None, None]).astype(np.float32)
+        out += bias[:, None, None]
+        return out

@@ -54,7 +54,7 @@ class LRN(Layer):
             lo, hi = max(0, ch - half), min(c, ch + half + 1)
             denom[ch] = squared[lo:hi].sum(axis=0)
         denom = (self.k + (self.alpha / self.size) * denom) ** self.beta
-        return (x / denom).astype(np.float32)
+        return (x / denom).astype(np.float32, copy=False)
 
 
 class BatchNorm2D(Layer):
@@ -85,4 +85,4 @@ class BatchNorm2D(Layer):
         (x,) = inputs
         scale = params["gamma"] / np.sqrt(params["var"] + self.eps)
         shift = params["beta"] - params["mean"] * scale
-        return (x * scale[:, None, None] + shift[:, None, None]).astype(np.float32)
+        return (x * scale[:, None, None] + shift[:, None, None]).astype(np.float32, copy=False)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -42,46 +42,55 @@ class _Pool2D(Layer):
         # One compare/add per window element per output.
         return float(tensor.numel(out_shape) * self.kernel_size * self.kernel_size)
 
-    def _windows(self, x: np.ndarray) -> np.ndarray:
-        """Stack of the k*k shifted views: shape (k*k, C, out_h, out_w)."""
+    def _windows(self, x: np.ndarray, fill: float) -> Iterator[np.ndarray]:
+        """The k*k shifted ``(C, out_h, out_w)`` views, padded with ``fill``."""
         c, h, w = x.shape
         out_h, out_w = tensor.conv_output_hw(
             (h, w), self.kernel_size, self.stride, self.padding
         )
         if self.padding:
-            fill = -np.inf if isinstance(self, MaxPool2D) else 0.0
             x = np.pad(
                 x,
                 ((0, 0), (self.padding, self.padding), (self.padding, self.padding)),
                 constant_values=fill,
             )
         k, s = self.kernel_size, self.stride
-        views = [
-            x[:, ki : ki + s * out_h : s, kj : kj + s * out_w : s]
-            for ki in range(k)
-            for kj in range(k)
-        ]
-        return np.stack(views)
+        for ki in range(k):
+            for kj in range(k):
+                yield x[:, ki : ki + s * out_h : s, kj : kj + s * out_w : s]
 
 
 class MaxPool2D(_Pool2D):
-    """Max pooling."""
+    """Max pooling, as a running elementwise maximum over the windows."""
 
     def forward(
         self, inputs: List[np.ndarray], params: Dict[str, np.ndarray]
     ) -> np.ndarray:
         (x,) = inputs
-        return self._windows(x).max(axis=0).astype(np.float32)
+        windows = self._windows(x, -np.inf)
+        out = next(windows).copy()
+        for view in windows:
+            np.maximum(out, view, out=out)
+        return out.astype(np.float32, copy=False)
 
 
 class AvgPool2D(_Pool2D):
-    """Average pooling (count includes padding, like Caffe's default)."""
+    """Average pooling (count includes padding, like Caffe's default).
+
+    A running sum over the windows divided by k*k: the same additions in
+    the same order as ``mean`` over a stack of the windows.
+    """
 
     def forward(
         self, inputs: List[np.ndarray], params: Dict[str, np.ndarray]
     ) -> np.ndarray:
         (x,) = inputs
-        return self._windows(x).mean(axis=0).astype(np.float32)
+        windows = self._windows(x, 0.0)
+        out = next(windows).copy()
+        for view in windows:
+            out += view
+        out /= self.kernel_size * self.kernel_size
+        return out.astype(np.float32, copy=False)
 
 
 class GlobalAvgPool(Layer):
@@ -102,4 +111,4 @@ class GlobalAvgPool(Layer):
         self, inputs: List[np.ndarray], params: Dict[str, np.ndarray]
     ) -> np.ndarray:
         (x,) = inputs
-        return x.mean(axis=(1, 2)).astype(np.float32)
+        return x.mean(axis=(1, 2)).astype(np.float32, copy=False)

@@ -95,4 +95,4 @@ class Concat(Layer):
     def forward(
         self, inputs: List[np.ndarray], params: Dict[str, np.ndarray]
     ) -> np.ndarray:
-        return np.concatenate(inputs, axis=0).astype(np.float32)
+        return np.concatenate(inputs, axis=0).astype(np.float32, copy=False)

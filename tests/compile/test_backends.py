@@ -15,6 +15,7 @@ from repro.core.engine import EdgeNN
 from repro.core.plan_cache import PlanCache
 from repro.errors import ReproError
 from repro.hardware.specs import JETSON_AGX_XAVIER
+from repro.nn.graph import NetworkGraph
 
 
 class TestRegistry:
@@ -85,11 +86,25 @@ class TestNumpyBackend:
         want = compiled.graph.forward(x)
         np.testing.assert_array_equal(got, want)
 
-    def test_params_cached_per_graph(self):
+    def test_params_cached_per_graph(self, monkeypatch):
+        # The graph owns its parameters: any number of backends and engine
+        # calls on one graph materialize them exactly once.
         compiled = compile_fixed("lenet", JETSON_AGX_XAVIER)
-        backend = NumpyBackend()
-        first = backend.params_for(compiled.graph)
-        assert backend.params_for(compiled.graph) is first
+        calls = []
+        materialize = NetworkGraph.materialize_params
+
+        def counting(graph):
+            calls.append(graph)
+            return materialize(graph)
+
+        monkeypatch.setattr(NetworkGraph, "materialize_params", counting)
+        x = np.zeros(compiled.graph.input_shape, np.float32)
+        first = NumpyBackend().execute(compiled, payload=x)
+        second = NumpyBackend().execute(compiled, payload=x)
+        engine = EdgeNN(compiled.graph, JETSON_AGX_XAVIER, plan_cache=PlanCache())
+        np.testing.assert_array_equal(engine.infer(x), first)
+        np.testing.assert_array_equal(second, first)
+        assert calls == [compiled.graph]
 
     def test_placement_never_changes_math(self):
         x = None

@@ -13,6 +13,7 @@ digest first, tolerance as the diagnosable fallback.
 import hashlib
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,13 @@ def test_numpy_logits_unchanged(model):
     if digest != golden["sha256"]:
         # BLAS summation order can differ across builds; fall back to a
         # tolerance so a drift here is diagnosable, not just a hash diff.
+        # The warning keeps a lost exact match visible in the test output.
+        warnings.warn(
+            f"{model}: logits digest {digest[:12]} != golden "
+            f"{golden['sha256'][:12]}; checking by tolerance instead",
+            UserWarning,
+            stacklevel=1,
+        )
         np.testing.assert_allclose(
             flat[:8], golden["sample"], rtol=1e-5, atol=1e-6
         )

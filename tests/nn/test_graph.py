@@ -1,5 +1,7 @@
 """NetworkGraph construction, validation, and accounting."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,50 @@ class TestForward:
         params = net.materialize_params()
         x = rng.random(net.input_shape, dtype=np.float32)
         np.testing.assert_array_equal(net.forward(x, params), net.forward(x))
+
+    def test_graph_keeps_its_params_until_a_layer_is_added(self, rng):
+        net = NetworkGraph("n", (4,))
+        net.add(Dense("fc1", 4))
+        x = rng.random(net.input_shape, dtype=np.float32)
+        net.forward(x)
+        kept = net._params
+        net.forward(x)
+        assert net._params is kept
+        net.add(Dense("fc2", 3))
+        assert net.forward(x).shape == (3,)
+        assert set(net._params) == {"fc1", "fc2"}
+
+    def test_supplied_params_do_not_populate_the_cache(self, rng):
+        net = make_chain_net()
+        x = rng.random(net.input_shape, dtype=np.float32)
+        net.forward(x, net.materialize_params())
+        assert net._params is None
+
+    @pytest.mark.parametrize("build", [make_chain_net, make_branch_net])
+    def test_forward_leaves_input_unmodified(self, rng, build):
+        net = build()
+        x = rng.standard_normal(net.input_shape).astype(np.float32)
+        before = x.copy()
+        net.forward(x)
+        np.testing.assert_array_equal(x, before)
+
+    def test_forward_frees_dead_activations(self, rng):
+        # When a layer runs, only its own input (and, for a view, the array
+        # behind it) is still alive: earlier outputs were dropped after
+        # their last consumer.
+        net = make_chain_net()
+        refs, most_alive = [], []
+        for name in net.topo_order():
+            layer = net.node(name).layer
+
+            def recording(inputs, params, _forward=layer.forward):
+                alive = {id(a) for a in (r() for r in refs) if a is not None}
+                most_alive.append(len(alive))
+                out = _forward(inputs, params)
+                refs.append(weakref.ref(out))
+                return out
+
+            layer.forward = recording
+        net.forward(rng.random(net.input_shape, dtype=np.float32))
+        assert len(most_alive) == len(net)
+        assert max(most_alive) <= 2

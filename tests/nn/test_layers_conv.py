@@ -5,7 +5,7 @@ import pytest
 from scipy import signal
 
 from repro.errors import ShapeError
-from repro.nn.layers import Conv2D, im2col
+from repro.nn.layers import Conv2D, conv, im2col
 
 
 def reference_conv(x, weight, bias, stride, padding):
@@ -108,6 +108,78 @@ class TestNumerics:
             "bias": np.zeros(2, dtype=np.float32),
         }
         assert layer.forward([x], params).dtype == np.float32
+
+
+def untiled_conv(x, weight, bias, stride, padding):
+    """The whole-matrix im2col GEMM the tiled forward must reproduce."""
+    o, c, k, _ = weight.shape
+    cols = im2col(x, k, stride, padding)
+    h = (x.shape[1] + 2 * padding - k) // stride + 1
+    w = (x.shape[2] + 2 * padding - k) // stride + 1
+    return (weight.reshape(o, c * k * k) @ cols + bias[:, None]).reshape(o, h, w)
+
+
+def conv_case(rng, o, c, k, hw):
+    x = rng.standard_normal((c, *hw)).astype(np.float32)
+    weight = rng.standard_normal((o, c, k, k)).astype(np.float32)
+    bias = rng.standard_normal(o).astype(np.float32)
+    return x, {"weight": weight, "bias": bias}
+
+
+class TestTiling:
+    # Shapes whose im2col matrix sits just below or just above the
+    # budget.  Above it, the output rows do not divide evenly into bands.
+    CASES = [
+        # (in channels, kernel, stride, out_h, out_w, tiled)
+        (64, 3, 1, 120, 120, False),
+        (64, 3, 1, 121, 121, True),
+        (3, 11, 4, 150, 150, False),
+        (3, 11, 4, 155, 150, True),
+    ]
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("c,k,stride,out_h,out_w,tiled", CASES)
+    def test_tiled_equals_untiled_bit_for_bit(
+        self, rng, c, k, stride, out_h, out_w, tiled, padding
+    ):
+        assert (c * k * k * out_h * out_w * 4 > conv.IM2COL_BUDGET) is tiled
+        hw = ((out_h - 1) * stride + k - 2 * padding,
+              (out_w - 1) * stride + k - 2 * padding)
+        x, params = conv_case(rng, 8, c, k, hw)
+        layer = Conv2D("c", out_channels=8, kernel_size=k,
+                       stride=stride, padding=padding)
+        out = layer.forward([x], params)
+        want = untiled_conv(x, params["weight"], params["bias"], stride, padding)
+        assert out.shape == (8, out_h, out_w)
+        assert out.dtype == np.float32
+        assert out.tobytes() == want.tobytes()
+
+    def test_bands_are_even_and_never_below_the_tile(self, rng, monkeypatch):
+        # 121 rows of 278,784 im2col bytes with 2 MB tiles: 17 bands of 7
+        # or 8 rows, never a 2-row remainder band.
+        rows = []
+        unfold = conv._unfold_rows
+
+        def recording(xp, kernel, stride, row0, cols):
+            rows.append(cols.shape[3])
+            unfold(xp, kernel, stride, row0, cols)
+
+        monkeypatch.setattr(conv, "_unfold_rows", recording)
+        x, params = conv_case(rng, 2, 64, 3, (121, 121))
+        Conv2D("c", 2, 3, padding=1).forward([x], params)
+        assert sum(rows) == 121 and len(rows) == 17
+        assert set(rows) == {7, 8}
+
+    def test_input_not_modified(self, rng, monkeypatch):
+        monkeypatch.setattr(conv, "IM2COL_BUDGET", 0)
+        x, params = conv_case(rng, 3, 2, 3, (9, 8))
+        before = x.copy()
+        out = Conv2D("c", 3, 3, padding=1).forward([x], params)
+        np.testing.assert_array_equal(x, before)
+        np.testing.assert_allclose(
+            out, untiled_conv(x, params["weight"], params["bias"], 1, 1),
+            rtol=1e-5, atol=1e-5,
+        )
 
 
 class TestIm2col:

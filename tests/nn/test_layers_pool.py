@@ -88,3 +88,52 @@ class TestNumerics:
         x = rng.normal(size=(3, 4, 4)).astype(np.float32)
         out = GlobalAvgPool("gap").forward([x], {})
         np.testing.assert_allclose(out, x.mean(axis=(1, 2)), rtol=1e-6)
+
+
+def stacked_windows(x, k, s, p, fill):
+    """The pre-streaming formulation: a stack of all k*k shifted views."""
+    if p:
+        x = np.pad(x, ((0, 0), (p, p), (p, p)), constant_values=fill)
+    out_h = (x.shape[1] - k) // s + 1
+    out_w = (x.shape[2] - k) // s + 1
+    return np.stack([
+        x[:, ki : ki + s * out_h : s, kj : kj + s * out_w : s]
+        for ki in range(k)
+        for kj in range(k)
+    ])
+
+
+POOL_CASES = [
+    # (shape, kernel, stride, padding)
+    ((3, 9, 7), 2, None, 0),
+    ((2, 13, 11), 3, 2, 1),
+    ((4, 55, 55), 3, 2, 0),
+    ((2, 17, 17), 5, 3, 2),
+    ((1, 8, 10), 3, 1, 1),
+    ((2, 7, 7), 7, None, 0),
+]
+
+
+class TestStreamedWindows:
+    @pytest.mark.parametrize("shape,k,s,p", POOL_CASES)
+    def test_maxpool_equals_stacked_max(self, rng, shape, k, s, p):
+        x = rng.standard_normal(shape).astype(np.float32)
+        out = MaxPool2D("p", k, stride=s, padding=p).forward([x], {})
+        want = stacked_windows(x, k, s or k, p, -np.inf).max(axis=0)
+        assert out.dtype == np.float32
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape,k,s,p", POOL_CASES)
+    def test_avgpool_equals_stacked_mean(self, rng, shape, k, s, p):
+        x = rng.standard_normal(shape).astype(np.float32)
+        out = AvgPool2D("p", k, stride=s, padding=p).forward([x], {})
+        want = stacked_windows(x, k, s or k, p, 0.0).mean(axis=0)
+        assert out.dtype == np.float32
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layer", [MaxPool2D("m", 3, 2, 1), AvgPool2D("a", 3, 2, 1)])
+    def test_input_not_modified(self, rng, layer):
+        x = rng.standard_normal((2, 9, 9)).astype(np.float32)
+        before = x.copy()
+        layer.forward([x], {})
+        np.testing.assert_array_equal(x, before)

@@ -1,8 +1,11 @@
 """Deterministic parameter materialization."""
 
 import numpy as np
+import pytest
 
 from repro.nn import weights
+
+CHUNK = weights.CHUNK
 
 
 class TestInitParam:
@@ -27,6 +30,27 @@ class TestInitParam:
     def test_explicit_scale(self):
         w = weights.init_param((10000,), "n", "l", "w", scale=0.5)
         assert abs(w.std() - 0.5) < 0.05
+
+
+    @pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("scale", [None, 0.37])
+    def test_streamed_init_matches_normal_bit_for_bit(self, size, scale):
+        parts = ("net", "layer", f"w{size}")
+        got = weights.init_param((size,), *parts, scale=scale)
+        rng = np.random.default_rng(weights._seed_for(*parts))
+        sigma = float(np.sqrt(2.0 / size)) if scale is None else scale
+        want = rng.normal(0.0, sigma, size=(size,)).astype(np.float32)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    def test_streamed_init_keeps_shape(self):
+        shape = (3, 5, CHUNK // 7, 2)
+        got = weights.init_param(shape, "n", "l", "w")
+        rng = np.random.default_rng(weights._seed_for("n", "l", "w"))
+        fan_in = 5 * (CHUNK // 7) * 2
+        want = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float32)
+        assert got.shape == shape
+        np.testing.assert_array_equal(got, want)
 
 
 class TestMaterialize:
