@@ -49,7 +49,7 @@ from .multitenant import (
     run_concurrent,
     serve_concurrent,
 )
-from .service import ServiceProfile, WarmExecutor, profile_service, warm_report
+from .service import ServiceProfile, profile_service, warm_report
 from .semantics import (
     BufferRole,
     classify_buffers,
@@ -109,6 +109,5 @@ __all__ = [
     "split_layer",
     "total_time",
     "warm_report",
-    "WarmExecutor",
     "weights_buffer",
 ]

@@ -20,7 +20,7 @@ shares Fig 9 reports; EdgeNN runs with ``serialize=False``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,11 +31,11 @@ from ..hardware.device import Device
 from ..hardware.memory import AllocKind, Buffer
 from ..hardware.power import energy_for_run
 from ..hardware.specs import ProcessorKind
-from ..nn import tensor
 from ..nn.graph import INPUT, NetworkGraph
 from ..nn.precision import Precision, scale_work
 from ..obs import NOOP_OBS, Observability
-from ..sim.timeline import COPY, CPU, GPU, ScheduledEvent, Timeline
+from ..sim.timeline import COPY, CPU, GPU, Timeline
+from ..sim.trace import TraceEvent
 from .plan import Assignment, ExecutionPlan
 from .report import InferenceReport, LayerResult
 from .semantics import input_buffer, output_buffer, weights_buffer
@@ -49,11 +49,7 @@ class _LayerAccounting:
 
     copy_s: float = 0.0
     overhead_s: float = 0.0
-    events: List[ScheduledEvent] = None
-
-    def __post_init__(self) -> None:
-        if self.events is None:
-            self.events = []
+    events: List[TraceEvent] = field(default_factory=list)
 
     def span(self) -> tuple[float, float]:
         if not self.events:
@@ -151,20 +147,20 @@ class HybridExecutor:
         self._timeline = timeline if timeline is not None else Timeline(
             (CPU, GPU, COPY)
         )
-        self._producer: Dict[str, ScheduledEvent] = {}
+        self._producer: Dict[str, TraceEvent] = {}
         self._resolved: Dict[str, str] = {INPUT: self._ns(input_buffer())}
-        self._last_event: Optional[ScheduledEvent] = None
+        self._last_event: Optional[TraceEvent] = None
         self._copy_s_total = 0.0
         self._completion_s = 0.0
         self._allocate_buffers()
-        self._pending: List[str] = list(self._graph.topo_order())
+        self._pending = iter(self._graph.topo_order())
         self._results: List[LayerResult] = []
 
     def step(self) -> bool:
         """Schedule the next layer; returns False once all are scheduled."""
-        if not self._pending:
+        name = next(self._pending, None)
+        if name is None:
             return False
-        name = self._pending.pop(0)
         if self._obs.enabled:
             with self._obs.tracer.span(
                 f"layer:{name}", category="layer",
@@ -245,29 +241,27 @@ class HybridExecutor:
         ratio = self._precision.byte_ratio * self._batch
         mem.allocate(
             self._ns(input_buffer()),
-            tensor.nbytes(self._graph.input_shape) * ratio,
+            self._graph.out_bytes(INPUT) * ratio,
             self._alloc_kind(input_buffer()),
             role="network_input",
         )
         for name in self._graph.topo_order():
             node = self._graph.node(name)
-            pbytes = node.layer.param_bytes(node.in_shapes)
-            if pbytes > 0:
+            if node.param_bytes > 0:
                 mem.allocate(
                     self._ns(weights_buffer(name)),
-                    float(pbytes) * self._precision.byte_ratio,
+                    float(node.param_bytes) * self._precision.byte_ratio,
                     self._alloc_kind(weights_buffer(name)), role="weights",
                 )
             if not node.layer.is_noop:
                 mem.allocate(
                     self._ns(output_buffer(name)),
-                    float(tensor.nbytes(node.out_shape)) * ratio,
+                    node.work.out_bytes * ratio,
                     self._alloc_kind(output_buffer(name)), role="activation",
                 )
         if self._warm_weights:
             for name in self._graph.topo_order():
-                node = self._graph.node(name)
-                if node.layer.param_bytes(node.in_shapes) > 0:
+                if self._graph.node(name).param_bytes > 0:
                     buf = mem.get(self._ns(weights_buffer(name)))
                     buf.device_valid = True   # regular: copy already done
                     buf.gpu_touched = True    # managed: pages already mapped
@@ -309,11 +303,9 @@ class HybridExecutor:
         """The layer's kernel work at the configured batch size and
         precision, with the processor's narrow-datatype throughput folded
         into the FLOP term."""
-        from dataclasses import replace as _replace
-
         work = scale_work(self._graph.work(name), self._precision)
         if self._batch > 1:
-            work = _replace(
+            work = replace(
                 work,
                 flops=work.flops * self._batch,
                 act_in_bytes=work.act_in_bytes * self._batch,
@@ -322,7 +314,7 @@ class HybridExecutor:
             )
         speedup = self._precision.compute_speedup(proc)
         if speedup != 1.0:
-            work = _replace(work, flops=work.flops / speedup)
+            work = replace(work, flops=work.flops / speedup)
         return work
 
     def _input_buffers(self, name: str) -> List[Buffer]:
@@ -331,8 +323,7 @@ class HybridExecutor:
             self._device.memory.get(self._resolved[src])
             for src in node.input_names
         ]
-        pbytes = node.layer.param_bytes(node.in_shapes)
-        if pbytes > 0:
+        if node.param_bytes > 0:
             bufs.append(self._device.memory.get(self._ns(weights_buffer(name))))
         return bufs
 
@@ -342,11 +333,11 @@ class HybridExecutor:
         proc: ProcessorKind,
         acc: _LayerAccounting,
         kernel_class: str,
-    ) -> tuple[List[ScheduledEvent], float, float]:
+    ) -> tuple[List[TraceEvent], float, float]:
         """Schedule any transfers needed for ``proc`` to read ``bufs``.
 
         Returns (dependency events, extra overhead seconds, bw factor)."""
-        deps: List[ScheduledEvent] = []
+        deps: List[TraceEvent] = []
         overhead = 0.0
         factor = 1.0
         for buf in bufs:
@@ -376,9 +367,9 @@ class HybridExecutor:
     def _schedule_copy(
         self,
         transfer,
-        producer: Optional[ScheduledEvent],
+        producer: Optional[TraceEvent],
         acc: _LayerAccounting,
-    ) -> ScheduledEvent:
+    ) -> TraceEvent:
         if self._device.copy_engine is None:
             raise SpecError(
                 f"device {self._device.name!r} cannot perform explicit copies"
@@ -502,7 +493,7 @@ class HybridExecutor:
             after=joint_deps, not_before=start_at,
         )
         acc.events.extend([ev_cpu, ev_gpu])
-        producer: ScheduledEvent
+        producer: TraceEvent
         penalty = self._device.memory.cowrite_penalty(out_buf)
         if penalty > 0.0:
             # Managed co-write: consistency storm serialized on the GPU side.
@@ -551,8 +542,7 @@ class HybridExecutor:
             buf_name = self._resolved.get(src)
             producer = self._producer.get(buf_name) if buf_name else None
             if producer is not None and producer.resource not in (resource, COPY):
-                if producer.duration_s > 0 or producer.resource != resource:
-                    return True
+                return True
         return False
 
     def _readback_output(self) -> None:

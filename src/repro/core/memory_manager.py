@@ -28,8 +28,7 @@ from typing import Dict, Optional
 from ..hardware import calibration as cal
 from ..hardware.memory import AllocKind
 from ..hardware.specs import DeviceSpec
-from ..nn import tensor
-from ..nn.graph import NetworkGraph
+from ..nn.graph import INPUT, NetworkGraph
 from ..obs import Observability
 from ..obs.provenance import MemoryPlacementRecord, PlacementCandidate
 from .plan import Assignment, ExecutionPlan
@@ -52,16 +51,13 @@ class MemoryPolicy(enum.Enum):
 
 def _buffer_sizes(graph: NetworkGraph) -> Dict[str, float]:
     """Base (fp32, batch 1) byte size of every named buffer."""
-    sizes: Dict[str, float] = {
-        input_buffer(): float(tensor.nbytes(graph.input_shape))
-    }
+    sizes: Dict[str, float] = {input_buffer(): float(graph.out_bytes(INPUT))}
     for name in graph.topo_order():
         node = graph.node(name)
-        pbytes = node.layer.param_bytes(node.in_shapes)
-        if pbytes > 0:
-            sizes[weights_buffer(name)] = float(pbytes)
+        if node.param_bytes > 0:
+            sizes[weights_buffer(name)] = float(node.param_bytes)
         if not node.layer.is_noop:
-            sizes[output_buffer(name)] = float(tensor.nbytes(node.out_shape))
+            sizes[output_buffer(name)] = node.work.out_bytes
     return sizes
 
 

@@ -70,7 +70,7 @@ def classify_buffers(graph: NetworkGraph, plan: ExecutionPlan) -> Dict[str, Buff
     output_layer = graph.output_name
     for name in graph.topo_order():
         node = graph.node(name)
-        if node.layer.param_bytes(node.in_shapes) > 0:
+        if node.param_bytes > 0:
             roles[weights_buffer(name)] = BufferRole.WEIGHTS
         if node.layer.is_noop:
             continue  # aliases its input; no buffer of its own

@@ -28,7 +28,6 @@ from ..hardware.specs import DeviceSpec
 from ..nn.graph import NetworkGraph
 from ..nn.models import build as build_model
 from .engine import EdgeNN, EdgeNNConfig
-from .executor import HybridExecutor
 from .memory_manager import MemoryPolicy
 from .report import InferenceReport
 
@@ -46,15 +45,6 @@ class ServiceProfile:
     @property
     def cold_overhead_s(self) -> float:
         return self.cold_s - self.warm_s
-
-
-class WarmExecutor(HybridExecutor):
-    """A hybrid executor whose weight buffers are already device-resident
-    (the steady state of a long-running service)."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs.setdefault("warm_weights", True)
-        super().__init__(*args, **kwargs)
 
 
 def _backend_kwargs(config: EdgeNNConfig | None) -> dict:

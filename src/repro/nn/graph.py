@@ -33,12 +33,15 @@ INPUT = "input"
 
 @dataclass
 class Node:
-    """One layer instance bound into a graph, with resolved shapes."""
+    """One layer instance bound into a graph, with resolved shapes and
+    the static cost terms those shapes fix (computed once, at ``add``)."""
 
     layer: Layer
     input_names: Tuple[str, ...]
     in_shapes: Tuple[Shape, ...]
     out_shape: Shape
+    work: KernelWork
+    param_bytes: int
     successors: List[str] = field(default_factory=list)
 
     @property
@@ -86,10 +89,14 @@ class NetworkGraph:
             raise GraphError("network name cannot be empty")
         self.name = name
         self.input_shape: Shape = tensor.validate_shape(input_shape)
+        self._input_bytes = tensor.nbytes(self.input_shape)
         self._nodes: Dict[str, Node] = {}
         self._order: List[str] = []       # insertion order == topological
         self._last_added: Optional[str] = None
+        # Derived from the whole DAG; add() drops them.
         self._params: Optional[Dict[str, Dict[str, np.ndarray]]] = None
+        self._segments: Optional[List[Segment]] = None
+        self._output_name: Optional[str] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -110,24 +117,27 @@ class NetworkGraph:
         input_names = tuple(inputs)
         if not input_names:
             raise GraphError(f"layer {name!r} has no inputs")
-        in_shapes: List[Shape] = []
+        shapes: List[Shape] = []
         for src in input_names:
             if src == INPUT:
-                in_shapes.append(self.input_shape)
+                shapes.append(self.input_shape)
             elif src in self._nodes:
-                in_shapes.append(self._nodes[src].out_shape)
+                shapes.append(self._nodes[src].out_shape)
             else:
                 raise GraphError(
                     f"layer {name!r} depends on unknown layer {src!r} "
                     "(layers must be added in topological order)"
                 )
-        out_shape = layer.infer_shape(in_shapes)
+        out_shape = layer.infer_shape(shapes)
         tensor.validate_shape(out_shape)
+        in_shapes = tuple(shapes)
         node = Node(
             layer=layer,
             input_names=input_names,
-            in_shapes=tuple(in_shapes),
+            in_shapes=in_shapes,
             out_shape=out_shape,
+            work=layer.work(in_shapes, out_shape),
+            param_bytes=layer.param_bytes(in_shapes),
         )
         self._nodes[name] = node
         for src in input_names:
@@ -135,7 +145,7 @@ class NetworkGraph:
                 self._nodes[src].successors.append(name)
         self._order.append(name)
         self._last_added = name
-        self._params = None
+        self._params = self._segments = self._output_name = None
         return name
 
     # -- structure --------------------------------------------------------------
@@ -159,13 +169,15 @@ class NetworkGraph:
     @property
     def output_name(self) -> str:
         """The unique sink layer."""
-        sinks = [n for n in self._order if self._nodes[n].out_degree == 0]
-        if len(sinks) != 1:
-            raise GraphError(
-                f"network {self.name!r} must have exactly one output, "
-                f"found {sinks}"
-            )
-        return sinks[0]
+        if self._output_name is None:
+            sinks = [n for n in self._order if self._nodes[n].out_degree == 0]
+            if len(sinks) != 1:
+                raise GraphError(
+                    f"network {self.name!r} must have exactly one output, "
+                    f"found {sinks}"
+                )
+            self._output_name = sinks[0]
+        return self._output_name
 
     @property
     def output_shape(self) -> Shape:
@@ -173,19 +185,18 @@ class NetworkGraph:
 
     def work(self, name: str) -> KernelWork:
         """Kernel work of one layer."""
-        node = self.node(name)
-        return node.layer.work(node.in_shapes, node.out_shape)
+        return self.node(name).work
 
     def out_bytes(self, name: str) -> int:
-        """Output bytes of one layer (the paper's ``v_o``)."""
-        return tensor.nbytes(self.node(name).out_shape)
+        """Output bytes of one layer (the paper's ``v_o``); ``INPUT``
+        gives the network input's bytes."""
+        if name == INPUT:
+            return self._input_bytes
+        return int(self.node(name).work.out_bytes)
 
     def total_param_bytes(self) -> int:
         """Total parameter bytes of the network."""
-        return sum(
-            self._nodes[n].layer.param_bytes(self._nodes[n].in_shapes)
-            for n in self._order
-        )
+        return sum(self._nodes[n].param_bytes for n in self._order)
 
     def total_flops(self) -> float:
         """Total forward-pass FLOPs."""
@@ -206,6 +217,8 @@ class NetworkGraph:
         Supports fork-join regions whose branches are simple chains (fire
         modules, residual blocks).  Nested forks raise :class:`GraphError`.
         """
+        if self._segments is not None:
+            return list(self._segments)
         first = self._first_layer()
         segments: List[Segment] = []
         chain: List[str] = []
@@ -237,7 +250,8 @@ class NetworkGraph:
                 f"segmentation covered {covered} of {len(self._nodes)} layers; "
                 "the DAG has structure beyond chain/fork-join"
             )
-        return segments
+        self._segments = segments
+        return list(segments)
 
     def _first_layer(self) -> str:
         roots = [n for n in self._order if self._nodes[n].input_names == (INPUT,)]
@@ -285,8 +299,9 @@ class NetworkGraph:
         problem descriptions (empty when the graph is sound): every
         layer's inputs must be produced by a predecessor (or the network
         input), recorded input shapes must match the producer's output
-        shape, and the recorded output shape must equal what the layer
-        infers from those inputs today.
+        shape, the recorded output shape must equal what the layer
+        infers from those inputs today, and the stored work and parameter
+        bytes must equal what the layer computes from those shapes.
         """
         problems: List[str] = []
         seen: set = {INPUT}
@@ -317,6 +332,18 @@ class NetworkGraph:
                     problems.append(
                         f"layer {name!r} declares output {node.out_shape} "
                         f"but infers {tuple(inferred)}"
+                    )
+                work = node.layer.work(node.in_shapes, node.out_shape)
+                if node.work != work:
+                    problems.append(
+                        f"layer {name!r} stores work {node.work} but its "
+                        f"shapes give {work}"
+                    )
+                param_bytes = node.layer.param_bytes(node.in_shapes)
+                if node.param_bytes != param_bytes:
+                    problems.append(
+                        f"layer {name!r} stores {node.param_bytes} parameter "
+                        f"bytes but its shapes give {param_bytes}"
                     )
             seen.add(name)
         try:

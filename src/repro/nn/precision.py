@@ -46,12 +46,14 @@ class Precision(enum.Enum):
         regardless of tiling quality); NEON likewise doubles lanes per
         halving, with INT8 slightly less efficient than ideal.
         """
-        table = {
-            Precision.FP32: {ProcessorKind.CPU: 1.0, ProcessorKind.GPU: 1.0},
-            Precision.FP16: {ProcessorKind.CPU: 1.8, ProcessorKind.GPU: 2.0},
-            Precision.INT8: {ProcessorKind.CPU: 3.0, ProcessorKind.GPU: 4.0},
-        }
-        return table[self][proc]
+        return _COMPUTE_SPEEDUP[self][proc]
+
+
+_COMPUTE_SPEEDUP = {
+    Precision.FP32: {ProcessorKind.CPU: 1.0, ProcessorKind.GPU: 1.0},
+    Precision.FP16: {ProcessorKind.CPU: 1.8, ProcessorKind.GPU: 2.0},
+    Precision.INT8: {ProcessorKind.CPU: 3.0, ProcessorKind.GPU: 4.0},
+}
 
 
 def scale_work(work: KernelWork, precision: Precision) -> KernelWork:

@@ -1,7 +1,7 @@
 """Discrete-event simulation primitives: timeline, trace, statistics."""
 
 from .stats import ResourceStats, corun_share, resource_stats, utilization_profile
-from .timeline import COPY, CPU, GPU, ScheduledEvent, Timeline
+from .timeline import COPY, CPU, GPU, Timeline
 from .trace import Trace, TraceEvent
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "CPU",
     "GPU",
     "ResourceStats",
-    "ScheduledEvent",
     "Timeline",
     "Trace",
     "TraceEvent",

@@ -4,7 +4,8 @@ The hybrid executor schedules kernels, copies, and synchronization points on
 named resources ("cpu", "gpu", "copy").  Each resource processes its work
 serially (a CUDA stream / an OpenMP team / a copy engine); cross-resource
 ordering is expressed through dependencies on previously scheduled
-:class:`ScheduledEvent` handles.
+events: ``schedule`` returns the :class:`~repro.sim.trace.TraceEvent` it
+appends to the trace, and that record is the handle later work waits on.
 
 ``schedule(resource, duration, after=[...])`` places the work at
 ``max(resource_free, deps_end)`` — i.e. resources run eagerly as soon as
@@ -15,7 +16,6 @@ the data dependency requires it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence
 
 from ..errors import SimulationError
@@ -25,20 +25,6 @@ from .trace import Trace, TraceEvent
 CPU = "cpu"
 GPU = "gpu"
 COPY = "copy"
-
-
-@dataclass(frozen=True)
-class ScheduledEvent:
-    """Handle to one scheduled interval; used as a dependency for later work."""
-
-    resource: str
-    label: str
-    start_s: float
-    end_s: float
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
 
 
 class Timeline:
@@ -69,10 +55,10 @@ class Timeline:
         duration_s: float,
         label: str,
         *,
-        after: Sequence[ScheduledEvent] = (),
+        after: Sequence[TraceEvent] = (),
         category: str = "kernel",
         not_before: float = 0.0,
-    ) -> ScheduledEvent:
+    ) -> TraceEvent:
         """Place ``duration_s`` of work on ``resource``.
 
         Start time is the max of: the resource's next free instant, the end
@@ -87,16 +73,14 @@ class Timeline:
             start = max(start, dep.end_s)
         end = start + duration_s
         self._free_at[resource] = end
-        event = ScheduledEvent(resource=resource, label=label, start_s=start, end_s=end)
-        self.trace.add(
-            TraceEvent(
-                resource=resource, label=label,
-                start_s=start, end_s=end, category=category,
-            )
+        event = TraceEvent(
+            resource=resource, label=label,
+            start_s=start, end_s=end, category=category,
         )
+        self.trace.add(event)
         return event
 
-    def barrier(self, label: str = "barrier") -> ScheduledEvent:
+    def barrier(self, label: str = "barrier") -> TraceEvent:
         """Synchronize all resources at the current makespan.
 
         Models ``cudaDeviceSynchronize`` plus a CPU join: every resource's
@@ -105,7 +89,7 @@ class Timeline:
         t = self.now()
         for resource in self._free_at:
             self._free_at[resource] = t
-        return ScheduledEvent(resource="*", label=label, start_s=t, end_s=t)
+        return TraceEvent(resource="*", label=label, start_s=t, end_s=t)
 
     def busy_time(self, resource: str) -> float:
         """Total scheduled time on a resource."""

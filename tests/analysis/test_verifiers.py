@@ -1,6 +1,7 @@
 """Verifier tests: golden artifacts pass, hand-corrupted copies fail
 with the precise rule that names the corruption."""
 
+import dataclasses
 import json
 
 import pytest
@@ -155,3 +156,17 @@ class TestShippedCatalogs:
         findings = verify_network_graph(net)
         assert findings
         assert rules_of(findings) == {"REPRO309"}
+
+    @pytest.mark.parametrize("field,stored", [
+        ("work", lambda node: dataclasses.replace(
+            node.work, flops=node.work.flops * 2)),
+        ("param_bytes", lambda node: node.param_bytes + 4),
+    ])
+    def test_network_graph_detects_stale_cost_terms(self, field, stored):
+        net = build("lenet")
+        node = net.node("conv1")
+        setattr(node, field, stored(node))
+        findings = verify_network_graph(net)
+        assert rules_of(findings) == {"REPRO309"}
+        assert len(findings) == 1
+        assert "'conv1' stores" in findings[0].message

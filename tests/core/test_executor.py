@@ -1,7 +1,10 @@
 """Hybrid executor: scheduling, memory behaviour, reports."""
 
+from collections import Counter
+
 import pytest
 
+from repro.compile.pipeline import compile_plan
 from repro.core.executor import HybridExecutor
 from repro.core.memory_manager import MemoryPolicy, plan_allocations
 from repro.core.plan import (
@@ -14,6 +17,9 @@ from repro.core.plan import (
 from repro.errors import PlanError, ReproError
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER, RASPBERRY_PI_4
+from repro.nn import tensor
+from repro.nn.layer import Layer
+from repro.nn.models import build
 
 from ..conftest import make_branch_net, make_chain_net
 
@@ -240,3 +246,34 @@ class TestPrefetch:
         report = HybridExecutor(chain_net, jetson, plan).run()
         assert not any(e.label.startswith("prefetch:")
                        for e in report.trace.events)
+
+
+class TestStaticCostTerms:
+    """A run reads the cost terms the graph stored when each layer was
+    added; it never re-derives them from shapes.  Counting calls does not
+    depend on host speed, unlike a wall-clock gate."""
+
+    @pytest.mark.parametrize("model", ["resnet18", "vgg16"])
+    def test_run_derives_nothing_from_shapes(self, model, monkeypatch):
+        compiled = compile_plan(model, JETSON_AGX_XAVIER)
+        calls: Counter = Counter()
+
+        def counted(owner, attr):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        counted(Layer, "work")
+        counted(Layer, "param_bytes")
+        counted(tensor, "validate_shape")
+        report = HybridExecutor(
+            compiled.graph, compiled.device, compiled.plan
+        ).run()
+        assert len(report.layers) == len(compiled.graph)
+        assert calls == Counter()
+        build(model)  # the counters do see shape-derived work
+        assert set(calls) == {"work", "param_bytes", "validate_shape"}

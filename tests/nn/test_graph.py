@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError, ShapeError
-from repro.nn.graph import INPUT, NetworkGraph
+from repro.nn.graph import INPUT, ChainSegment, NetworkGraph
 from repro.nn.layers import Concat, Conv2D, Dense, Flatten, ReLU, Softmax
 
 from ..conftest import make_branch_net, make_chain_net
@@ -81,11 +81,21 @@ class TestStructure:
         with pytest.raises(GraphError):
             make_chain_net().node("ghost")
 
+    def test_adding_a_layer_refreshes_derived_structure(self):
+        net = NetworkGraph("n", (4,))
+        net.add(Dense("fc1", 4))
+        assert net.output_name == "fc1"
+        assert net.segments() == [ChainSegment(("fc1",))]
+        net.add(Dense("fc2", 3))
+        assert net.output_name == "fc2"
+        assert net.segments() == [ChainSegment(("fc1", "fc2"))]
+
 
 class TestAccounting:
     def test_out_bytes(self):
         net = make_chain_net()
         assert net.out_bytes("conv1") == 8 * 16 * 16 * 4
+        assert net.out_bytes(INPUT) == 3 * 16 * 16 * 4
 
     def test_total_param_bytes(self):
         net = NetworkGraph("n", (4,))

@@ -100,7 +100,8 @@ class TestBarrierAndStats:
 
     def test_trace_records_events(self):
         tl = Timeline()
-        tl.schedule(CPU, 1.0, "a", category="kernel")
-        tl.schedule(COPY, 0.5, "m", category="copy")
-        assert len(tl.trace) == 2
+        a = tl.schedule(CPU, 1.0, "a", category="kernel")
+        m = tl.schedule(COPY, 0.5, "m", category="copy")
+        first, second = tl.trace.events
+        assert first is a and second is m  # the handle is the trace record
         assert tl.trace.busy_time(COPY, category="copy") == pytest.approx(0.5)
