@@ -9,11 +9,10 @@ Three complementary passes, all exposed through ``repro analyze`` and
   exceptions in the engine and backends, provenance records on tuner /
   degradation decision branches, no bare unit magnitudes outside
   :mod:`repro.units`.
-* **Concurrency** (:mod:`repro.analysis.concurrency`) — shared-state
+* **Locks** (:mod:`repro.analysis.locks`) — REPRO201 shared-state
   mutations outside ``with self._lock`` in the threaded modules,
-  sharpened by the per-class lock escape analysis in
-  :mod:`repro.analysis.locks` (helpers proven to run with the lock
-  held are exempt, not baselined).
+  sharpened by a per-class lock escape analysis (helpers proven to run
+  with the lock held are exempt, not baselined).
 * **Dataflow** (:mod:`repro.analysis.callgraph` +
   :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.locks` /
   :mod:`repro.analysis.durability`) — interprocedural passes over a
@@ -44,7 +43,6 @@ from .baseline import (
     find_default_baseline,
 )
 from .callgraph import CallGraph, build_call_graph
-from .concurrency import RULE_ID as CONCURRENCY_RULE_ID
 from .dataflow import check_seed_taint
 from .durability import check_durability
 from .findings import Finding, FindingCollector
@@ -75,7 +73,6 @@ __all__ = [
     "AnalysisReport",
     "Baseline",
     "BaselineEntry",
-    "CONCURRENCY_RULE_ID",
     "CallGraph",
     "DEFAULT_BASELINE_NAME",
     "EXTRA_RULES",

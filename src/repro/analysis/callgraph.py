@@ -264,7 +264,9 @@ class CallGraph:
         }
 
 
-def _lock_attrs_of(cls: ast.ClassDef) -> Set[str]:
+def lock_attributes(cls: ast.ClassDef) -> Set[str]:
+    """Names of the ``self.*_lock`` attributes ``cls`` assigns (bound
+    from ``threading.Lock()`` / ``RLock()`` or just named like locks)."""
     locks: Set[str] = set()
     for node in ast.walk(cls):
         if not isinstance(node, ast.Assign):
@@ -295,7 +297,7 @@ class _DefCollector(ast.NodeVisitor):
             module=self.module.name,
             name=node.name,
             node=node,
-            lock_attrs=_lock_attrs_of(node),
+            lock_attrs=lock_attributes(node),
         )
         self.class_stack.append(node.name)
         self.generic_visit(node)
@@ -550,5 +552,6 @@ __all__ = [
     "MODULE_SCOPE",
     "ModuleInfo",
     "build_call_graph",
+    "lock_attributes",
     "module_name_for",
 ]

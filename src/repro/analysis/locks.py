@@ -1,13 +1,21 @@
-"""REPRO22x — lock escape analysis and global lock-acquisition order.
+"""REPRO201 / REPRO220 — the lock checker.
 
-Two upgrades over the lexical REPRO201 heuristic:
+Three passes over one notion of lock scope (:func:`_walk_statements`):
 
-**Escape analysis (no new rule id — it makes REPRO201 smarter).**
+**REPRO201 lock discipline.**
+The modules known to be exercised from multiple threads (the plan cache
+and the serving layer) follow one convention: a class that owns a
+``self._lock`` (or ``self._<anything>_lock``) protects *all* of its
+mutable attributes with it.  This pass walks every class that creates a
+lock attribute and reports attribute mutations — assignments, augmented
+assignments, subscript stores, and calls of known container mutators on
+``self.<attr>`` — that are not lexically inside a ``with self._lock:``
+block.
+
+**Escape analysis (no rule id of its own — it sharpens REPRO201).**
 A private helper that mutates shared state without taking the lock is
-fine *if the lock is always already held when it runs*.  The old rule
-could not see that, so such helpers lived in the baseline with a
-"call with the lock held" justification.  This pass proves it instead,
-per class, as a fixed point:
+fine *if the lock is always already held when it runs*.  This pass
+proves it, per class, as a fixed point:
 
   a private method ``_m`` is **proven lock-held** when
   (1) it never escapes — every ``self._m`` reference in the class is a
@@ -20,7 +28,7 @@ Proven methods are exempt from REPRO201; everything else still flags.
 The proof is deliberately per-class and intraprocedural — a helper
 called from *outside* its class is never proven.
 
-**REPRO220 lock order (new rule).**
+**REPRO220 lock order.**
 Every ``with self.<lock>`` acquisition is a node; an edge ``A -> B``
 means some code path acquires ``B`` (directly, or transitively through
 project calls) while holding ``A``.  Any strongly connected component
@@ -34,13 +42,84 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from pathlib import Path
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar,
+    Union,
+)
 
-from .callgraph import CallGraph, ModuleInfo
-from .concurrency import _is_lock_with, _lock_attributes
+from .callgraph import CallGraph, ModuleInfo, lock_attributes
 from .findings import Finding
+from .lint import MUTATING_METHODS, LintContext, dotted_name
 
+RULE_ID = "REPRO201"
 RULE_ORDER = "REPRO220"
+
+#: Path parts of modules known to be shared across threads.  ``sim``
+#: covers :mod:`repro.sim.engine`, the struct-of-arrays event core both
+#: threaded simulators instantiate per run; ``tuning`` and ``store``
+#: hold the tuning fleet (scheduler thread + worker pool over a shared
+#: queue and content-addressed store).
+THREADED_PARTS: Set[str] = {"serving", "cluster", "sim", "tuning", "store"}
+#: File names of modules known to be shared across threads.
+THREADED_FILES: Set[str] = {"plan_cache.py"}
+
+_State = TypeVar("_State")
+
+
+def is_threaded_module(path: Path) -> bool:
+    return (
+        bool(THREADED_PARTS.intersection(path.parts))
+        or path.name in THREADED_FILES
+    )
+
+
+# ---------------------------------------------------------------------------
+# Lock scope
+# ---------------------------------------------------------------------------
+
+def _is_lock_with(stmt: ast.With, locks: Set[str]) -> bool:
+    for item in stmt.items:
+        expr = item.context_expr
+        dotted = dotted_name(expr)
+        if dotted is not None and any(
+            dotted == f"self.{lock}" for lock in locks
+        ):
+            return True
+    return False
+
+
+def _walk_statements(
+    body: Sequence[ast.stmt],
+    state: _State,
+    enter: Callable[[ast.With, _State], _State],
+) -> Iterator[Tuple[ast.stmt, _State]]:
+    """Yield ``(stmt, state)`` for every statement in pre-order.
+
+    ``state`` is the lock scope a statement runs in; ``enter(with_stmt,
+    state)`` gives the scope inside a ``with`` block.  Exception
+    handlers run in the scope of their ``try``.
+    """
+    for stmt in body:
+        yield stmt, state
+        inner = enter(stmt, state) if isinstance(stmt, ast.With) else state
+        for field_name in ("body", "orelse", "finalbody"):
+            children = getattr(stmt, field_name, None)
+            if children:
+                yield from _walk_statements(children, inner, enter)
+        if isinstance(stmt, ast.Try):
+            for handler in stmt.handlers:
+                yield from _walk_statements(handler.body, state, enter)
+
+
+def _locked_statements(
+    body: Sequence[ast.stmt], locks: Set[str]
+) -> Iterator[Tuple[ast.stmt, bool]]:
+    """``(stmt, lock lexically held)`` for every statement of ``body``."""
+    return _walk_statements(
+        body, False,
+        lambda stmt, locked: locked or _is_lock_with(stmt, locks),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -88,26 +167,13 @@ def _call_sites_by_callee(
     """callee method -> [(caller method, lock lexically held)] within the
     class."""
     sites: Dict[str, List[Tuple[str, bool]]] = {}
-
-    def walk(body: Sequence[ast.stmt], caller: str, locked: bool) -> None:
-        for stmt in body:
-            inner = locked
-            if isinstance(stmt, ast.With):
-                inner = locked or _is_lock_with(stmt, locks)
+    for method in cls.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for stmt, locked in _locked_statements(method.body, locks):
             for expr in _own_exprs(stmt):
                 for callee in _self_method_calls(expr):
-                    sites.setdefault(callee, []).append((caller, locked))
-            for field_name in ("body", "orelse", "finalbody"):
-                children = getattr(stmt, field_name, None)
-                if children:
-                    walk(children, caller, inner)
-            if isinstance(stmt, ast.Try):
-                for handler in stmt.handlers:
-                    walk(handler.body, caller, locked)
-
-    for method in cls.body:
-        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            walk(method.body, method.name, False)
+                    sites.setdefault(callee, []).append((method.name, locked))
     return sites
 
 
@@ -188,8 +254,104 @@ def analyze_class_escapes(cls: ast.ClassDef, locks: Set[str]) -> EscapeProof:
 def proven_lock_held(cls: ast.ClassDef, locks: Optional[Set[str]] = None) -> Set[str]:
     """Method names of ``cls`` proven to always run with the lock held."""
     if locks is None:
-        locks = _lock_attributes(cls)
+        locks = lock_attributes(cls)
     return set(analyze_class_escapes(cls, locks).proven)
+
+
+# ---------------------------------------------------------------------------
+# REPRO201 — shared-state mutation outside the lock
+# ---------------------------------------------------------------------------
+
+def _self_mutation(stmt: ast.stmt) -> Optional[str]:
+    """The mutated ``self.<attr>`` name, if this statement mutates one."""
+
+    def attr_of(node: ast.AST) -> Optional[str]:
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            return node.attr
+        return None
+
+    if isinstance(stmt, ast.Assign):
+        targets: Sequence[ast.expr] = stmt.targets
+    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+        targets = [stmt.target]
+    elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        func = stmt.value.func
+        if isinstance(func, ast.Attribute) and func.attr in MUTATING_METHODS:
+            return attr_of(func.value)
+        return None
+    else:
+        return None
+    for target in targets:
+        name = attr_of(target)
+        if name is not None:
+            return name
+        if isinstance(target, ast.Subscript):
+            name = attr_of(target.value)
+            if name is not None:
+                return name
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                name = attr_of(element)
+                if name is not None:
+                    return name
+    return None
+
+
+def check_class(
+    ctx: LintContext, cls: ast.ClassDef
+) -> Iterator[Finding]:
+    locks = lock_attributes(cls)
+    if not locks:
+        return
+    proven = proven_lock_held(cls, locks)
+    lock_list = ", ".join(sorted(locks))
+    for method in cls.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if method.name == "__init__":
+            continue  # construction happens-before sharing
+        if method.name in proven:
+            continue  # escape analysis: only runs with the lock held
+        for stmt, locked in _locked_statements(method.body, locks):
+            if locked:
+                continue
+            attr = _self_mutation(stmt)
+            if attr is None or attr in locks:
+                continue
+            line = getattr(stmt, "lineno", method.lineno)
+            if ctx.suppressed(line, RULE_ID):
+                continue
+            yield Finding(
+                rule=RULE_ID,
+                path=ctx.display_path,
+                line=line,
+                symbol=f"{cls.name}.{method.name}",
+                message=(
+                    f"shared attribute self.{attr} mutated outside "
+                    f"`with self.{lock_list}` in threaded module"
+                ),
+            )
+
+
+def check_file(
+    path: Union[Path, LintContext], *, display_path: Optional[str] = None
+) -> List[Finding]:
+    """Run REPRO201 over one file (threaded modules get it by default
+    from the runner; any file can be checked explicitly).  Accepts a
+    path or an already-parsed :class:`LintContext`."""
+    ctx = (
+        path if isinstance(path, LintContext)
+        else LintContext.for_file(path, display_path)
+    )
+    out: List[Finding] = []
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.ClassDef):
+            out.extend(check_class(ctx, node))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,57 +430,48 @@ class LockOrderAnalysis:
         self.edges.setdefault((edge.holder, edge.acquired), edge)
 
     def _walk(
-        self,
-        body: Sequence[ast.stmt],
-        qualname: str,
-        module: ModuleInfo,
-        held: Tuple[str, ...],
+        self, body: Sequence[ast.stmt], qualname: str, module: ModuleInfo
     ) -> None:
-        for stmt in body:
-            inner = held
+        def enter(stmt: ast.With, held: Tuple[str, ...]) -> Tuple[str, ...]:
+            lock = self._lock_id(qualname, stmt)
+            return held if lock is None else held + (lock,)
+
+        symbol = _symbol_of(qualname)
+        for stmt, held in _walk_statements(body, (), enter):
+            if not held:
+                continue
+            acquired: List[Tuple[str, int]] = []
             if isinstance(stmt, ast.With):
                 lock = self._lock_id(qualname, stmt)
                 if lock is not None:
-                    for holder in held:
-                        self._add_edge(LockEdge(
-                            holder=holder,
-                            acquired=lock,
-                            path=module.display_path,
-                            line=stmt.lineno,
-                            symbol=_symbol_of(qualname),
-                        ))
-                    inner = held + (lock,)
-            if held:
-                for expr in _own_exprs(stmt):
-                    for call in ast.walk(expr):
-                        if not isinstance(call, ast.Call):
-                            continue
-                        callee = self._callee_index.get(id(call))
-                        if callee is None:
-                            continue
-                        for lock in self.locks_acquired(callee):
-                            for holder in held:
-                                self._add_edge(LockEdge(
-                                    holder=holder,
-                                    acquired=lock,
-                                    path=module.display_path,
-                                    line=call.lineno,
-                                    symbol=_symbol_of(qualname),
-                                ))
-            for field_name in ("body", "orelse", "finalbody"):
-                children = getattr(stmt, field_name, None)
-                if children:
-                    self._walk(children, qualname, module, inner)
-            if isinstance(stmt, ast.Try):
-                for handler in stmt.handlers:
-                    self._walk(handler.body, qualname, module, held)
+                    acquired.append((lock, stmt.lineno))
+            for expr in _own_exprs(stmt):
+                for call in ast.walk(expr):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    callee = self._callee_index.get(id(call))
+                    if callee is None:
+                        continue
+                    acquired.extend(
+                        (lock, call.lineno)
+                        for lock in self.locks_acquired(callee)
+                    )
+            for lock, line in acquired:
+                for holder in held:
+                    self._add_edge(LockEdge(
+                        holder=holder,
+                        acquired=lock,
+                        path=module.display_path,
+                        line=line,
+                        symbol=symbol,
+                    ))
 
     def build(self) -> "LockOrderAnalysis":
         for fn in self.graph.functions.values():
             module = self.graph.modules.get(fn.module)
             if module is None:
                 continue
-            self._walk(fn.node.body, fn.qualname, module, ())
+            self._walk(fn.node.body, fn.qualname, module)
         return self
 
     # -- cycle detection ------------------------------------------------------
@@ -444,8 +597,11 @@ __all__ = [
     "EscapeProof",
     "LockEdge",
     "LockOrderAnalysis",
+    "RULE_ID",
     "RULE_ORDER",
     "analyze_class_escapes",
+    "check_file",
     "check_lock_order",
+    "is_threaded_module",
     "proven_lock_held",
 ]

@@ -1,7 +1,7 @@
 """The analysis driver behind ``repro analyze``.
 
 One run = lint rules over every Python file under the given paths,
-the concurrency heuristic over the threaded modules, the
+the REPRO201 lock-discipline check over the threaded modules, the
 interprocedural dataflow passes (seed-taint, lock order, durability)
 over a project-wide call graph, the lease-protocol model check, and
 (optionally) the in-process catalog verifiers — filtered through the
@@ -16,7 +16,6 @@ working as families grow.
 
 from __future__ import annotations
 
-import ast
 import json
 import re
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from ..errors import ReproError
 from ..fsutil import atomic_write_text
-from . import concurrency, dataflow, durability, locks, protocol
+from . import dataflow, durability, locks, protocol
 from .baseline import Baseline, BaselineEntry
 from .callgraph import CallGraph, build_call_graph
 from .findings import Finding, FindingCollector
@@ -36,7 +35,7 @@ _SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist"}
 
 #: Non-lint rules the runner drives directly (id -> short description).
 EXTRA_RULES: Dict[str, str] = {
-    concurrency.RULE_ID: "shared-state mutation outside the lock",
+    locks.RULE_ID: "shared-state mutation outside the lock",
     dataflow.RULE_UNSEEDED: "RNG constructed without a seed",
     dataflow.RULE_UNTAINTED: "RNG seed not derived from a taint source",
     locks.RULE_ORDER: "lock-acquisition-order cycle",
@@ -211,11 +210,8 @@ def analyze_paths(
 
     for ctx in contexts:
         collector.extend(_run_lint(ctx, lint_rules))
-        if (
-            concurrency.RULE_ID in active_set
-            and concurrency.is_threaded_module(ctx.path)
-        ):
-            collector.extend(_concurrency_findings(ctx))
+        if locks.RULE_ID in active_set and locks.is_threaded_module(ctx.path):
+            collector.extend(locks.check_file(ctx))
 
     # Interprocedural passes share one call graph over all analyzed files.
     graph_rules = {
@@ -265,14 +261,6 @@ def analyze_paths(
         stale_baseline=stale,
         files_analyzed=len(files),
     )
-
-
-def _concurrency_findings(ctx: LintContext) -> List[Finding]:
-    out: List[Finding] = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ClassDef):
-            out.extend(concurrency.check_class(ctx, node))
-    return out
 
 
 __all__ = [

@@ -91,19 +91,19 @@ def _device_from(args):
     return catalog[name]
 
 
+def _configure_store(args) -> None:
+    """Point the process-wide plan cache at ``--store DIR``: plans tuned
+    in any earlier process are reloaded from the store (zero tuner
+    rounds) and plans tuned here are written back for the next run."""
+    if args.store:
+        from .core.plan_cache import configure_default_plan_cache
+
+        configure_default_plan_cache(store_dir=args.store)
+
+
 def cmd_run(args) -> int:
-    plan_cache = None
-    if getattr(args, "plan_dir", None) or getattr(args, "store", None):
-        from .core.plan_cache import PlanCache
-
-        store = None
-        if getattr(args, "store", None):
-            from .store.plan_store import PlanStore
-
-            store = PlanStore(args.store)
-        plan_cache = PlanCache(save_dir=args.plan_dir, store=store)
-    engine = EdgeNN(args.network, _device_from(args), _config_from(args),
-                    plan_cache=plan_cache)
+    _configure_store(args)
+    engine = EdgeNN(args.network, _device_from(args), _config_from(args))
     tuning = engine.tune()
     report = engine.run()
     print(f"network   : {args.network} on {engine.device.name}")
@@ -286,16 +286,7 @@ def cmd_serve(args) -> int:
     from .obs import Observability
     from .obs.export import write_obs_artifacts
 
-    if args.plan_dir or args.store:
-        # Warm-start serving: plans tuned in any earlier process are
-        # reloaded from DIR (or the content-addressed plan store) as
-        # artifacts (zero tuner rounds), and plans tuned here are
-        # persisted for the next run.
-        from .core.plan_cache import configure_default_plan_cache
-
-        configure_default_plan_cache(
-            save_dir=args.plan_dir, store_dir=args.store
-        )
+    _configure_store(args)
     obs = Observability.on() if args.obs_out else Observability.off()
     if args.obs_out:
         # A warm plan cache would skip tuning entirely and leave the
@@ -395,12 +386,7 @@ def cmd_cluster(args) -> int:
         scenario = scale_to_horizon(
             load_scenario(args.faults), args.duration
         )
-    if args.plan_dir or args.store:
-        from .core.plan_cache import configure_default_plan_cache
-
-        configure_default_plan_cache(
-            save_dir=args.plan_dir, store_dir=args.store
-        )
+    _configure_store(args)
     mix = DeviceMix.parse(
         args.devices, throttled_share=args.throttled_share
     )
@@ -588,13 +574,6 @@ def cmd_plan_compile(args) -> int:
     if args.out:
         path = artifact.save(args.out)
         print(f"\nsaved     : {path}")
-    if args.plan_dir:
-        import pathlib
-
-        directory = pathlib.Path(args.plan_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = artifact.save(directory / f"{artifact.key.slug()}.json")
-        print(f"saved     : {path} (plan-cache layout)")
     return 0
 
 
@@ -803,11 +782,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="integrated device name (default jetson)")
     run.add_argument("--trace", default=None,
                      help="write a Chrome trace of the schedule here")
-    run.add_argument("--plan-dir", default=None, metavar="DIR",
-                     help="persist/reuse tuned plans as artifacts in DIR")
     run.add_argument("--store", default=None, metavar="DIR",
-                     help="read/write plans through a content-addressed "
-                          "plan store (see `repro tune-fleet`)")
+                     help="read/write plans through the content-addressed "
+                          "plan store in DIR (created on first write; "
+                          "see `repro tune-fleet`)")
     add_engine_flags(run)
     run.set_defaults(func=cmd_run)
 
@@ -824,9 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="integrated device name (default jetson)")
     plan_compile.add_argument("-o", "--out", default=None, metavar="FILE",
                               help="write the artifact JSON here")
-    plan_compile.add_argument("--plan-dir", default=None, metavar="DIR",
-                              help="also save under DIR with the plan-cache "
-                                   "file name (slug of the plan key)")
     add_engine_flags(plan_compile)
     plan_compile.set_defaults(func=cmd_plan_compile)
 
@@ -904,12 +879,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--obs-out", default=None, metavar="DIR",
                        help="enable full observability and write trace/"
                             "metrics/provenance artifacts to DIR")
-    serve.add_argument("--plan-dir", default=None, metavar="DIR",
-                       help="persist/reuse tuned plans as artifacts in DIR "
-                            "(warm-start serving across processes)")
     serve.add_argument("--store", default=None, metavar="DIR",
-                       help="warm-start from a `repro tune-fleet` plan "
-                            "store (zero tuner rounds on catalog hits)")
+                       help="read/write plans through the plan store in "
+                            "DIR (created on first write): a later run, or "
+                            "a `repro tune-fleet` store, replays them with "
+                            "zero tuner rounds")
     serve.add_argument("--faults", default=None, metavar="SCENARIO",
                        help="inject faults: a built-in scenario name "
                             "(see `repro faults list`) or a scenario "
@@ -987,11 +961,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="enable the per-pool autoscaler")
     cluster.add_argument("--seed", type=int, default=0,
                          help="run seed (same seed replays bit-identically)")
-    cluster.add_argument("--plan-dir", default=None, metavar="DIR",
-                         help="persist/reuse tuned plans as artifacts in DIR")
     cluster.add_argument("--store", default=None, metavar="DIR",
-                         help="warm-start every pool from a `repro "
-                              "tune-fleet` plan store")
+                         help="read/write every pool's plans through the "
+                              "plan store in DIR (created on first write; "
+                              "see `repro tune-fleet`)")
     cluster.add_argument("--out", default=None, metavar="FILE",
                          help="write the full ClusterReport JSON to FILE")
     cluster.add_argument("--timeline-out", default=None, metavar="FILE",

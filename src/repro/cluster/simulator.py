@@ -50,9 +50,10 @@ from ..faults import FaultScenario
 from ..nn.precision import Precision
 from ..obs import NOOP_OBS, Observability
 from ..obs.timeline import TimelineArtifact, TimelineRecorder
-from ..serving.batcher import _EPS, BatchPolicy
+from ..serving.batcher import BatchPolicy
 from ..serving.report import LatencyStats
 from ..sim.engine import ArrivalSchedule, EventEngine, EventHeap
+from ..sim.engine.queue import EPS
 from ..sim.trace import Trace, TraceEvent
 from ..workloads.arrivals import ArrivalProcess, ClosedLoopArrivals
 from .autoscaler import Autoscaler, AutoscalerPolicy
@@ -232,14 +233,14 @@ class ClusterSimulator:
         heap: EventHeap,
     ) -> None:
         """Dispatch one batch if the device is free."""
-        if replica.busy_until > now + _EPS or not replica.queue:
+        if replica.busy_until > now + EPS or not replica.queue:
             return
         deadline = pool.policy.deadline_s
         batch: List[float] = []
         abandoned = 0
         while replica.queue and len(batch) < pool.policy.max_batch_size:
             arrival = replica.queue.popleft()
-            if deadline is not None and now - arrival > deadline + _EPS:
+            if deadline is not None and now - arrival > deadline + EPS:
                 # Abandoned in queue: the client gave up before we got
                 # to it — device time is not spent on it.
                 pool.timed_out += 1
@@ -283,7 +284,7 @@ class ClusterSimulator:
             replica.draining
             and replica.active
             and not replica.queue
-            and replica.busy_until <= now + _EPS
+            and replica.busy_until <= now + EPS
         ):
             replica.active = False
             replica.retired_s = now
@@ -396,7 +397,7 @@ class ClusterSimulator:
                     replica.failed += 1
                 elif (
                     deadline is not None
-                    and now - arrival > deadline + _EPS
+                    and now - arrival > deadline + EPS
                 ):
                     # Completed, but past deadline: late response.
                     pool.timed_out += 1

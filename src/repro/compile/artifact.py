@@ -15,8 +15,8 @@ in a *different process* without re-tuning:
 
 Artifacts round-trip through versioned JSON (``schema`` +
 ``version`` fields are validated on load), which is what the
-:class:`~repro.core.plan_cache.PlanCache` disk layer and the
-``repro plan compile|show`` CLI persist.
+:class:`~repro.store.plan_store.PlanStore` (the plan cache's persistent
+tier) and the ``repro plan compile|show`` CLI persist.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ def payload_checksum(payload: Mapping[str, object]) -> str:
 
     Canonical (sorted-keys) JSON over every section except the
     ``checksum`` field itself, so the value is identical no matter which
-    process serialized the artifact.  Public so the disk-load integrity
-    check in :class:`~repro.core.plan_cache.PlanCache` and the static
-    verifier in :mod:`repro.analysis.verifiers` agree byte-for-byte.
+    process serialized the artifact.  Public so the load-time integrity
+    check in :meth:`PlanArtifact.from_json` (which every plan-store read
+    goes through) and the static verifier in
+    :mod:`repro.analysis.verifiers` agree byte-for-byte.
     """
     body = {k: v for k, v in payload.items() if k != "checksum"}
     blob = json.dumps(body, sort_keys=True)

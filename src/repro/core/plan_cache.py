@@ -1,4 +1,4 @@
-"""Shared cache of tuned execution plans (in-memory LRU + optional disk).
+"""Shared cache of tuned execution plans (in-memory LRU + optional store).
 
 Tuning is by far the most expensive operation in the system (two
 profiling passes plus up to ``max_feedback_rounds`` measured runs), yet
@@ -19,31 +19,30 @@ Two properties matter for serving:
   :func:`default_plan_cache`; every public operation (including the
   hit/miss counters) runs under one lock, so a key is tuned exactly once
   no matter how many threads race on it.
-* **Disk persistence** — give the cache a ``save_dir`` and every freshly
-  tuned result is written as a versioned
-  :class:`~repro.compile.artifact.PlanArtifact` JSON file; a later
-  process (or a pre-deploy ahead-of-time tuning step) warm-starts from
-  those files with *zero* tuner rounds.  Disk loads count as hits and
-  are additionally reported in :attr:`PlanCache.disk_hits`.
+* **Persistence** — attach a :class:`~repro.store.plan_store.PlanStore`
+  and the cache becomes its read-through client: every freshly tuned
+  result is ``put`` into the store, and a later process (or an
+  ahead-of-time ``repro tune-fleet`` run) warm-starts from it with
+  *zero* tuner rounds.  The store fingerprints each entry, so a plan
+  built under another device spec or cost model is a miss and is
+  re-tuned, never served.  Store loads count as hits and are
+  additionally reported in :attr:`PlanCache.disk_hits`.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Union, TYPE_CHECKING
+from typing import Callable, Dict, Mapping, Optional, Union, TYPE_CHECKING
 
 from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..store.plan_store import PlanStore
     from .tuner import TuningResult
-
-_LOG = logging.getLogger(__name__)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -189,23 +188,16 @@ class PlanCacheStats:
 class PlanCache:
     """Thread-safe LRU cache of tuning results keyed by :class:`PlanKey`.
 
-    ``save_dir`` adds a disk-persistence layer: tuned results are written
-    as :class:`~repro.compile.artifact.PlanArtifact` JSON files (one per
-    key, named by :meth:`PlanKey.slug`) and read back on a miss, so
-    tuning survives process restarts.
-
-    ``store`` goes one step further: the cache becomes a thin
+    ``store`` adds the persistent tier: the cache becomes a thin
     read-through client of a content-addressed
     :class:`~repro.store.plan_store.PlanStore` (the fleet-tuned plan
     database).  Store hits count as ``disk_hits``; fresh tunes are
-    ``put`` back into the store.  ``store`` and ``save_dir`` compose —
-    the store is consulted first.
+    ``put`` back into the store, so tuning survives process restarts.
     """
 
     def __init__(
         self,
         capacity: int = 128,
-        save_dir: Optional[Union[str, Path]] = None,
         store: Optional["PlanStore"] = None,
     ) -> None:
         if capacity < 1:
@@ -213,20 +205,14 @@ class PlanCache:
         self._capacity = capacity
         self._entries: "OrderedDict[PlanKey, TuningResult]" = OrderedDict()
         self._lock = threading.RLock()
-        self._save_dir = Path(save_dir) if save_dir is not None else None
         self._plan_store = store
         self.hits = 0
         self.misses = 0
-        #: hits served from persistent layers — ``save_dir`` artifacts
-        #: or the plan store (subset of ``hits``).
+        #: hits served from the plan store (subset of ``hits``).
         self.disk_hits = 0
-        #: disk artifacts that failed to load (corrupt / truncated /
-        #: checksum mismatch); each also counted as a miss.
+        #: store objects that failed to load (corrupt / truncated /
+        #: checksum mismatch / wrong key); each also counted as a miss.
         self.corrupt_loads = 0
-
-    @property
-    def save_dir(self) -> Optional[Path]:
-        return self._save_dir
 
     @property
     def store(self) -> Optional["PlanStore"]:
@@ -257,9 +243,9 @@ class PlanCache:
         """Return the cached result for ``key``, tuning on first use.
 
         Lookup order: in-memory LRU, then the plan store (if attached),
-        then the ``save_dir`` artifact (if configured), then ``tune()``.
-        The whole operation holds the cache lock, so concurrent callers
-        of the same key tune once and the counters stay consistent.
+        then ``tune()``.  The whole operation holds the cache lock, so
+        concurrent callers of the same key tune once and the counters
+        stay consistent.
         """
         with self._lock:
             cached = self._entries.get(key)
@@ -268,8 +254,6 @@ class PlanCache:
                 self._entries.move_to_end(key)
                 return cached
             loaded = self._load_from_store(key)
-            if loaded is None:
-                loaded = self._load(key)
             if loaded is not None:
                 self.hits += 1
                 self.disk_hits += 1
@@ -281,49 +265,21 @@ class PlanCache:
             self._persist(key, result)
             return result
 
-    def invalidate(
-        self, key: PlanKey, *, remove_disk: bool = False
-    ) -> List[str]:
+    def invalidate(self, key: PlanKey) -> bool:
         """Drop ``key``'s in-memory entry (graceful degradation: a plan
         whose predicted cost has drifted from reality must be re-tuned).
 
-        ``remove_disk=True`` also deletes every on-disk trace of the
-        key's slug — the artifact itself, any quarantined
-        (``*.corrupt*``) siblings from earlier bad loads, orphaned
-        ``*.tmp`` corpses of torn writes, and the plan-store entry when
-        a store is attached — forcing the next lookup to re-tune
-        instead of re-loading a stale or poisoned plan.
-
-        Returns what was removed: the marker ``"memory"`` for the
-        in-memory entry plus the path of every deleted file (empty list
-        when nothing was found, so truthiness means "removed anything").
+        The store entry stays: it is still valid for the device spec and
+        cost model that built it.  Returns whether an entry was dropped.
         """
         with self._lock:
-            removed: List[str] = []
-            if self._entries.pop(key, None) is not None:
-                removed.append("memory")
-            if remove_disk and self._save_dir is not None:
-                # The slug's whole sibling family: `<slug>.json`,
-                # `<slug>.json.tmp` (torn write), `<slug>.json.corrupt*`
-                # (quarantined earlier loads).
-                pattern = f"{key.slug()}.json*"
-                for path in sorted(self._save_dir.glob(pattern)):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        continue
-                    removed.append(str(path))
-            if remove_disk and self._plan_store is not None:
-                removed.extend(
-                    str(p) for p in self._plan_store.remove(key)
-                )
-            return removed
+            return self._entries.pop(key, None) is not None
 
     def clear(self) -> None:
         """Drop every in-memory entry and reset the counters.
 
-        ``save_dir`` artifacts are left on disk (they are the whole point
-        of persistence); delete the directory to clear those too.
+        Plan-store entries are left on disk (they are the whole point
+        of persistence); delete the store directory to clear those too.
         """
         with self._lock:
             self._entries.clear()
@@ -339,98 +295,36 @@ class PlanCache:
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
 
-    def _artifact_path(self, key: PlanKey) -> Path:
-        assert self._save_dir is not None
-        return self._save_dir / f"{key.slug()}.json"
-
     def _load_from_store(self, key: PlanKey) -> Optional["TuningResult"]:
         """Read-through to the attached plan store, if any.
 
         The store does its own integrity work (content-hash check,
         checksum, key equality, staleness fingerprints, quarantine on
         corruption) and degrades every failure to ``None``; corrupt
-        store objects also bump our ``corrupt_loads`` so serving
-        reports stay comparable with the ``save_dir`` path.
+        store objects also bump our ``corrupt_loads``.
         """
         if self._plan_store is None:
             return None
         quarantined_before = self._plan_store.quarantined
         artifact = self._plan_store.get(key)
-        with self._lock:  # re-entrant: callers already hold it
-            self.corrupt_loads += (
-                self._plan_store.quarantined - quarantined_before
-            )
+        self.corrupt_loads += self._plan_store.quarantined - quarantined_before
         if artifact is None:
             return None
         return artifact.to_tuning_result()
 
-    def _load(self, key: PlanKey) -> Optional["TuningResult"]:
-        """Rehydrate a TuningResult from the key's artifact, if present."""
-        if self._save_dir is None:
-            return None
-        path = self._artifact_path(key)
-        if not path.exists():
-            return None
-        from ..compile.artifact import PlanArtifact
-
-        try:
-            artifact = PlanArtifact.load(path)
-        except ReproError as exc:
-            # A corrupt or truncated artifact (torn write, bit rot,
-            # checksum mismatch) must not take the service down: warn,
-            # quarantine the evidence next to the slot (so the re-tuned
-            # artifact can take its place), count a miss, and re-tune.
-            self.corrupt_loads += 1
-            _LOG.warning(
-                "discarding corrupt plan artifact %s (%s); re-tuning",
-                path, exc,
-            )
-            self._quarantine_sibling(path)
-            return None
-        if artifact.key != key:
-            raise ReproError(
-                f"plan artifact {path} was compiled under a different key "
-                f"({artifact.key}) than requested ({key})"
-            )
-        return artifact.to_tuning_result()
-
-    @staticmethod
-    def _quarantine_sibling(path: Path) -> None:
-        """Move a corrupt artifact aside as ``<name>.corrupt[N]``."""
-        target = path.with_name(path.name + ".corrupt")
-        counter = 0
-        while target.exists():
-            counter += 1
-            target = path.with_name(f"{path.name}.corrupt{counter}")
-        try:
-            path.replace(target)
-        except OSError as exc:
-            # Quarantine is best-effort forensics; the load already
-            # degraded to a miss, so a failed rename only costs the
-            # evidence file, not correctness.
-            _LOG.warning("could not quarantine %s: %s", path, exc)
-
     def _persist(self, key: PlanKey, result: "TuningResult") -> None:
-        """Write the tuned result to the store and/or ``save_dir``.
-
-        Both sinks write atomically (tmp sibling + ``os.replace``), so
-        a crash mid-persist never leaves a torn artifact behind.
-        """
+        """Write the tuned result to the store (atomically: tmp sibling +
+        ``os.replace``, so a crash mid-persist never leaves a torn
+        object behind)."""
         # Duck-typed guard: unit tests exercise the LRU with plain
         # sentinel values; only real tuning results are persistable.
-        if not hasattr(result, "plan") or not hasattr(result, "rounds"):
+        if self._plan_store is None or not (
+            hasattr(result, "plan") and hasattr(result, "rounds")
+        ):
             return
         from ..compile.artifact import PlanArtifact
 
-        artifact: Optional["PlanArtifact"] = None
-        if self._plan_store is not None:
-            artifact = PlanArtifact.from_tuning(key, result)
-            self._plan_store.put(artifact)
-        if self._save_dir is not None:
-            if artifact is None:
-                artifact = PlanArtifact.from_tuning(key, result)
-            self._save_dir.mkdir(parents=True, exist_ok=True)
-            artifact.save(self._artifact_path(key))
+        self._plan_store.put(PlanArtifact.from_tuning(key, result))
 
 
 _DEFAULT: Optional[PlanCache] = None
@@ -447,14 +341,12 @@ def default_plan_cache() -> PlanCache:
 
 
 def configure_default_plan_cache(
-    save_dir: Optional[Union[str, Path]] = None,
-    capacity: int = 128,
     store_dir: Optional[Union[str, Path]] = None,
 ) -> PlanCache:
-    """Replace the process-wide cache (e.g. to point it at a plan
-    directory for ahead-of-time-tuned serving).  ``store_dir`` attaches
-    a content-addressed :class:`~repro.store.plan_store.PlanStore`
-    (what ``repro tune-fleet`` produces) as the first persistent layer.
+    """Replace the process-wide cache.  ``store_dir`` attaches a
+    content-addressed :class:`~repro.store.plan_store.PlanStore` (what
+    ``repro tune-fleet`` produces; an empty or missing directory becomes
+    a store on its first write) for ahead-of-time-tuned serving.
     Returns the new cache."""
     global _DEFAULT
     store: Optional["PlanStore"] = None
@@ -463,7 +355,7 @@ def configure_default_plan_cache(
 
         store = PlanStore(store_dir)
     with _DEFAULT_LOCK:
-        _DEFAULT = PlanCache(capacity=capacity, save_dir=save_dir, store=store)
+        _DEFAULT = PlanCache(store=store)
         return _DEFAULT
 
 

@@ -214,9 +214,11 @@ def corrupt_artifacts(
 
     Deterministic: files are visited in sorted order and each consumes
     one draw from the injector's artifact stream.  Corruption truncates
-    the file mid-JSON — exactly the torn write a power loss produces —
-    so the hardened ``PlanCache`` load path (checksum + decode guard)
-    must treat it as a miss.
+    the file mid-JSON — exactly the torn write a power loss produces.
+    Pointed at a :class:`~repro.store.plan_store.PlanStore`'s
+    ``objects_dir``, a victim no longer hashes to its address, so the
+    store quarantines it and ``PlanCache`` counts a corrupt load and a
+    miss, then re-tunes.
     """
     directory = Path(directory)
     injector = FaultInjector(scenario, seed=seed, obs=obs)

@@ -9,7 +9,7 @@ fair-share scheduler multiplexes tenants on the non-preemptive device.
 See docs/serving.md for the architecture.
 """
 
-from .batcher import BatchPolicy, TenantQueue
+from .batcher import BatchPolicy
 from .report import (
     LatencyStats,
     ServingReport,
@@ -39,7 +39,6 @@ __all__ = [
     "ServingConfig",
     "ServingReport",
     "ServingSimulator",
-    "TenantQueue",
     "TenantServingStats",
     "TenantSpec",
     "WeightedFairScheduler",

@@ -1,6 +1,9 @@
-"""Bounded request queue + dynamic batching policy for one tenant.
+"""Dynamic batching and admission-control policy for one tenant.
 
-The policy is the classic *max-batch-size / max-wait-time* rule used by
+:class:`BatchPolicy` holds the knobs; the queue that applies them is
+:class:`~repro.sim.engine.queue.IndexQueue`, which both simulators run
+over a :class:`~repro.sim.engine.table.RequestTable`.  The policy is the
+classic *max-batch-size / max-wait-time* rule used by
 production inference servers (Triton, TF-Serving):
 
 * a batch is **ready** the instant ``max_batch_size`` requests are
@@ -19,16 +22,10 @@ argument).  The queue never reorders requests within a tenant (FIFO).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Optional
 
 from ..errors import ReproError
-from .request import Request, RequestStatus
-
-#: Tolerance when comparing virtual-clock instants (timer events fire at
-#: exactly the deadline; float round-off must not defer a ready batch).
-_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,101 +57,3 @@ class BatchPolicy:
             raise ReproError(
                 f"deadline_s must be > 0 (or None), got {self.deadline_s}"
             )
-
-
-class TenantQueue:
-    """FIFO queue of pending requests for one tenant, with batching."""
-
-    def __init__(self, name: str, policy: Optional[BatchPolicy] = None) -> None:
-        self.name = name
-        self.policy = policy or BatchPolicy()
-        self._pending: Deque[Request] = deque()
-        self.offered = 0
-        self.shed = 0
-        self.timed_out = 0
-        self.rejected = 0
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def depth(self) -> int:
-        return len(self._pending)
-
-    # -- admission -----------------------------------------------------------
-
-    def offer(self, request: Request) -> bool:
-        """Admit ``request`` or shed it; returns True when admitted."""
-        self.offered += 1
-        if len(self._pending) >= self.policy.max_queue_depth:
-            request.status = RequestStatus.SHED
-            self.shed += 1
-            return False
-        if self.policy.deadline_s is not None and request.deadline_s is None:
-            request.deadline_s = request.arrival_s + self.policy.deadline_s
-        self._pending.append(request)
-        return True
-
-    def reject(self, request: Request) -> None:
-        """Refuse a malformed payload at the door (counts as offered)."""
-        self.offered += 1
-        request.status = RequestStatus.REJECTED
-        self.rejected += 1
-
-    # -- deadlines -----------------------------------------------------------
-
-    def expire(self, now: float) -> List[Request]:
-        """Abandon queued requests whose deadline has passed at ``now``.
-
-        FIFO order plus a uniform per-tenant deadline offset makes
-        queued deadlines monotone, so expiry only ever pops from the
-        front.  Returned requests are already marked TIMED_OUT with
-        ``finish_s = now`` (abandonment instant) for time-in-system
-        accounting.
-        """
-        expired: List[Request] = []
-        while self._pending and self._pending[0].expired(now, _EPS):
-            request = self._pending.popleft()
-            request.status = RequestStatus.TIMED_OUT
-            request.finish_s = now
-            self.timed_out += 1
-            expired.append(request)
-        return expired
-
-    # -- batching ------------------------------------------------------------
-
-    @property
-    def oldest_arrival_s(self) -> Optional[float]:
-        if not self._pending:
-            return None
-        return self._pending[0].arrival_s
-
-    def wait_deadline_s(self) -> Optional[float]:
-        """Instant the oldest pending request's wait budget expires
-        (None when the queue is empty)."""
-        oldest = self.oldest_arrival_s
-        if oldest is None:
-            return None
-        return oldest + self.policy.max_wait_s
-
-    def ready(self, now: float) -> bool:
-        """True when a batch should dispatch at virtual instant ``now``."""
-        if not self._pending:
-            return False
-        if len(self._pending) >= self.policy.max_batch_size:
-            return True
-        return now + _EPS >= self.wait_deadline_s()
-
-    def take_batch(self, now: float) -> List[Request]:
-        """Pop up to ``max_batch_size`` requests and mark them running."""
-        if not self._pending:
-            raise ReproError(f"tenant {self.name!r} has no pending requests")
-        batch: List[Request] = []
-        while self._pending and len(batch) < self.policy.max_batch_size:
-            request = self._pending.popleft()
-            request.status = RequestStatus.RUNNING
-            request.dispatch_s = now
-            batch.append(request)
-        for request in batch:
-            request.batch_size = len(batch)
-        return batch

@@ -51,12 +51,6 @@ class Request:
             )
         return self.finish_s - self.arrival_s
 
-    def expired(self, now: float, eps: float = 0.0) -> bool:
-        """Has the deadline passed at virtual instant ``now``?"""
-        if self.deadline_s is None:
-            return False
-        return now > self.deadline_s + eps
-
     @property
     def queue_wait_s(self) -> float:
         """Time spent queued before its batch was dispatched."""

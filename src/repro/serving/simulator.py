@@ -2,7 +2,8 @@
 
 Turns the one-shot EdgeNN engine into a *service*: a discrete-event loop
 drives request arrivals (:mod:`repro.workloads.arrivals`) through
-per-tenant bounded queues (:mod:`.batcher`), forms dynamic batches, and
+per-tenant bounded queues (:mod:`repro.sim.engine.queue`, applying the
+:mod:`.batcher` policy), forms dynamic batches, and
 executes them one at a time on the simulated device — GPU kernels are
 non-preemptive, so the device is a serial batch server; *within* a
 batch the CPU and GPU co-run under the shared-bandwidth contention
@@ -81,9 +82,10 @@ from ..sim.engine import (
     SHED as _ST_SHED,
     TIMED_OUT as _ST_TIMED_OUT,
 )
+from ..sim.engine.queue import EPS
 from ..sim.timeline import COPY, CPU, GPU, Timeline
 from ..workloads.arrivals import ArrivalProcess, PoissonArrivals
-from .batcher import _EPS, BatchPolicy
+from .batcher import BatchPolicy
 from .report import (
     LatencyStats,
     ServingReport,
@@ -951,7 +953,7 @@ class ServingSimulator:
                     if queue.policy.deadline_s is not None:
                         # Completed, but past deadline: the client
                         # already gave up — late, useless responses.
-                        late_mask = now > table.deadline_s[rows] + _EPS
+                        late_mask = now > table.deadline_s[rows] + EPS
                         late_n = int(late_mask.sum())
                     else:
                         late_n = 0

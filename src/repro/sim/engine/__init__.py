@@ -15,9 +15,10 @@ struct-of-arrays core:
 * :class:`~repro.sim.engine.table.RequestTable` — request state as
   parallel numpy columns instead of one Python object per request,
   with lazy materialization for trace exports;
-* :class:`~repro.sim.engine.queue.IndexQueue` — the bounded FIFO /
-  dynamic-batching policy of :class:`~repro.serving.batcher.TenantQueue`
-  operating on table indices, with vectorized deadline expiry;
+* :class:`~repro.sim.engine.queue.IndexQueue` — the one bounded FIFO:
+  it applies a :class:`~repro.serving.batcher.BatchPolicy` (admission,
+  max-batch / max-wait readiness, deadlines) to table indices, with
+  vectorized deadline expiry and the shared ``EPS`` tolerance;
 * :class:`~repro.sim.engine.core.EventEngine` — the merge loop
   (arrivals vs. heap events vs. periodic ticks) with an optional bulk
   arrival path, plus :class:`~repro.sim.engine.core.DepthTracker`,

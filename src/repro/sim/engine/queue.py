@@ -1,15 +1,26 @@
 """Bounded FIFO + dynamic batching over request-table indices.
 
-Semantics are exactly :class:`~repro.serving.batcher.TenantQueue` —
-same counters, same shed/ready/expiry rules, same ``_EPS`` tolerance —
-but the pending set is a growable index ring into a
-:class:`~repro.sim.engine.table.RequestTable` instead of a deque of
-request objects, so batch extraction and deadline expiry are numpy
-slices rather than per-request pops.
+:class:`IndexQueue` is the one queue both simulators run.  It applies a
+:class:`~repro.serving.batcher.BatchPolicy` to one tenant:
 
-FIFO order plus a uniform per-tenant deadline offset makes queued
-deadlines monotone; expiry is therefore one ``searchsorted`` over the
-precomputed ``deadline + eps`` keys instead of a pop-while loop.
+* **admission** — an arrival finding ``max_queue_depth`` requests
+  already waiting is shed; an admitted request gets the absolute
+  deadline ``arrival + policy.deadline_s`` (none when the policy sets
+  no deadline);
+* **readiness** — a batch is ready once ``max_batch_size`` requests
+  are queued, or at ``now + EPS >= oldest arrival + max_wait_s``;
+* **expiry** — a queued request is abandoned as TIMED_OUT once
+  ``now > deadline + EPS``; the request is still viable at exactly its
+  deadline;
+* **batching** — ``take_batch`` pops up to ``max_batch_size`` rows in
+  FIFO order and stamps them RUNNING.
+
+The pending set is a growable index ring into a
+:class:`~repro.sim.engine.table.RequestTable`, so batch extraction and
+deadline expiry are numpy slices rather than per-request pops.  FIFO
+order plus a uniform per-tenant deadline offset makes queued deadlines
+monotone; expiry is therefore one ``searchsorted`` over the
+precomputed ``deadline + EPS`` keys.
 """
 
 from __future__ import annotations
@@ -21,9 +32,9 @@ import numpy as np
 from ...errors import ReproError
 from . import table as tb
 
-#: virtual-clock comparison tolerance — one value shared with the
-#: legacy batcher (`repro.serving.batcher._EPS`), duplicated here to
-#: keep the engine importable without the serving package.
+#: Tolerance when comparing virtual-clock instants (timer events fire at
+#: exactly the deadline; float round-off must not defer a ready batch).
+#: The one value both simulators import.
 EPS = 1e-12
 
 
@@ -136,7 +147,7 @@ class IndexQueue:
         """Abandon queued requests past deadline; returns the count.
 
         Expired rows are marked TIMED_OUT with ``finish_s = now``
-        (abandonment instant), exactly like the legacy pop-while loop.
+        (abandonment instant, for time-in-system accounting).
         """
         if self.policy.deadline_s is None or self._head == self._tail:
             return 0

@@ -1,9 +1,11 @@
 """Content-addressed, versioned plan store: tuned plans as durable assets.
 
-``PlanCache.save_dir`` (PR 3) made tuning survive a process restart; a
-*fleet* needs more.  Tuning at scale is embarrassingly parallel work
-whose output — compiled plans — is the product (MITuna's model), so the
-store has database obligations the flat save-dir never had:
+The store is the only persistent tier of
+:class:`~repro.core.plan_cache.PlanCache`: a serving process reads
+through it and writes every fresh tune back, and an empty or missing
+directory becomes a store on its first write.  Tuning at scale is
+embarrassingly parallel work whose output — compiled plans — is the
+product (MITuna's model), so the store has database obligations:
 
 * **Torn-write immunity.** Every write (objects *and* the manifest) is
   tmp + :func:`os.replace`; a worker killed mid-write leaves at worst
@@ -436,23 +438,6 @@ class PlanStore:
 
     # -- invalidation ---------------------------------------------------------
 
-    def remove(self, key: PlanKey) -> List[Path]:
-        """Drop ``key``'s entry and its object file; returns removals."""
-        with self._lock:
-            slug = key.slug()
-            removed: List[Path] = []
-            entry = self._entries.pop(slug, None)
-            if entry is not None:
-                path = self.object_path(entry.sha256)
-                if path.exists():
-                    path.unlink()
-                    removed.append(path)
-                self._persist_manifest()
-            for corpse in self._quarantined_files(slug):
-                corpse.unlink()
-                removed.append(corpse)
-            return removed
-
     def stale_entries(self) -> List[str]:
         """Slugs whose producing fingerprints no longer match this build."""
         with self._lock:
@@ -597,11 +582,6 @@ class PlanStore:
             target.with_name(target.name + ".record"),
             json.dumps(record, indent=1, sort_keys=True) + "\n",
         )
-
-    def _quarantined_files(self, slug: str) -> List[Path]:
-        if not self.quarantine_dir.is_dir():
-            return []
-        return sorted(self.quarantine_dir.glob(f"{slug}.*"))
 
     def quarantine_records(self) -> List[Dict[str, object]]:
         """Parsed provenance sidecars of everything ever quarantined."""

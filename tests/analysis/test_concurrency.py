@@ -2,7 +2,7 @@
 
 import pathlib
 
-from repro.analysis.concurrency import check_file, is_threaded_module
+from repro.analysis.locks import check_file, is_threaded_module
 
 from .conftest import plant_fixture
 

@@ -3,11 +3,11 @@
 import ast
 
 from repro.analysis.callgraph import build_call_graph
-from repro.analysis.concurrency import check_file
 from repro.analysis.lint import LintContext
 from repro.analysis.locks import (
     LockOrderAnalysis,
     analyze_class_escapes,
+    check_file,
     check_lock_order,
     proven_lock_held,
 )

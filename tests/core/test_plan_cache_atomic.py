@@ -1,5 +1,5 @@
 """Torn-write regression: a writer killed mid-persist never corrupts
-the artifact directory (satellite of the crash-safe plan store).
+the plan store.
 
 The subprocess patches ``os.fsync`` to SIGKILL itself after the data
 reaches the ``*.tmp`` sibling but *before* ``os.replace`` — the widest
@@ -20,6 +20,7 @@ from repro.fsutil import TMP_SUFFIX, atomic_write_text, sweep_tmp_files
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import build as build_model
+from repro.store.plan_store import PlanStore
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -65,18 +66,19 @@ def run_killed_writer(body: str) -> subprocess.CompletedProcess:
 
 class TestKilledCachePersist:
     def test_no_torn_artifact_and_clean_recovery(self, tmp_path):
-        save_dir = tmp_path / "plans"
+        root = tmp_path / "store"
         run_killed_writer(f"""
 from repro.core.plan_cache import PlanCache, PlanKey
 from repro.core.tuner import AdaptiveTuner
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import build
+from repro.store.plan_store import PlanStore
 key = PlanKey(network="lenet", device="jetson-agx-xavier", batch_size=1,
               precision="fp32", use_memory_management=True,
               use_hybrid_execution=True, use_inter_kernel=True,
               use_intra_kernel=True, objective="latency")
-cache = PlanCache(save_dir={str(save_dir)!r})
+cache = PlanCache(store=PlanStore({str(root)!r}))
 cache.get_or_tune(
     key,
     lambda: AdaptiveTuner(build("lenet"),
@@ -84,21 +86,24 @@ cache.get_or_tune(
 )
 print("UNREACHABLE")
 """)
-        # The destination never appeared; only tmp debris is allowed.
-        assert list(save_dir.glob("*.json")) == []
-        debris = list(save_dir.glob(f"*{TMP_SUFFIX}"))
+        # Neither the object nor the manifest appeared; only tmp debris
+        # is allowed.
+        store = PlanStore(root)
+        assert list(store.objects_dir.glob("*.json")) == []
+        assert not store.manifest_path.exists()
+        debris = list(store.objects_dir.glob(f"*{TMP_SUFFIX}"))
         assert debris, "the kill window should leave the tmp sibling"
 
         # Recovery: sweep the corpse, re-tune, persist for real.
-        assert sweep_tmp_files(save_dir) == debris
+        assert store.sweep_tmp() == debris
         key = make_key()
-        cache = PlanCache(save_dir=save_dir)
+        cache = PlanCache(store=store)
         cache.get_or_tune(key, tune_lenet)
-        assert (save_dir / f"{key.slug()}.json").exists()
+        assert store.contains(key)
         assert cache.corrupt_loads == 0
 
         # And a *fresh* process-view cache loads it with zero tuning.
-        warm = PlanCache(save_dir=save_dir)
+        warm = PlanCache(store=PlanStore(root))
         result = warm.get_or_tune(
             key, lambda: (_ for _ in ()).throw(AssertionError("re-tuned"))
         )

@@ -1,5 +1,5 @@
-"""Disk-load hardening: corrupt artifacts degrade to a miss + re-tune,
-checksum tampering is caught, invalidation forces re-tuning."""
+"""Store-load hardening: corrupt objects degrade to a miss + re-tune,
+checksum tampering is caught, invalidation drops only the memory entry."""
 
 import json
 import logging
@@ -10,9 +10,11 @@ from repro.compile.artifact import PlanArtifact
 from repro.core.plan_cache import PlanCache, PlanKey
 from repro.core.tuner import AdaptiveTuner
 from repro.errors import ReproError
+from repro.fsutil import atomic_write_text, sha256_text
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import build as build_model
+from repro.store.plan_store import MANIFEST_NAME, PlanStore
 
 
 def make_key(**overrides) -> PlanKey:
@@ -31,13 +33,27 @@ def tune_lenet():
     return tuner.tune()
 
 
+def store_cache(root) -> PlanCache:
+    """A cache over a fresh view of the store at ``root``."""
+    return PlanCache(store=PlanStore(root))
+
+
 @pytest.fixture
 def populated(tmp_path):
-    """A cache with one persisted lenet plan; returns (key, path)."""
+    """A store with one persisted lenet plan; returns (key, object path)."""
     key = make_key()
-    cache = PlanCache(save_dir=tmp_path)
-    cache.get_or_tune(key, tune_lenet)
-    return key, tmp_path / f"{key.slug()}.json"
+    store_cache(tmp_path).get_or_tune(key, tune_lenet)
+    store = PlanStore(tmp_path)
+    return key, store.object_path(store.entries()[key.slug()].sha256)
+
+
+@pytest.fixture
+def artifact_file(tmp_path):
+    """One lenet plan saved as a standalone artifact file."""
+    key = make_key()
+    return PlanArtifact.from_tuning(key, tune_lenet()).save(
+        tmp_path / f"{key.slug()}.json"
+    )
 
 
 class TestCorruptLoads:
@@ -46,19 +62,19 @@ class TestCorruptLoads:
         key, path = populated
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
-        cache = PlanCache(save_dir=tmp_path)
+        cache = store_cache(tmp_path)
         with caplog.at_level(logging.WARNING):
             result = cache.get_or_tune(key, tune_lenet)
         assert result.plan is not None  # re-tuned, not crashed
         assert cache.corrupt_loads == 1
         assert cache.misses == 1
         assert cache.hits == 0
-        assert any("corrupt" in r.message for r in caplog.records)
+        assert any("quarantined" in r.message for r in caplog.records)
 
     def test_garbage_json_is_a_miss(self, populated, tmp_path):
         key, path = populated
         path.write_text("not json at all {{{")
-        cache = PlanCache(save_dir=tmp_path)
+        cache = store_cache(tmp_path)
         sentinel_calls = []
 
         def tune():
@@ -78,7 +94,7 @@ class TestCorruptLoads:
         with pytest.raises(ReproError, match="checksum mismatch"):
             PlanArtifact.load(path)
         # The cache degrades the same tamper to a counted miss.
-        cache = PlanCache(save_dir=tmp_path)
+        cache = store_cache(tmp_path)
         cache.get_or_tune(key, tune_lenet)
         assert cache.corrupt_loads == 1
 
@@ -87,25 +103,37 @@ class TestCorruptLoads:
         key, path = populated
         data = json.loads(path.read_text())
         del data["checksum"]  # a pre-hardening artifact
-        path.write_text(json.dumps(data))
-        cache = PlanCache(save_dir=tmp_path)
+        text = json.dumps(data) + "\n"
+        store = PlanStore(tmp_path)
+        atomic_write_text(store.object_path(sha256_text(text)), text)
+        store.register(key, sha256_text(text))
+        cache = store_cache(tmp_path)
         cache.get_or_tune(key, tune_lenet)
         assert cache.disk_hits == 1
         assert cache.corrupt_loads == 0
 
-    def test_key_mismatch_still_raises(self, populated, tmp_path):
-        # A *valid* artifact under the wrong key is a deployment error,
-        # not corruption; it must keep raising loudly.
-        key, path = populated
+    def test_wrong_key_object_is_quarantined(self, populated, tmp_path):
+        # A manifest entry whose object carries another key is treated
+        # like any other corrupt object: quarantined, a miss, re-tuned.
+        key, _ = populated
         other = make_key(objective="energy")
-        (tmp_path / f"{other.slug()}.json").write_text(path.read_text())
-        with pytest.raises(ReproError, match="different key"):
-            PlanCache(save_dir=tmp_path).get_or_tune(other, tune_lenet)
+        manifest = tmp_path / MANIFEST_NAME
+        doc = json.loads(manifest.read_text())
+        doc["entries"][other.slug()] = dict(
+            doc["entries"][key.slug()], key=other.to_dict()
+        )
+        manifest.write_text(json.dumps(doc))
+        cache = store_cache(tmp_path)
+        sentinel = object()
+        assert cache.get_or_tune(other, lambda: sentinel) is sentinel
+        assert cache.corrupt_loads == 1
+        assert cache.misses == 1
+        assert not cache.store.contains(other)
 
     def test_clear_resets_corrupt_counter(self, populated, tmp_path):
         key, path = populated
         path.write_text("{")
-        cache = PlanCache(save_dir=tmp_path)
+        cache = store_cache(tmp_path)
         cache.get_or_tune(key, tune_lenet)
         assert cache.corrupt_loads == 1
         cache.clear()
@@ -124,40 +152,29 @@ class TestInvalidate:
 
     def test_invalidate_keeps_disk_by_default(self, populated, tmp_path):
         key, path = populated
-        cache = PlanCache(save_dir=tmp_path)
+        cache = store_cache(tmp_path)
         cache.get_or_tune(key, tune_lenet)
-        cache.invalidate(key)
-        assert path.exists()
-        # Next lookup reloads from disk (stale plan reinstated).
+        assert cache.invalidate(key) is True
+        assert path.exists() and cache.store.contains(key)
+        # Next lookup reloads from the store (the plan is still valid
+        # for the device spec and cost model that built it).
         cache.get_or_tune(key, tune_lenet)
-        assert cache.disk_hits >= 1
-
-    def test_invalidate_remove_disk_forces_retune(self, populated,
-                                                  tmp_path):
-        key, path = populated
-        cache = PlanCache(save_dir=tmp_path)
-        cache.get_or_tune(key, tune_lenet)
-        assert cache.invalidate(key, remove_disk=True)
-        assert not path.exists()
-        misses_before = cache.misses
-        cache.get_or_tune(key, tune_lenet)
-        assert cache.misses == misses_before + 1
+        assert cache.disk_hits == 2
+        assert cache.misses == 0
 
 
 class TestChecksumDeterminism:
-    def test_round_trip_preserves_checksum(self, populated):
-        _, path = populated
-        art = PlanArtifact.load(path)
+    def test_round_trip_preserves_checksum(self, artifact_file):
+        art = PlanArtifact.load(artifact_file)
         again = PlanArtifact.from_json(art.to_json())
         assert again.to_dict()["checksum"] == art.to_dict()["checksum"]
         assert again.to_dict() == art.to_dict()
 
-    def test_checksum_covers_every_section(self, populated):
-        _, path = populated
-        data = json.loads(path.read_text())
+    def test_checksum_covers_every_section(self, artifact_file):
+        data = json.loads(artifact_file.read_text())
         recorded = data["checksum"]
         assert recorded == PlanArtifact._checksum_of(data)
         for section in ("key", "plan", "lowering", "provenance"):
-            mutated = json.loads(path.read_text())
+            mutated = json.loads(artifact_file.read_text())
             mutated[section] = {"tampered": True}
             assert PlanArtifact._checksum_of(mutated) != recorded

@@ -1,4 +1,4 @@
-"""PlanCache satellites: disk persistence, thread safety, key validation."""
+"""PlanCache satellites: store persistence, thread safety, key validation."""
 
 import threading
 
@@ -12,6 +12,7 @@ from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import build as build_model
 from repro.obs import Observability
+from repro.store.plan_store import PlanStore
 
 
 def make_key(**overrides) -> PlanKey:
@@ -30,22 +31,29 @@ def tune_lenet() -> "object":
     return tuner.tune()
 
 
+def store_cache(root) -> PlanCache:
+    """A cache over a fresh view of the store at ``root`` — what a new
+    process sees."""
+    return PlanCache(store=PlanStore(root))
+
+
 class TestDiskPersistence:
     def test_tuned_result_written_as_artifact(self, tmp_path):
-        cache = PlanCache(save_dir=tmp_path)
         key = make_key()
-        cache.get_or_tune(key, tune_lenet)
-        path = tmp_path / f"{key.slug()}.json"
-        assert path.exists()
+        store_cache(tmp_path).get_or_tune(key, tune_lenet)
+        store = PlanStore(tmp_path)
+        entry = store.entries()[key.slug()]
+        assert store.object_path(entry.sha256).exists()
+        assert store.get(key).key == key
 
     def test_fresh_cache_warm_starts_without_tuning(self, tmp_path):
         key = make_key()
-        original = PlanCache(save_dir=tmp_path).get_or_tune(key, tune_lenet)
+        original = store_cache(tmp_path).get_or_tune(key, tune_lenet)
 
         def fail():  # pragma: no cover - must not be called
             raise AssertionError("warm start should not tune")
 
-        fresh = PlanCache(save_dir=tmp_path)
+        fresh = store_cache(tmp_path)
         reloaded = fresh.get_or_tune(key, fail)
         assert fresh.hits == 1
         assert fresh.disk_hits == 1
@@ -55,48 +63,40 @@ class TestDiskPersistence:
 
     def test_disk_hit_promotes_to_memory(self, tmp_path):
         key = make_key()
-        PlanCache(save_dir=tmp_path).get_or_tune(key, tune_lenet)
-        fresh = PlanCache(save_dir=tmp_path)
+        store_cache(tmp_path).get_or_tune(key, tune_lenet)
+        fresh = store_cache(tmp_path)
         fresh.get_or_tune(key, tune_lenet)
         fresh.get_or_tune(key, tune_lenet)
         assert fresh.disk_hits == 1     # second hit came from memory
         assert fresh.hits == 2
+        assert fresh.store.hits == 1
 
     def test_warm_started_engine_runs_zero_tuner_rounds(self, tmp_path):
         key = make_key()
-        PlanCache(save_dir=tmp_path).get_or_tune(key, tune_lenet)
+        store_cache(tmp_path).get_or_tune(key, tune_lenet)
         obs = Observability.on()
+        cache = store_cache(tmp_path)
         engine = EdgeNN(
-            "lenet", JETSON_AGX_XAVIER,
-            plan_cache=PlanCache(save_dir=tmp_path), obs=obs,
+            "lenet", JETSON_AGX_XAVIER, plan_cache=cache, obs=obs,
         )
         engine.run()
+        assert cache.disk_hits == 1 and cache.misses == 0
         if "repro_tuner_feedback_rounds_total" in obs.metrics:
             fam = obs.metrics.family("repro_tuner_feedback_rounds_total")
             assert sum(inst.value for _, inst in fam.children()) == 0.0
 
-    def test_key_mismatch_on_disk_raises(self, tmp_path):
-        key = make_key()
-        cache = PlanCache(save_dir=tmp_path)
-        cache.get_or_tune(key, tune_lenet)
-        other = make_key(objective="energy")
-        artifact = (tmp_path / f"{key.slug()}.json").read_text()
-        (tmp_path / f"{other.slug()}.json").write_text(artifact)
-        with pytest.raises(ReproError, match="different key"):
-            PlanCache(save_dir=tmp_path).get_or_tune(other, tune_lenet)
-
     def test_clear_keeps_disk_artifacts(self, tmp_path):
-        cache = PlanCache(save_dir=tmp_path)
+        cache = store_cache(tmp_path)
         key = make_key()
         cache.get_or_tune(key, tune_lenet)
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
-        assert (tmp_path / f"{key.slug()}.json").exists()
+        assert cache.store.contains(key)
         cache.get_or_tune(key, tune_lenet)
         assert cache.disk_hits == 1
 
     def test_sentinel_values_not_persisted(self, tmp_path):
-        cache = PlanCache(save_dir=tmp_path)
+        cache = store_cache(tmp_path)
         cache.get_or_tune(make_key(), lambda: "sentinel")
         assert list(tmp_path.iterdir()) == []
 

@@ -17,6 +17,7 @@ from repro.faults import (
 )
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.obs import Observability
+from repro.store.plan_store import PlanStore
 
 
 def _drain(injector, n=64):
@@ -108,19 +109,21 @@ class TestObsMirror:
 
 class TestCorruptArtifacts:
     def _write_artifact(self, directory):
+        """Put one tuned lenet plan into a store at ``directory``;
+        returns (store, key, object path)."""
         engine = EdgeNN("lenet", JETSON_AGX_XAVIER, EdgeNNConfig())
         result = engine.tune()
         key = PlanKey.from_config(
             "lenet", JETSON_AGX_XAVIER.name, engine.config
         )
-        path = directory / f"{key.slug()}.json"
-        PlanArtifact.from_tuning(key, result).save(path)
-        return key, path
+        store = PlanStore(directory)
+        entry = store.put(PlanArtifact.from_tuning(key, result))
+        return store, key, store.object_path(entry.sha256)
 
     def test_truncates_files_and_cache_survives(self, tmp_path):
-        key, path = self._write_artifact(tmp_path)
+        store, key, path = self._write_artifact(tmp_path)
         victims = corrupt_artifacts(
-            tmp_path, scenario=CORRUPT_ARTIFACTS, seed=0
+            store.objects_dir, scenario=CORRUPT_ARTIFACTS, seed=0
         )
         assert victims == [path]
         # The file is now torn JSON...
@@ -131,7 +134,7 @@ class TestCorruptArtifacts:
             torn = True
         assert torn
         # ...and the hardened cache treats it as a miss, not a crash.
-        cache = PlanCache(save_dir=tmp_path)
+        cache = PlanCache(store=PlanStore(tmp_path))
         sentinel = object()
         out = cache.get_or_tune(key, lambda: sentinel)
         assert out is sentinel
@@ -139,10 +142,10 @@ class TestCorruptArtifacts:
         assert cache.misses == 1
 
     def test_zero_probability_leaves_files_alone(self, tmp_path):
-        _, path = self._write_artifact(tmp_path)
+        store, _, path = self._write_artifact(tmp_path)
         before = path.read_text()
         victims = corrupt_artifacts(
-            tmp_path, scenario=FaultScenario(name="quiet"), seed=0
+            store.objects_dir, scenario=FaultScenario(name="quiet"), seed=0
         )
         assert victims == []
         assert path.read_text() == before

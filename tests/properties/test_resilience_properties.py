@@ -1,18 +1,20 @@
 """Property-based tests: backoff schedule law and batcher deadline math.
 
-The backoff laws (monotone, jitter-bounded, capped) and the _EPS
+The backoff laws (monotone, jitter-bounded, capped) and the EPS
 boundary behaviour of queue expiry are exactly the invariants the
 serving loop's fault driver depends on — a violated cap would stretch
-virtual timelines unboundedly, a wrong _EPS comparison would abandon
+virtual timelines unboundedly, a wrong EPS comparison would abandon
 requests that are still viable at their exact deadline.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import RetryPolicy
-from repro.serving.batcher import _EPS, BatchPolicy, TenantQueue
-from repro.serving.request import Request
+from repro.serving.batcher import BatchPolicy
+from repro.sim.engine import PENDING, IndexQueue, RequestTable
+from repro.sim.engine.queue import EPS
 
 policies = st.builds(
     RetryPolicy,
@@ -62,13 +64,17 @@ class TestBackoffProperties:
         assert all(d >= 0.0 for d in schedule)
 
 
-def _queue_with(deadline_s, arrivals):
-    queue = TenantQueue(
-        "t", BatchPolicy(deadline_s=deadline_s, max_queue_depth=4096)
-    )
-    for i, arrival in enumerate(arrivals):
-        queue.offer(Request(request_id=i, tenant="t", arrival_s=arrival))
+def _queue_with(policy, arrivals):
+    queue = IndexQueue("t", policy, RequestTable())
+    for arrival in arrivals:
+        queue.offer(queue.table.append(arrival, 0), arrival)
     return queue
+
+
+def _deadline_queue(deadline_s, arrivals):
+    return _queue_with(
+        BatchPolicy(deadline_s=deadline_s, max_queue_depth=4096), arrivals
+    )
 
 
 arrival_lists = st.lists(
@@ -86,49 +92,47 @@ class TestDeadlineMathProperties:
     def test_expire_splits_exactly_at_deadline_plus_eps(
         self, arrivals, budget, now
     ):
-        queue = _queue_with(budget, arrivals)
+        queue = _deadline_queue(budget, arrivals)
         expired = queue.expire(now)
-        # Exactly the requests with deadline + _EPS < now are gone...
-        assert len(expired) == sum(
-            1 for a in arrivals if now > a + budget + _EPS
+        # Exactly the requests with deadline + EPS < now are gone...
+        assert expired == sum(
+            1 for a in arrivals if now > a + budget + EPS
         )
         # ...and every survivor is still viable.
-        assert all(
-            not r.expired(now, _EPS) for r in queue._pending
-        )
+        table = queue.table
+        survivors = np.flatnonzero(table.status[:len(table)] == PENDING)
+        assert len(survivors) == len(queue)
+        assert not (now > table.deadline_s[survivors] + EPS).any()
 
     @given(arrivals=arrival_lists, budget=budgets)
     def test_request_viable_at_exact_deadline(self, arrivals, budget):
-        queue = _queue_with(budget, arrivals)
+        queue = _deadline_queue(budget, arrivals)
         deadline = arrivals[0] + budget
-        assert not queue._pending[0].expired(deadline, _EPS)
-        assert not queue._pending[0].expired(deadline + _EPS, _EPS)
+        assert queue.expire(deadline) == 0
+        assert queue.expire(deadline + EPS) == 0
 
     @given(arrivals=arrival_lists, budget=budgets, now=nows)
     def test_expiry_conserves_requests(self, arrivals, budget, now):
-        queue = _queue_with(budget, arrivals)
+        queue = _deadline_queue(budget, arrivals)
         expired = queue.expire(now)
-        assert len(expired) + len(queue) == len(arrivals)
-        assert queue.timed_out == len(expired)
+        assert expired + len(queue) == len(arrivals)
+        assert queue.timed_out == expired
 
     @given(arrivals=arrival_lists, budget=budgets, now=nows)
     def test_expiry_is_idempotent(self, arrivals, budget, now):
-        queue = _queue_with(budget, arrivals)
+        queue = _deadline_queue(budget, arrivals)
         queue.expire(now)
-        assert queue.expire(now) == []
+        assert queue.expire(now) == 0
 
     @given(arrivals=arrival_lists, wait=st.floats(
         min_value=0.0, max_value=1.0, allow_nan=False
     ))
     def test_ready_at_exact_wait_deadline(self, arrivals, wait):
-        queue = TenantQueue(
-            "t", BatchPolicy(max_wait_s=wait, max_queue_depth=4096,
-                             max_batch_size=4096)
+        queue = _queue_with(
+            BatchPolicy(max_wait_s=wait, max_queue_depth=4096,
+                        max_batch_size=4096),
+            arrivals,
         )
-        for i, arrival in enumerate(arrivals):
-            queue.offer(
-                Request(request_id=i, tenant="t", arrival_s=arrival)
-            )
-        # The timer fires at exactly the wait deadline; _EPS guarantees
+        # The timer fires at exactly the wait deadline; EPS guarantees
         # readiness despite float round-off.
         assert queue.ready(queue.wait_deadline_s())

@@ -1,16 +1,19 @@
 """Deadlines, timeout abandonment, and the goodput/throughput split."""
 
+import math
+
 import pytest
 
 from repro.hardware.specs import JETSON_AGX_XAVIER
-from repro.serving.batcher import BatchPolicy, TenantQueue, _EPS
-from repro.serving.request import Request, RequestStatus
+from repro.serving.batcher import BatchPolicy
 from repro.serving.simulator import (
     BatchServiceTime,
     ServingConfig,
     ServingSimulator,
     TenantSpec,
 )
+from repro.sim.engine import PENDING, TIMED_OUT, IndexQueue, RequestTable
+from repro.sim.engine.queue import EPS
 from repro.workloads.arrivals import UniformArrivals
 
 
@@ -50,48 +53,49 @@ def uniform_tenant(rate, duration, **kwargs):
                       arrival=UniformArrivals(rate, duration), **kwargs)
 
 
+def make_queue(policy):
+    return IndexQueue("t", policy, RequestTable())
+
+
+def offer(queue, arrival_s):
+    """Offer a request arriving at ``arrival_s``; returns its row."""
+    idx = queue.table.append(arrival_s, 0)
+    assert queue.offer(idx, arrival_s)
+    return idx
+
+
 class TestQueueDeadlines:
     def test_offer_stamps_absolute_deadline(self):
-        queue = TenantQueue("t", BatchPolicy(deadline_s=0.5))
-        request = Request(request_id=0, tenant="t", arrival_s=1.25)
-        assert queue.offer(request)
-        assert request.deadline_s == pytest.approx(1.75)
-
-    def test_preset_deadline_wins(self):
-        queue = TenantQueue("t", BatchPolicy(deadline_s=0.5))
-        request = Request(
-            request_id=0, tenant="t", arrival_s=1.0, deadline_s=1.1
-        )
-        queue.offer(request)
-        assert request.deadline_s == pytest.approx(1.1)
+        queue = make_queue(BatchPolicy(deadline_s=0.5))
+        idx = offer(queue, 1.25)
+        assert queue.table.deadline_s[idx] == pytest.approx(1.75)
 
     def test_no_policy_deadline_means_none(self):
-        queue = TenantQueue("t", BatchPolicy())
-        request = Request(request_id=0, tenant="t", arrival_s=0.0)
-        queue.offer(request)
-        assert request.deadline_s is None
-        assert not request.expired(1e9)
+        queue = make_queue(BatchPolicy())
+        idx = offer(queue, 0.0)
+        assert math.isnan(queue.table.deadline_s[idx])
+        assert queue.expire(1e9) == 0
+        assert queue.table.status[idx] == PENDING
 
     def test_expire_pops_only_expired_fifo_prefix(self):
-        queue = TenantQueue("t", BatchPolicy(deadline_s=1.0))
+        queue = make_queue(BatchPolicy(deadline_s=1.0))
         for i in range(3):
-            queue.offer(
-                Request(request_id=i, tenant="t", arrival_s=float(i))
-            )
-        expired = queue.expire(1.5)  # only request 0 (deadline 1.0) is past
-        assert [r.request_id for r in expired] == [0]
-        assert expired[0].status is RequestStatus.TIMED_OUT
-        assert expired[0].finish_s == pytest.approx(1.5)
+            offer(queue, float(i))
+        # only request 0 (deadline 1.0) is past
+        assert queue.expire(1.5) == 1
+        table = queue.table
+        assert table.status[:3].tolist() == [TIMED_OUT, PENDING, PENDING]
+        assert table.finish_s[0] == pytest.approx(1.5)
         assert queue.timed_out == 1
         assert len(queue) == 2
 
     def test_expiry_boundary_uses_eps(self):
-        queue = TenantQueue("t", BatchPolicy(deadline_s=1.0))
-        queue.offer(Request(request_id=0, tenant="t", arrival_s=0.0))
+        queue = make_queue(BatchPolicy(deadline_s=1.0))
+        offer(queue, 0.0)
         # At exactly the deadline the request is still viable.
-        assert queue.expire(1.0) == []
-        assert queue.expire(1.0 + _EPS) == []
-        assert len(queue.expire(1.0 + 1e-9)) == 1
+        assert queue.expire(1.0) == 0
+        assert queue.expire(1.0 + EPS) == 0
+        assert queue.expire(1.0 + 1e-9) == 1
 
     def test_policy_validates_deadline(self):
         from repro.errors import ReproError

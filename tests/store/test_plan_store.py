@@ -180,25 +180,6 @@ class TestMaintenance:
         second.put(a)
         assert first.digest() == second.digest()
 
-    def test_remove_returns_dropped_paths(self, store):
-        artifact = make_artifact()
-        sha = store.put(artifact).sha256
-        removed = store.remove(artifact.key)
-        assert store.object_path(sha) in removed
-        assert not store.contains(artifact.key)
-        assert store.remove(artifact.key) == []
-
-    def test_remove_collects_quarantined_siblings(self, store):
-        artifact = make_artifact()
-        sha = store.put(artifact).sha256
-        store.object_path(sha).write_text("garbage")
-        store.get(artifact.key)  # quarantines
-        store.put(artifact)  # healthy replacement
-        removed = store.remove(artifact.key)
-        slug = artifact.key.slug()
-        assert any(slug in p.name for p in removed)
-        assert not list(store.quarantine_dir.glob(f"{slug}.*"))
-
     def test_sweep_tmp_collects_torn_writes(self, store):
         store.put(make_artifact())
         torn = store.objects_dir / "deadbeef.json.tmp"
