@@ -23,14 +23,18 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..compile.backends import AnalyticBackend
 from ..compile.pipeline import CompiledPlan, compile_fixed
 from ..hardware.device import Device
 from ..hardware.specs import DeviceSpec
 from ..hardware.throttle import ThrottleFactors, apply_throttle
 from ..nn.precision import Precision
 from ..obs import NOOP_OBS, Observability
-from ..serving.simulator import BatchServiceTime
+from ..serving.simulator import (
+    SERVICE_TIMES,
+    BatchServiceTime,
+    warm_service_time,
+)
+from ..store.fingerprint import device_fingerprint
 
 
 class BaselineServiceTimeModel:
@@ -41,6 +45,12 @@ class BaselineServiceTimeModel:
     ``None``: there are no engine feature flags here, and the fleet
     dispatcher treats that (together with a non-integrated spec) as
     "no hybrid kernels to fail".
+
+    Times come from the process-wide
+    :data:`~repro.serving.simulator.SERVICE_TIMES` memo, keyed by (spec
+    fingerprint, precision, network, batch, throttle factors): a hit
+    skips both :func:`compile_fixed` and the executor, so each fixed
+    plan compiles and executes once per process.
     """
 
     base_config = None
@@ -56,6 +66,7 @@ class BaselineServiceTimeModel:
         self._precision = precision
         self._obs = obs if obs is not None else NOOP_OBS
         self._placement = "gpu" if spec.has_gpu else "cpu"
+        self._fingerprint = device_fingerprint(spec)
         self._warm: Dict[Tuple, BatchServiceTime] = {}
 
     @property
@@ -86,32 +97,33 @@ class BaselineServiceTimeModel:
         cached = self._warm.get(key)
         if cached is not None:
             return cached
-        compiled = compile_fixed(
-            network,
-            self._spec,
-            placement=self._placement,
-            precision=self._precision,
-            batch_size=batch,
-            # The original-program path stages layer outputs through the
-            # host on GPU devices (single-stream copy/kernel/copy).
-            serialize=self._placement == "gpu",
-            host_staging=self._placement == "gpu",
-            obs=self._obs,
-        )
-        if factors is not None and not factors.is_noop:
-            compiled = CompiledPlan(
-                graph=compiled.graph,
-                device=Device(apply_throttle(self._spec, factors)),
-                artifact=compiled.artifact,
+        if factors is not None and factors.is_noop:
+            factors = None
+
+        def execute() -> BatchServiceTime:
+            compiled = compile_fixed(
+                network,
+                self._spec,
+                placement=self._placement,
+                precision=self._precision,
+                batch_size=batch,
+                # The original-program path stages layer outputs through
+                # the host on GPU devices (single-stream copy/kernel/copy).
+                serialize=self._placement == "gpu",
+                host_staging=self._placement == "gpu",
+                obs=self._obs,
             )
-        report = AnalyticBackend(warm_weights=True).execute(
-            compiled, obs=self._obs
-        )
-        svc = BatchServiceTime(
-            total_s=report.total_s,
-            cpu_busy_s=report.cpu_busy_s,
-            gpu_busy_s=report.gpu_busy_s,
-            energy_j=report.energy.energy_j,
+            if factors is not None:
+                compiled = CompiledPlan(
+                    graph=compiled.graph,
+                    device=Device(apply_throttle(self._spec, factors)),
+                    artifact=compiled.artifact,
+                )
+            return warm_service_time(compiled, self._obs)
+
+        svc = SERVICE_TIMES.fixed(
+            (self._fingerprint, self._precision, network, batch, factors),
+            execute,
         )
         self._warm[key] = svc
         return svc

@@ -29,7 +29,7 @@ from ..errors import ReproError
 from ..hardware.device import Device
 from ..hardware.specs import JETSON_AGX_XAVIER, DeviceSpec
 from ..nn.graph import NetworkGraph
-from ..nn.models import build as build_model
+from ..nn.models import MODEL_BUILDERS, build as build_model
 from ..nn.precision import Precision
 from ..obs import NOOP_OBS, Observability
 from .memory_manager import MemoryPolicy
@@ -99,7 +99,17 @@ class EdgeNN:
         plan_cache: Optional[PlanCache] = None,
         obs: Optional[Observability] = None,
     ) -> None:
-        self.graph = build_model(network) if isinstance(network, str) else network
+        if isinstance(network, str):
+            if network not in MODEL_BUILDERS:
+                raise KeyError(
+                    f"unknown network {network!r}; "
+                    f"available: {sorted(MODEL_BUILDERS)}"
+                )
+            self._network = network
+            self._graph: Optional[NetworkGraph] = None
+        else:
+            self._network = network.name
+            self._graph = network
         self.obs = obs if obs is not None else NOOP_OBS
         if device is None:
             device = JETSON_AGX_XAVIER
@@ -123,6 +133,14 @@ class EdgeNN:
             if isinstance(network, str)
             else None
         )
+
+    @property
+    def graph(self) -> NetworkGraph:
+        """The network graph, built from the catalog on first use: a plan
+        served from the cache is executed or inspected without one."""
+        if self._graph is None:
+            self._graph = build_model(self._network)
+        return self._graph
 
     # -- tuning & simulated execution ----------------------------------------
 
@@ -154,7 +172,7 @@ class EdgeNN:
                 hits_before = self._plan_cache.hits
                 with obs.tracer.span(
                     "plan:lookup", category="plan",
-                    network=self.graph.name, device=self.device.name,
+                    network=self._network, device=self.device.name,
                     batch=self.config.batch_size,
                 ) as span:
                     self._tuning = self._plan_cache.get_or_tune(
@@ -168,7 +186,7 @@ class EdgeNN:
                 ).labels(result="hit" if hit else "miss").inc()
             else:
                 with obs.tracer.span("plan:tune", category="plan",
-                                     network=self.graph.name):
+                                     network=self._network):
                     self._tuning = _tune_now()
         return self._tuning
 
@@ -215,7 +233,7 @@ class EdgeNN:
         if not self.obs.enabled:
             return backend.execute(compiled)
         with self.obs.tracer.span(
-            f"execute:{self.graph.name}", category="execute",
+            f"execute:{self._network}", category="execute",
             device=self.device.name, batch=self.config.batch_size,
         ) as span:
             report = backend.execute(compiled, obs=self.obs)
@@ -241,7 +259,7 @@ class EdgeNN:
     def summary(self) -> str:
         """Engine + plan description for logs."""
         lines = [
-            f"EdgeNN({self.graph.name} on {self.device.name})",
+            f"EdgeNN({self._network} on {self.device.name})",
             self.plan.describe(),
         ]
         tuning = self.tune()

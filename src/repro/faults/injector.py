@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..hardware.throttle import ThrottleFactors
-from .resilience import _unit_draw
+from .resilience import _digest_draw, _unit_draw
 from .scenario import (
     FaultScenario,
     MemoryPressureWindow,
@@ -26,7 +26,13 @@ from .scenario import (
 
 
 class FaultInjector:
-    """Deterministic runtime companion to a :class:`FaultScenario`."""
+    """Deterministic runtime companion to a :class:`FaultScenario`.
+
+    The stream-indexed draws (kernel, payload, artifact) equal
+    ``_unit_draw(seed, stream, index)``; each is computed on a copy of
+    a per-stream SHA-256 state that already holds the
+    ``"{seed}:{stream}:"`` prefix, so a draw hashes only its index.
+    """
 
     def __init__(
         self,
@@ -44,6 +50,16 @@ class FaultInjector:
         self._kernel_draws = 0
         self._payload_draws = 0
         self._artifact_draws = 0
+        self._prefixes = {
+            stream: hashlib.sha256(f"{seed}:{stream}:".encode())
+            for stream in ("kernel", "payload", "artifact")
+        }
+
+    def _draw(self, stream: str, index: int) -> float:
+        """``_unit_draw(seed, stream, index)`` from the stream's prefix."""
+        hasher = self._prefixes[stream].copy()
+        hasher.update(b"%d" % index)  # the bytes of str(index)
+        return _digest_draw(hasher.digest())
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -89,7 +105,7 @@ class FaultInjector:
             return False
         index = self._kernel_draws
         self._kernel_draws += 1
-        fails = _unit_draw(self.seed, "kernel", index) < p
+        fails = self._draw("kernel", index) < p
         if fails:
             self._record("kernel_failure", now, index=index, detail=detail)
         return fails
@@ -101,7 +117,7 @@ class FaultInjector:
             return False
         index = self._payload_draws
         self._payload_draws += 1
-        corrupt = _unit_draw(self.seed, "payload", index) < p
+        corrupt = self._draw("payload", index) < p
         if corrupt:
             self._record(
                 "payload_corrupt", now, index=index, request_id=request_id
@@ -115,7 +131,7 @@ class FaultInjector:
             return False
         index = self._artifact_draws
         self._artifact_draws += 1
-        corrupt = _unit_draw(self.seed, "artifact", index) < p
+        corrupt = self._draw("artifact", index) < p
         if corrupt:
             self._record("artifact_corrupt", now, index=index, path=path)
         return corrupt

@@ -9,10 +9,17 @@ of *now* rather than wall time.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import ReproError
+
+
+#: A draw's bits: the first 8 digest bytes as a big-endian unsigned int.
+_DRAW_BITS = struct.Struct(">Q")
+# 1 << 64 is the draw denominator (8 digest bytes), not a byte size.
+_DRAW_DENOMINATOR = float(1 << 64)  # repro-analysis: ignore[REPRO106]
 
 
 def _unit_draw(seed: int, *parts: object) -> float:
@@ -23,9 +30,12 @@ def _unit_draw(seed: int, *parts: object) -> float:
     determinism gate replays the same seed in two fresh interpreters.
     """
     payload = ":".join(str(p) for p in (seed, *parts)).encode()
-    digest = hashlib.sha256(payload).digest()
-    # 1 << 64 is the draw denominator (8 digest bytes), not a byte size.
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)  # repro-analysis: ignore[REPRO106]
+    return _digest_draw(hashlib.sha256(payload).digest())
+
+
+def _digest_draw(digest: bytes) -> float:
+    """The draw in [0, 1) a SHA-256 digest encodes (its first 8 bytes)."""
+    return _DRAW_BITS.unpack_from(digest)[0] / _DRAW_DENOMINATOR
 
 
 @dataclass(frozen=True)

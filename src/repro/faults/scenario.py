@@ -24,7 +24,10 @@ accepts either a built-in name (:data:`SCENARIO_CATALOG`) or a file.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Mapping, Tuple, Union
 
@@ -163,6 +166,27 @@ class FaultScenario:
             and self.artifact_corrupt_p == 0.0
             and self.worker_crash_p == 0.0
         )
+
+    @cached_property
+    def window_edges(self) -> Tuple[float, ...]:
+        """Sorted distinct starts and ends of every thermal and
+        memory-pressure window: the only instants at which
+        :meth:`thermal_at` or :meth:`memory_pressure_at` can change."""
+        return tuple(sorted({
+            edge
+            for window in (*self.thermal, *self.memory_pressure)
+            for edge in (window.start_s, window.end_s)
+        }))
+
+    def next_edge_after(self, now: float) -> float:
+        """The first window edge strictly after ``now`` (inf if none).
+
+        Windows are active on ``start <= now < end``, so the active
+        windows at ``now`` stay active until this instant.
+        """
+        edges = self.window_edges
+        index = bisect_right(edges, now)
+        return edges[index] if index < len(edges) else math.inf
 
     def thermal_at(self, now: float):
         """The active thermal window at virtual instant ``now`` (or None)."""

@@ -15,7 +15,8 @@ for that batch size* (memoized in the shared
 :class:`~repro.core.plan_cache.PlanCache`), and a warm executor
 (weights device-resident, the steady state of
 :mod:`repro.core.service`) measures it on the
-:mod:`repro.sim.timeline` device model.  Dynamic batching therefore
+:mod:`repro.sim.timeline` device model, once per process
+(:data:`SERVICE_TIMES`).  Dynamic batching therefore
 helps exactly as much as the cost model says weight-traffic
 amortization is worth — fc-heavy networks batch nearly for free,
 conv-heavy ones almost linearly.
@@ -35,8 +36,10 @@ scenario produce an identical
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -84,6 +87,8 @@ from ..sim.engine import (
 )
 from ..sim.engine.queue import EPS
 from ..sim.timeline import COPY, CPU, GPU, Timeline
+from ..sim.trace import Trace
+from ..store.fingerprint import device_fingerprint
 from ..workloads.arrivals import ArrivalProcess, PoissonArrivals
 from .batcher import BatchPolicy
 from .report import (
@@ -181,6 +186,11 @@ class BatchServiceTime:
     energy_j: float = 0.0
 
 
+#: One dispatched batch: (tenant, size, start, total incl. retry delay,
+#: retry delay, CPU busy, GPU busy).
+BatchLogEntry = Tuple[str, int, float, float, float, float, float]
+
+
 @dataclass(frozen=True)
 class BatchRecord:
     """One dispatched batch (for the serving trace / debugging)."""
@@ -189,6 +199,79 @@ class BatchRecord:
     size: int
     start_s: float
     end_s: float
+
+
+class ServiceTimeMemo:
+    """Warm batch service times, computed once per process.
+
+    A warm service time is a pure function of the plan and the device
+    spec it runs on, so both service-time models share one instance,
+    :data:`SERVICE_TIMES`, across simulators.  :meth:`tuned` keys by
+    the :class:`~repro.core.tuner.TuningResult` the plan cache returned,
+    by identity, and holds it weakly: an entry lives as long as its
+    plan, and a plan re-tuned after an invalidation executes again.
+    :meth:`fixed` keys plans no cache holds by what compiles them.
+    Racing threads at worst execute a plan twice and store equal values.
+    """
+
+    def __init__(self) -> None:
+        #: id(plan) -> (weak reference to the plan, {key: service time})
+        self._tuned: Dict[
+            int, Tuple["weakref.ref", Dict[Tuple, BatchServiceTime]]
+        ] = {}
+        self._fixed: Dict[Tuple, BatchServiceTime] = {}
+
+    def tuned(
+        self,
+        plan: object,
+        key: Tuple,
+        execute: Callable[[], BatchServiceTime],
+    ) -> BatchServiceTime:
+        """The time of ``plan`` under ``key``, executing on first use."""
+        ident = id(plan)
+        entry = self._tuned.get(ident)
+        if entry is None:
+            # The callback runs when the plan is collected, before its
+            # id can be reused, so an id never names a replaced plan.
+            ref = weakref.ref(plan, lambda _: self._tuned.pop(ident, None))
+            entry = self._tuned[ident] = (ref, {})
+        times = entry[1]
+        svc = times.get(key)
+        if svc is None:
+            svc = times[key] = execute()
+        return svc
+
+    def fixed(
+        self, key: Tuple, execute: Callable[[], BatchServiceTime]
+    ) -> BatchServiceTime:
+        """The time of the fixed plan ``key`` names, executing on first
+        use."""
+        svc = self._fixed.get(key)
+        if svc is None:
+            svc = self._fixed[key] = execute()
+        return svc
+
+    def clear(self) -> None:
+        """Forget every memoized time."""
+        self._tuned.clear()
+        self._fixed.clear()
+
+
+#: The process-wide memo both service-time models share.
+SERVICE_TIMES = ServiceTimeMemo()
+
+
+def warm_service_time(
+    compiled: CompiledPlan, obs: Observability
+) -> BatchServiceTime:
+    """Run one compiled plan warm (weights device-resident)."""
+    report = AnalyticBackend(warm_weights=True).execute(compiled, obs=obs)
+    return BatchServiceTime(
+        total_s=report.total_s,
+        cpu_busy_s=report.cpu_busy_s,
+        gpu_busy_s=report.gpu_busy_s,
+        energy_j=report.energy.energy_j,
+    )
 
 
 class ServiceTimeModel:
@@ -202,6 +285,12 @@ class ServiceTimeModel:
     thermal-throttle execution mode: ``retuned=False`` runs the *stale*
     nominal plan on the throttled device (what a naive service
     suffers), ``retuned=True`` re-tunes against the throttled spec.
+
+    Each model looks a combination's plan up in the plan cache once
+    (the serving report counts those hits and misses) and takes its time
+    from :data:`SERVICE_TIMES`, keyed by (plan, spec fingerprint,
+    throttle factors): a plan executes once per process, and a memo hit
+    builds no graph and records no executor spans.
     """
 
     def __init__(
@@ -213,6 +302,7 @@ class ServiceTimeModel:
         obs: Optional[Observability] = None,
     ) -> None:
         self._spec = spec
+        self._fingerprint = device_fingerprint(spec)
         self._base = engine or EdgeNNConfig()
         self._precision = precision
         self._obs = obs if obs is not None else NOOP_OBS
@@ -269,32 +359,29 @@ class ServiceTimeModel:
         if cached is not None:
             return cached
         config = self._config_for(batch, kind)
-        if factors is None or factors.is_noop:
-            engine = EdgeNN(network, self._spec, config, obs=self._obs)
+        if factors is not None and factors.is_noop:
+            factors = None
+        stale = factors is not None and not retuned
+        spec = self._spec
+        if factors is not None and retuned:
+            spec = apply_throttle(spec, factors)
+        engine = EdgeNN(network, spec, config, obs=self._obs)
+
+        def execute() -> BatchServiceTime:
             compiled = engine.compiled()
-        elif retuned:
-            throttled = apply_throttle(self._spec, factors)
-            engine = EdgeNN(network, throttled, config, obs=self._obs)
-            compiled = engine.compiled()
-        else:
-            # Stale plan on the throttled device: keep the placement the
-            # tuner chose for the *nominal* operating point, but execute
-            # it at the throttled rates.
-            engine = EdgeNN(network, self._spec, config, obs=self._obs)
-            nominal = engine.compiled()
-            compiled = CompiledPlan(
-                graph=nominal.graph,
-                device=Device(apply_throttle(self._spec, factors)),
-                artifact=nominal.artifact,
-            )
-        report = AnalyticBackend(warm_weights=True).execute(
-            compiled, obs=self._obs
-        )
-        svc = BatchServiceTime(
-            total_s=report.total_s,
-            cpu_busy_s=report.cpu_busy_s,
-            gpu_busy_s=report.gpu_busy_s,
-            energy_j=report.energy.energy_j,
+            if stale:
+                # Stale plan on the throttled device: keep the placement
+                # the tuner chose for the *nominal* operating point, but
+                # execute it at the throttled rates.
+                compiled = CompiledPlan(
+                    graph=compiled.graph,
+                    device=Device(apply_throttle(self._spec, factors)),
+                    artifact=compiled.artifact,
+                )
+            return warm_service_time(compiled, self._obs)
+
+        svc = SERVICE_TIMES.tuned(
+            engine.tune(), (self._fingerprint, factors), execute
         )
         self._warm[key] = svc
         return svc
@@ -368,9 +455,11 @@ class ServingSimulator:
         #: :attr:`requests` materializes legacy objects lazily from it.
         self._table: Optional[RequestTable] = None
         self._requests: Optional[List[Request]] = None
-        #: batch records of the last :meth:`run`, kept for the unified
-        #: Chrome-trace export (:mod:`repro.obs.export`).
-        self.batches: List[BatchRecord] = []
+        #: per-batch log of the last :meth:`run` (None before one);
+        #: :attr:`trace` and :attr:`batches` are derived from it lazily.
+        self._batch_log: Optional[List[BatchLogEntry]] = None
+        self._trace: Optional[Trace] = None
+        self._batches: Optional[List[BatchRecord]] = None
         #: fault machinery of the last run (None without a scenario).
         self.injector: Optional[FaultInjector] = None
         self.breaker: Optional[CircuitBreaker] = None
@@ -398,6 +487,42 @@ class ServingSimulator:
                 return []
             self._requests = self._table.materialize(self._names)
         return self._requests
+
+    @property
+    def batches(self) -> List[BatchRecord]:
+        """Batches of the last :meth:`run`, in dispatch order."""
+        if self._batches is None:
+            if self._batch_log is None:
+                return []
+            self._batches = [
+                BatchRecord(tenant, size, now, now + total)
+                for tenant, size, now, total, *_ in self._batch_log
+            ]
+        return self._batches
+
+    @property
+    def trace(self) -> Optional[Trace]:
+        """Kernel trace of the last :meth:`run` (None before one): per
+        batch a ``device`` slice plus its CPU and GPU busy intervals.
+        Built on first access by replaying the batch log through a
+        :class:`~repro.sim.timeline.Timeline`."""
+        if self._trace is None and self._batch_log is not None:
+            timeline = Timeline((DEVICE, CPU, GPU, COPY))
+            for tenant, size, now, total, delay, cpu_s, gpu_s in (
+                self._batch_log
+            ):
+                label = f"{tenant}:batch(n={size})"
+                timeline.schedule(DEVICE, total, label, not_before=now)
+                timeline.schedule(
+                    CPU, cpu_s, label,
+                    not_before=now + delay, category="kernel",
+                )
+                timeline.schedule(
+                    GPU, gpu_s, label,
+                    not_before=now + delay, category="kernel",
+                )
+            self._trace = timeline.trace
+        return self._trace
 
     # -- the event loop -------------------------------------------------------
 
@@ -473,8 +598,6 @@ class ServingSimulator:
         scheduler = WeightedFairScheduler(
             {t.tenant_name: t.weight for t in self._tenants}
         )
-        timeline = Timeline((DEVICE, CPU, GPU, COPY))
-
         # Windowed telemetry recorder (None: every hook is one identity
         # check on the hot path, covered by the obs-overhead guard).
         tl: Optional[TimelineRecorder] = None
@@ -514,6 +637,7 @@ class ServingSimulator:
         )
         noted_thermal: Optional[float] = None   # active window start
         noted_pressure: Optional[float] = None
+        next_edge = -math.inf   # windows cannot change before this
         demoted_windows: set = set()
         retries = 0
         exhaustions = 0
@@ -521,7 +645,7 @@ class ServingSimulator:
         heap = EventHeap()
         engine = EventEngine(schedule, heap)
 
-        batches: List[BatchRecord] = []
+        batch_log: List[BatchLogEntry] = []
         tenant_hist: Dict[str, Dict[int, int]] = {n: {} for n in names}
         #: the single batch on the device: (owner, rows, batch_failed).
         in_flight: Optional[Tuple[int, np.ndarray, bool]] = None
@@ -552,8 +676,16 @@ class ServingSimulator:
                 schedule.push(follow, owner)
 
         def note_windows(now: float) -> None:
-            """Record thermal / memory-pressure window edges once."""
-            nonlocal noted_thermal, noted_pressure
+            """Record thermal / memory-pressure window edges once.
+
+            The active windows change only at a window edge, and event
+            time never goes back, so below the next edge there is
+            nothing to record.
+            """
+            nonlocal noted_thermal, noted_pressure, next_edge
+            if now < next_edge:
+                return
+            next_edge = faults.next_edge_after(now)
             thermal = faults.thermal_at(now)
             start = thermal.start_s if thermal is not None else None
             if start != noted_thermal:
@@ -788,21 +920,10 @@ class ServingSimulator:
                 cpu_busy_total += svc.cpu_busy_s
                 gpu_busy_total += svc.gpu_busy_s
                 end = now + total
-                label = f"{chosen}:batch(n={size})"
-                timeline.schedule(DEVICE, total, label, not_before=now)
-                timeline.schedule(
-                    CPU, svc.cpu_busy_s, label,
-                    not_before=now + delay, category="kernel",
-                )
-                timeline.schedule(
-                    GPU, svc.gpu_busy_s, label,
-                    not_before=now + delay, category="kernel",
-                )
-                batches.append(
-                    BatchRecord(
-                        tenant=chosen, size=size, start_s=now, end_s=end
-                    )
-                )
+                batch_log.append((
+                    chosen, size, now, total, delay,
+                    svc.cpu_busy_s, svc.gpu_busy_s,
+                ))
                 if tl is not None:
                     tl.record_batch(
                         now, end, size,
@@ -814,7 +935,8 @@ class ServingSimulator:
                     )
                 if obs.enabled:
                     obs.tracer.record(
-                        label, now, end, category="batch",
+                        f"{chosen}:batch(n={size})", now, end,
+                        category="batch",
                         tenant=chosen, size=size, mode=mode,
                     )
                     batches_total.labels(tenant=chosen).inc()
@@ -1023,7 +1145,9 @@ class ServingSimulator:
 
         self._table = table
         self._requests = None
-        self.batches = batches
+        self._batch_log = batch_log
+        self._trace = None
+        self._batches = None
         self.timeline = None
         self.timeline_ops = 0
         self.timeline_op_counts = {}
@@ -1032,10 +1156,9 @@ class ServingSimulator:
             self.timeline_op_counts = tl.op_counts
             self.timeline_ops = tl.ops
             horizon = self._horizon_s()
-            last_end = max((b.end_s for b in batches), default=0.0)
             self.timeline = tl.finish(
                 horizon_s=horizon,
-                makespan_s=max(horizon, last_end),
+                makespan_s=max(horizon, _last_end(batch_log)),
                 capacity={"cpu": 1.0, "gpu": 1.0},
             )
             if cfg.slos:
@@ -1051,7 +1174,7 @@ class ServingSimulator:
                     ),
                 )
         return self._build_report(
-            iqueues, table, tenant_hist, batches, timeline,
+            iqueues, table, tenant_hist, batch_log,
             tracker, cpu_busy_total, gpu_busy_total,
             late_counts, failed_counts, retries, exhaustions,
         )
@@ -1065,13 +1188,12 @@ class ServingSimulator:
         )
 
     def _build_report(
-        self, queues, table, tenant_hist, batches, timeline,
+        self, queues, table, tenant_hist, batch_log,
         tracker, cpu_busy_total, gpu_busy_total,
         late_counts, failed_counts, retries, exhaustions,
     ) -> ServingReport:
         horizon = self._horizon_s()
-        last_end = max((b.end_s for b in batches), default=0.0)
-        makespan = max(horizon, last_end)
+        makespan = max(horizon, _last_end(batch_log))
         n = len(table)
         arrival = table.arrival_s[:n]
         finish = table.finish_s[:n]
@@ -1141,8 +1263,12 @@ class ServingSimulator:
             rejected=rejected,
             abandoned_latency=LatencyStats.from_latencies(abandoned),
         )
-        report.extra["batch_count"] = float(len(batches))
-        report.extra["device_busy_s"] = timeline.busy_time(DEVICE)
+        report.extra["batch_count"] = float(len(batch_log))
+        # Each batch starts at its dispatch instant, so this is the
+        # kernel trace's device busy time, summed in the same order.
+        report.extra["device_busy_s"] = sum(
+            (now + total) - now for _, _, now, total, *_ in batch_log
+        )
         if self.injector is not None:
             report.extra["fault_events"] = float(len(self.injector.events))
             report.extra["retries"] = float(retries)
@@ -1153,8 +1279,13 @@ class ServingSimulator:
             report.extra["degradations"] = float(
                 len(self.degradation.records) if self.degradation else 0
             )
-        self.trace = timeline.trace
         return report
+
+
+def _last_end(batch_log: List[BatchLogEntry]) -> float:
+    """End of the last batch of a log (0.0 when nothing dispatched)."""
+    return max((now + total for _, _, now, total, *_ in batch_log),
+               default=0.0)
 
 
 # -- convenience entry points ---------------------------------------------------

@@ -8,6 +8,7 @@ from repro.core.memory_manager import MemoryPolicy
 from repro.errors import ReproError
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER, RASPBERRY_PI_4, RTX_2080TI_HOST
+from repro.nn.models import MODEL_BUILDERS
 from repro.workloads import input_for
 
 from ..conftest import make_chain_net
@@ -35,6 +36,33 @@ class TestConstruction:
             EdgeNN("lenet", RASPBERRY_PI_4)
         with pytest.raises(ReproError, match="integrated"):
             EdgeNN("lenet", RTX_2080TI_HOST)
+
+    def test_unknown_network_raises_in_the_constructor(self):
+        with pytest.raises(KeyError, match="transformer"):
+            EdgeNN("transformer")
+
+
+class TestLazyGraph:
+    """A plan served from the cache needs no graph: the engine builds
+    one only when a plan is tuned or executed."""
+
+    def test_cache_hit_builds_no_graph(self, monkeypatch):
+        EdgeNN("lenet").tune()  # the plan is cached from here on
+        builds = []
+        builder = MODEL_BUILDERS["lenet"]
+
+        def counted():
+            builds.append("lenet")
+            return builder()
+
+        monkeypatch.setitem(MODEL_BUILDERS, "lenet", counted)
+        engine = EdgeNN("lenet")
+        engine.tune()
+        assert engine.plan is not None
+        assert builds == []
+        assert engine.graph.name == "lenet"
+        assert engine.graph is engine.graph
+        assert builds == ["lenet"]
 
 
 class TestConfig:

@@ -1,7 +1,11 @@
 """FaultInjector determinism: same seed => same timeline, cross-stream
 independence, and artifact corruption helper."""
 
+import hashlib
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compile.artifact import PlanArtifact
 from repro.core.plan_cache import PlanCache, PlanKey
@@ -15,6 +19,7 @@ from repro.faults import (
     FaultScenario,
     corrupt_artifacts,
 )
+from repro.faults.resilience import _unit_draw
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.obs import Observability
 from repro.store.plan_store import PlanStore
@@ -27,6 +32,45 @@ def _drain(injector, n=64):
         injector.payload_corrupt(i * 0.1, request_id=i)
         injector.artifact_corrupt(path=f"plan-{i}.json", now=i * 0.1)
     return injector.events
+
+
+class TestPrefixDraws:
+    """Each stream hashes its ``"{seed}:{stream}:"`` prefix once; every
+    draw must still equal the from-scratch ``_unit_draw``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(min_value=-(2**63), max_value=2**64),
+        stream=st.sampled_from(("kernel", "payload", "artifact")),
+        index=st.one_of(
+            st.sampled_from((0, 9, 10, 99, 100)),
+            st.integers(min_value=0, max_value=2**80),
+        ),
+    )
+    def test_prefix_draw_equals_unit_draw(self, seed, stream, index):
+        injector = FaultInjector(EDGE_STORM, seed=seed)
+        digest = hashlib.sha256(f"{seed}:{stream}:{index}".encode()).digest()
+        reference = int.from_bytes(digest[:8], "big") / 2.0**64
+        assert injector._draw(stream, index) == reference
+        assert _unit_draw(seed, stream, index) == reference
+
+    def test_stream_decisions_follow_unit_draws(self):
+        p = 0.3
+        scenario = FaultScenario(
+            name="draws", kernel_failure_p=p, payload_corrupt_p=p,
+            artifact_corrupt_p=p,
+        )
+        injector = FaultInjector(scenario, seed=11)
+        for i in range(200):
+            assert injector.kernel_fails(0.0) == (
+                _unit_draw(11, "kernel", i) < p
+            )
+            assert injector.payload_corrupt(0.0, request_id=i) == (
+                _unit_draw(11, "payload", i) < p
+            )
+            assert injector.artifact_corrupt(path="x") == (
+                _unit_draw(11, "artifact", i) < p
+            )
 
 
 class TestDeterminism:

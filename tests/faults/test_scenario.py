@@ -1,6 +1,10 @@
 """Fault-scenario data model: validation, catalog, JSON round-trip."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.faults import (
@@ -84,6 +88,72 @@ class TestScenario:
         assert "mem pressure" in text
         assert "kernel faults" in text
         assert "bad payloads" in text
+
+
+def _window_specs(max_size=4):
+    return st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=10.0),
+            st.floats(min_value=0.01, max_value=5.0),
+        ),
+        max_size=max_size,
+    )
+
+
+class TestWindowEdges:
+    def test_sorted_distinct_starts_and_ends_of_both_kinds(self):
+        scenario = FaultScenario(
+            name="edges",
+            thermal=(
+                ThermalWindow(start_s=4.0, duration_s=2.0),
+                ThermalWindow(start_s=1.0, duration_s=1.0),
+            ),
+            memory_pressure=(MemoryPressureWindow(start_s=2.0, duration_s=4.0),),
+        )
+        assert scenario.window_edges == (1.0, 2.0, 4.0, 6.0)
+
+    def test_next_edge_is_strictly_after_now(self):
+        scenario = FaultScenario(
+            name="edges", thermal=(ThermalWindow(start_s=1.0, duration_s=1.0),)
+        )
+        assert scenario.next_edge_after(-math.inf) == 1.0
+        assert scenario.next_edge_after(0.5) == 1.0
+        assert scenario.next_edge_after(1.0) == 2.0
+        assert scenario.next_edge_after(2.0) == math.inf
+        assert FaultScenario(name="quiet").next_edge_after(0.0) == math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        thermal=_window_specs(),
+        pressure=_window_specs(),
+        now=st.floats(min_value=0.0, max_value=16.0),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_active_windows_hold_until_the_next_edge(
+        self, thermal, pressure, now, fraction
+    ):
+        """What serving's window-edge recording relies on: no query
+        changes its answer before :meth:`next_edge_after` — overlapping
+        windows included."""
+        scenario = FaultScenario(
+            name="random",
+            thermal=tuple(ThermalWindow(s, d) for s, d in thermal),
+            memory_pressure=tuple(
+                MemoryPressureWindow(s, d) for s, d in pressure
+            ),
+        )
+        edge = scenario.next_edge_after(now)
+        later = [now + fraction * (min(edge, 20.0) - now)]
+        if edge < math.inf:
+            later.append(math.nextafter(edge, -math.inf))
+        for t in later:
+            if not now <= t < edge:
+                continue
+            assert scenario.thermal_at(t) is scenario.thermal_at(now)
+            assert (
+                scenario.memory_pressure_at(t)
+                is scenario.memory_pressure_at(now)
+            )
 
 
 class TestLoadScenario:

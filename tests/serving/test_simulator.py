@@ -75,6 +75,20 @@ class TestValidation:
             ServingSimulator(JETSON_AGX_XAVIER, tenants, ServingConfig())
 
 
+class TestBeforeRun:
+    def test_results_are_empty_until_a_run(self):
+        sim = ServingSimulator(
+            JETSON_AGX_XAVIER, [uniform_tenant(50, 0.2)], ServingConfig(),
+            service_model=FixedServiceModel(),
+        )
+        assert sim.trace is None
+        assert sim.batches == []
+        assert sim.requests == []
+        report = sim.run()
+        assert len(sim.batches) == report.extra["batch_count"] > 0
+        assert len(sim.trace) == 3 * len(sim.batches)
+
+
 class TestConservation:
     @pytest.mark.parametrize("rate", [5, 50, 500])
     def test_served_plus_shed_is_offered(self, rate):

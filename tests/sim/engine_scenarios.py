@@ -1,10 +1,11 @@
 """Shared scenario matrix pinning the event-engine refactor.
 
-Each scenario builds and runs a simulator through the *public* entry
-points and returns the digests the golden file records: the report
-digest, and the timeline digest when the scenario records one.  The
-golden file (``tests/golden/engine_parity.json``) was generated from
-the pre-refactor per-request event loops; the vectorized engine must
+Each scenario builds a simulator through the *public* entry points
+(:data:`BUILDERS`); :data:`SCENARIOS` runs it and returns the digests
+the golden file records: the report digest, and the timeline digest
+when the scenario records one.  The golden file
+(``tests/golden/engine_parity.json``) was generated from the
+pre-refactor per-request event loops; the vectorized engine must
 reproduce every digest bit-for-bit.
 
 Scenarios deliberately cover every structurally distinct code path:
@@ -15,7 +16,7 @@ observability-enabled run, and cluster routing/autoscaling/flash
 crowds over the merged-arrival loop.
 """
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.cluster import (
     AutoscalerPolicy,
@@ -42,14 +43,10 @@ from repro.workloads.arrivals import (
 #: scenario name -> zero-arg callable returning
 #: (report_digest, timeline_digest_or_None)
 ScenarioFn = Callable[[], Tuple[str, Optional[str]]]
+Simulator = Union[ServingSimulator, ClusterSimulator]
 
 
-def _finish(sim, report) -> Tuple[str, Optional[str]]:
-    timeline = sim.timeline.digest() if sim.timeline is not None else None
-    return report.digest(), timeline
-
-
-def serving_knee() -> Tuple[str, Optional[str]]:
+def serving_knee() -> Simulator:
     """Overloaded single tenant: bulk admission, sheds, full batches."""
     sim = ServingSimulator(
         None,
@@ -59,10 +56,10 @@ def serving_knee() -> Tuple[str, Optional[str]]:
             seed=7,
         ),
     )
-    return _finish(sim, sim.run())
+    return sim
 
 
-def serving_deadline() -> Tuple[str, Optional[str]]:
+def serving_deadline() -> Simulator:
     """Tight deadlines: expiry sweeps, timeouts, and a timeline."""
     sim = ServingSimulator(
         None,
@@ -75,10 +72,10 @@ def serving_deadline() -> Tuple[str, Optional[str]]:
             timeline_window_s=0.25,
         ),
     )
-    return _finish(sim, sim.run())
+    return sim
 
 
-def serving_multitenant() -> Tuple[str, Optional[str]]:
+def serving_multitenant() -> Simulator:
     """Weighted fair share across three tenants, one with its own policy."""
     tenants = [
         poisson_tenant("lenet", 120.0, 2.0, seed=5, weight=3.0),
@@ -94,10 +91,10 @@ def serving_multitenant() -> Tuple[str, Optional[str]]:
     sim = ServingSimulator(
         None, tenants, ServingConfig(policy=BatchPolicy(max_batch_size=8))
     )
-    return _finish(sim, sim.run())
+    return sim
 
 
-def serving_faults() -> Tuple[str, Optional[str]]:
+def serving_faults() -> Simulator:
     """edge-storm with the resilience layer on, timeline recorded."""
     sim = ServingSimulator(
         None,
@@ -109,10 +106,10 @@ def serving_faults() -> Tuple[str, Optional[str]]:
             timeline_window_s=0.5,
         ),
     )
-    return _finish(sim, sim.run())
+    return sim
 
 
-def serving_faults_naive() -> Tuple[str, Optional[str]]:
+def serving_faults_naive() -> Simulator:
     """The same storm without resilience (stale plans, no retries)."""
     sim = ServingSimulator(
         None,
@@ -124,10 +121,10 @@ def serving_faults_naive() -> Tuple[str, Optional[str]]:
             resilience=False,
         ),
     )
-    return _finish(sim, sim.run())
+    return sim
 
 
-def serving_closed_loop() -> Tuple[str, Optional[str]]:
+def serving_closed_loop() -> Simulator:
     """Closed-loop clients: arrivals depend on completions."""
     tenants = [
         TenantSpec(
@@ -141,10 +138,10 @@ def serving_closed_loop() -> Tuple[str, Optional[str]]:
     sim = ServingSimulator(
         None, tenants, ServingConfig(policy=BatchPolicy(max_batch_size=4))
     )
-    return _finish(sim, sim.run())
+    return sim
 
 
-def serving_obs() -> Tuple[str, Optional[str]]:
+def serving_obs() -> Simulator:
     """Observability on: per-request spans must not perturb the report."""
     from repro.obs import Observability
 
@@ -154,10 +151,10 @@ def serving_obs() -> Tuple[str, Optional[str]]:
         ServingConfig(policy=BatchPolicy(max_batch_size=4)),
         obs=Observability.on(),
     )
-    return _finish(sim, sim.run())
+    return sim
 
 
-def serving_cold_start() -> Tuple[str, Optional[str]]:
+def serving_cold_start() -> Simulator:
     """Cold-start premium charged to each tenant's first batch."""
     sim = ServingSimulator(
         None,
@@ -166,10 +163,10 @@ def serving_cold_start() -> Tuple[str, Optional[str]]:
             policy=BatchPolicy(max_batch_size=4), cold_start=True, seed=2
         ),
     )
-    return _finish(sim, sim.run())
+    return sim
 
 
-def cluster_routing() -> Tuple[str, Optional[str]]:
+def cluster_routing() -> Simulator:
     """Heterogeneous fleet, plan_cost router, rolling thermal faults."""
     sim = ClusterSimulator(
         [ClusterTenant("lenet", PoissonArrivals(200.0, 4.0, seed=7))],
@@ -187,10 +184,10 @@ def cluster_routing() -> Tuple[str, Optional[str]]:
             timeline_window_s=1.0,
         ),
     )
-    return _finish(sim, sim.run())
+    return sim
 
 
-def cluster_scale() -> Tuple[str, Optional[str]]:
+def cluster_scale() -> Simulator:
     """Diurnal load with the autoscaler growing and shrinking the pool."""
     sim = ClusterSimulator(
         [
@@ -215,10 +212,10 @@ def cluster_scale() -> Tuple[str, Optional[str]]:
             ),
         ),
     )
-    return _finish(sim, sim.run())
+    return sim
 
 
-def cluster_flash_crowd() -> Tuple[str, Optional[str]]:
+def cluster_flash_crowd() -> Simulator:
     """Two pools, flash-crowd burst, round-robin, timeline recorded."""
     sim = ClusterSimulator(
         [
@@ -240,36 +237,47 @@ def cluster_flash_crowd() -> Tuple[str, Optional[str]]:
             timeline_window_s=0.5,
         ),
     )
-    return _finish(sim, sim.run())
+    return sim
 
 
-def _hermetic(fn: ScenarioFn) -> ScenarioFn:
-    """Isolate a scenario from process-global state.
+def run_hermetic(build: Callable[[], Simulator]) -> Tuple[Simulator, object]:
+    """Build and run one scenario isolated from process-global state.
 
     Plan-cache hits/misses are part of the report digest, and the
     default plan cache is process-global — without a reset, digests
     would depend on which scenarios (or other tests) ran earlier in
-    the same process."""
+    the same process.  Returns (simulator, report)."""
+    from repro.core.plan_cache import default_plan_cache
 
+    default_plan_cache().clear()
+    sim = build()
+    return sim, sim.run()
+
+
+def _digests(build: Callable[[], Simulator]) -> ScenarioFn:
     def run() -> Tuple[str, Optional[str]]:
-        from repro.core.plan_cache import default_plan_cache
-
-        default_plan_cache().clear()
-        return fn()
+        sim, report = run_hermetic(build)
+        timeline = sim.timeline.digest() if sim.timeline is not None else None
+        return report.digest(), timeline
 
     return run
 
 
+#: scenario name -> zero-arg builder of its (not yet run) simulator
+BUILDERS: Dict[str, Callable[[], Simulator]] = {
+    "serving_knee": serving_knee,
+    "serving_deadline": serving_deadline,
+    "serving_multitenant": serving_multitenant,
+    "serving_faults": serving_faults,
+    "serving_faults_naive": serving_faults_naive,
+    "serving_closed_loop": serving_closed_loop,
+    "serving_obs": serving_obs,
+    "serving_cold_start": serving_cold_start,
+    "cluster_routing": cluster_routing,
+    "cluster_scale": cluster_scale,
+    "cluster_flash_crowd": cluster_flash_crowd,
+}
+
 SCENARIOS: Dict[str, ScenarioFn] = {
-    "serving_knee": _hermetic(serving_knee),
-    "serving_deadline": _hermetic(serving_deadline),
-    "serving_multitenant": _hermetic(serving_multitenant),
-    "serving_faults": _hermetic(serving_faults),
-    "serving_faults_naive": _hermetic(serving_faults_naive),
-    "serving_closed_loop": _hermetic(serving_closed_loop),
-    "serving_obs": _hermetic(serving_obs),
-    "serving_cold_start": _hermetic(serving_cold_start),
-    "cluster_routing": _hermetic(cluster_routing),
-    "cluster_scale": _hermetic(cluster_scale),
-    "cluster_flash_crowd": _hermetic(cluster_flash_crowd),
+    name: _digests(build) for name, build in BUILDERS.items()
 }

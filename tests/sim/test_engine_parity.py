@@ -9,11 +9,16 @@ deliberate, reviewed semantic change — with::
 
     PYTHONPATH=src:tests python tests/golden/generate_engine_goldens.py
 
+Further goldens pin what the report digest does not cover: the
+serving kernel trace (its Chrome-trace export and batch count) and the
+injected fault timeline.
+
 Alongside the goldens, property tests pin the engine's core invariant:
 the event heap never pops out of virtual-time order, and same-instant
 events keep (kind, push-order) priority.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -24,7 +29,7 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.sim.engine import EventHeap
 
-from .engine_scenarios import SCENARIOS
+from .engine_scenarios import BUILDERS, SCENARIOS, run_hermetic
 
 GOLDEN = Path(__file__).parent.parent / "golden" / "engine_parity.json"
 
@@ -48,6 +53,49 @@ def test_engine_parity(name, goldens):
     assert timeline_digest == pinned["timeline_digest"], (
         f"{name}: timeline digest drifted from the pre-refactor golden"
     )
+
+
+# -- what the report digest does not cover -------------------------------
+
+#: scenario -> (sha256 of the kernel trace's Chrome export, batch count)
+KERNEL_TRACE_GOLDENS = {
+    "serving_multitenant": (
+        "ad8258ef1e6bb16ac05f50c7da691564d734a74bf373c265e2b200096a79d4b8",
+        152,
+    ),
+    "serving_faults": (
+        "7038f311549f3caf7abc31758110c7ca5c4ccd0911743622d5c980bc40e8bb33",
+        105,
+    ),
+}
+
+#: scenario -> FaultInjector.timeline_digest() (the report digest
+#: covers only the number of fault events)
+FAULT_TIMELINE_GOLDENS = {
+    "serving_faults": (
+        "b44f7497f4f2392c41505beecb875a0a5ad28018e6afec3f7daa4726a22581a8"
+    ),
+    "serving_faults_naive": (
+        "b425bb0db3d1cfcce053c795f2447bc427bae43924dc9206bdfaae80dee3dc16"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_TRACE_GOLDENS))
+def test_serving_kernel_trace_golden(name):
+    sim, report = run_hermetic(BUILDERS[name])
+    chrome, batches = KERNEL_TRACE_GOLDENS[name]
+    exported = sim.trace.to_chrome_trace().encode()
+    assert hashlib.sha256(exported).hexdigest() == chrome
+    assert len(sim.batches) == batches == report.extra["batch_count"]
+    # The report's device busy time is the trace's, bit for bit.
+    assert report.extra["device_busy_s"] == sim.trace.busy_time("device")
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_TIMELINE_GOLDENS))
+def test_fault_timeline_golden(name):
+    sim, _ = run_hermetic(BUILDERS[name])
+    assert sim.injector.timeline_digest() == FAULT_TIMELINE_GOLDENS[name]
 
 
 # -- event-heap ordering properties ----------------------------------------
