@@ -101,10 +101,6 @@ class FunctionInfo:
     lineno: int
     params: Tuple[str, ...]       # declared parameter names, minus self/cls
 
-    @property
-    def is_method(self) -> bool:
-        return bool(self.cls)
-
 
 @dataclass
 class ClassInfo:

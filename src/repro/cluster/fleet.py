@@ -251,9 +251,6 @@ class Replica:
     def depth(self) -> int:
         return len(self.queue)
 
-    def idle_at(self, now: float) -> bool:
-        return self.busy_until <= now
-
     def predicted_wait_s(self, now: float) -> float:
         """Predicted queueing delay for a request arriving at ``now``:
         the remaining busy time plus the amortized cost of everything

@@ -41,7 +41,7 @@ any process; the CI gate compares digests across fresh interpreters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.engine import EdgeNNConfig
 from ..core.plan_cache import default_plan_cache
@@ -240,7 +240,7 @@ class ClusterSimulator:
         abandoned = 0
         while replica.queue and len(batch) < pool.policy.max_batch_size:
             arrival = replica.queue.popleft()
-            if deadline is not None and now - arrival > deadline + EPS:
+            if deadline is not None and now > (arrival + deadline) + EPS:
                 # Abandoned in queue: the client gave up before we got
                 # to it — device time is not spent on it.
                 pool.timed_out += 1
@@ -397,7 +397,7 @@ class ClusterSimulator:
                     replica.failed += 1
                 elif (
                     deadline is not None
-                    and now - arrival > deadline + EPS
+                    and now > (arrival + deadline) + EPS
                 ):
                     # Completed, but past deadline: late response.
                     pool.timed_out += 1

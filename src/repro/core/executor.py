@@ -21,9 +21,7 @@ shares Fig 9 reports; EdgeNN runs with ``serialize=False``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import PlanError, SpecError
 from ..hardware import calibration as cal
@@ -555,39 +553,3 @@ class HybridExecutor:
         producer = self._producer.get(buf.name)
         for transfer in cost.transfers:
             self._schedule_copy(transfer, producer, acc)
-
-
-# -- batched service-time gather ------------------------------------------------
-
-
-def service_times(
-    service_fn: Callable[[str, int], float],
-    keys: Sequence[str],
-    sizes: Sequence[int],
-) -> np.ndarray:
-    """Batched service-time entry: seconds for each (key, size) pair.
-
-    The simulators' hot loops ask for whole vectors of batch costs at
-    once (sweep grids, router cost tables, epoch pre-tuning); tuning is
-    memoized per distinct pair, so ``service_fn`` — a scalar
-    ``(key, size) -> seconds`` callable such as
-    ``lambda n, b: model.warm(n, b).total_s`` — is invoked exactly once
-    per distinct pair, in first-occurrence order (plan-cache traffic
-    stays deterministic), and the results broadcast back over the full
-    batch as one float64 array.
-    """
-    if len(keys) != len(sizes):
-        raise PlanError(
-            f"service_times needs parallel keys/sizes, got "
-            f"{len(keys)} keys and {len(sizes)} sizes"
-        )
-    memo: Dict[Tuple[str, int], float] = {}
-    out = np.empty(len(keys), dtype=np.float64)
-    for i, (key, size) in enumerate(zip(keys, sizes)):
-        pair = (key, int(size))
-        cached = memo.get(pair)
-        if cached is None:
-            cached = float(service_fn(pair[0], pair[1]))
-            memo[pair] = cached
-        out[i] = cached
-    return out

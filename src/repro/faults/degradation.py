@@ -234,19 +234,6 @@ class DegradationManager:
             ),
         ))
 
-    def note_artifact_discarded(
-        self, network: str, path: str, *, now: float = 0.0
-    ) -> None:
-        """Record a corrupt plan artifact dropped in favour of re-tuning."""
-        self._emit(DegradationRecord(
-            network=network,
-            tenant="",
-            t_s=now,
-            trigger="artifact_corrupt",
-            action="retune_from_scratch",
-            reason=f"discarded corrupt plan artifact {path}",
-        ))
-
 
 __all__ = [
     "DegradationManager",

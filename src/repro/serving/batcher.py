@@ -1,9 +1,11 @@
 """Dynamic batching and admission-control policy for one tenant.
 
-:class:`BatchPolicy` holds the knobs; the queue that applies them is
-:class:`~repro.sim.engine.queue.IndexQueue`, which both simulators run
-over a :class:`~repro.sim.engine.table.RequestTable`.  The policy is the
-classic *max-batch-size / max-wait-time* rule used by
+:class:`BatchPolicy` holds the knobs.  In the serving simulator the
+queue that applies them is :class:`~repro.sim.engine.queue.IndexQueue`
+over a :class:`~repro.sim.engine.table.RequestTable`; the cluster
+simulator applies them to a per-replica ``deque``, which is about 15x
+cheaper per arrival (measured in :mod:`repro.sim.engine.queue`).  The
+policy is the classic *max-batch-size / max-wait-time* rule used by
 production inference servers (Triton, TF-Serving):
 
 * a batch is **ready** the instant ``max_batch_size`` requests are

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..errors import ReproError
 
@@ -311,12 +311,3 @@ def merge_histograms(
         for size, n in hist.items():
             out[size] = out.get(size, 0) + n
     return out
-
-
-def latencies_of(requests) -> List[float]:
-    """Latencies of the served requests among ``requests``."""
-    from .request import RequestStatus
-
-    return [
-        r.latency_s for r in requests if r.status is RequestStatus.SERVED
-    ]

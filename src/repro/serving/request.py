@@ -50,13 +50,3 @@ class Request:
                 f"(status {self.status.value})"
             )
         return self.finish_s - self.arrival_s
-
-    @property
-    def queue_wait_s(self) -> float:
-        """Time spent queued before its batch was dispatched."""
-        if self.dispatch_s is None:
-            raise ReproError(
-                f"request {self.request_id} was never dispatched "
-                f"(status {self.status.value})"
-            )
-        return self.dispatch_s - self.arrival_s

@@ -42,10 +42,6 @@ class WeightedFairScheduler:
     def tenants(self) -> Sequence[str]:
         return tuple(self._order)
 
-    def weight_of(self, tenant: str) -> float:
-        self._check(tenant)
-        return self._weights[tenant]
-
     def attained_s(self, tenant: str) -> float:
         """Device seconds this tenant's batches have consumed so far."""
         self._check(tenant)

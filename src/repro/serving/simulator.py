@@ -81,6 +81,7 @@ from ..sim.engine import (
 )
 from ..sim.engine import (
     FAILED as _ST_FAILED,
+    REJECTED as _ST_REJECTED,
     SERVED as _ST_SERVED,
     SHED as _ST_SHED,
     TIMED_OUT as _ST_TIMED_OUT,
@@ -389,25 +390,6 @@ class ServiceTimeModel:
     def warm(self, network: str, batch: int) -> BatchServiceTime:
         return self.service(network, batch)
 
-    def warm_times(
-        self, networks: Sequence[str], sizes: Sequence[int]
-    ) -> "np.ndarray":
-        """Warm total seconds for whole (network, size) vectors at once.
-
-        Built on the batched :func:`repro.core.executor.service_times`
-        entry: each distinct pair tunes once (first-occurrence order,
-        so plan-cache traffic stays deterministic) and the result comes
-        back as one float64 array — the epoch-oriented counterpart of
-        per-dispatch :meth:`warm` calls.
-        """
-        from ..core.executor import service_times
-
-        return service_times(
-            lambda network, size: self.warm(network, size).total_s,
-            networks,
-            sizes,
-        )
-
     def cold(self, network: str, batch: int) -> BatchServiceTime:
         """First-batch cost: weights still have to reach the GPU."""
         key = (network, batch)
@@ -555,629 +537,48 @@ class ServingSimulator:
 
     def _run(self) -> ServingReport:
         cfg = self._config
-        obs = self._obs
-        if obs.enabled:
-            requests_total = obs.metrics.counter(
-                "repro_serving_requests_total",
-                "Requests by tenant and outcome",
-                labels=("tenant", "outcome"),
-            )
-            batches_total = obs.metrics.counter(
-                "repro_serving_batches_total",
-                "Batches dispatched per tenant", labels=("tenant",),
-            )
-            batch_size_hist = obs.metrics.histogram(
-                "repro_serving_batch_size",
-                "Dispatched batch sizes", buckets=SIZE_BUCKETS,
-            )
-            latency_hist = obs.metrics.histogram(
-                "repro_serving_request_latency_seconds",
-                "End-to-end served-request latency",
-                labels=("tenant",), buckets=DEFAULT_BUCKETS,
-            )
-            depth_gauge = obs.metrics.gauge(
-                "repro_serving_queue_depth",
-                "Admitted requests waiting across all tenant queues",
-            )
-        # One merged arrival epoch (whole numpy arrays per tenant) and
-        # a struct-of-arrays request table sized for it up front.
-        schedule = ArrivalSchedule(
-            [t.arrival.as_arrays() for t in self._tenants]
-        )
-        table = RequestTable(len(schedule.times))
-        names = self._names
-        iqueues: List[IndexQueue] = []
-        specs: Dict[str, TenantSpec] = {}
-        for spec in self._tenants:
-            name = spec.tenant_name
-            iqueues.append(
-                IndexQueue(name, spec.policy or cfg.policy, table)
-            )
-            specs[name] = spec
-        index_of = {n: k for k, n in enumerate(names)}
-        scheduler = WeightedFairScheduler(
-            {t.tenant_name: t.weight for t in self._tenants}
-        )
-        # Windowed telemetry recorder (None: every hook is one identity
-        # check on the hot path, covered by the obs-overhead guard).
-        tl: Optional[TimelineRecorder] = None
-        if cfg.timeline_window_s > 0.0:
-            tl = TimelineRecorder(
-                cfg.timeline_window_s,
-                source=f"serve:{self._spec.name}",
-                meta={
-                    "seed": str(cfg.seed),
-                    "tenants": ",".join(sorted(names)),
-                },
-            )
+        run = _ServingRun(self)
+        self.injector = run.injector
+        self.breaker = run.breaker
+        self.degradation = run.degradation
+        run.run()
 
-        # -- fault machinery (None when no scenario: zero-cost checks) --------
-        faults = cfg.faults
-        injector: Optional[FaultInjector] = None
-        breaker: Optional[CircuitBreaker] = None
-        degradation: Optional[DegradationManager] = None
-        retry = cfg.retry or RetryPolicy(seed=cfg.seed)
-        if faults is not None:
-            injector = FaultInjector(faults, seed=cfg.seed, obs=obs)
-            breaker = CircuitBreaker(
-                failure_threshold=cfg.breaker_failure_threshold,
-                reset_timeout_s=cfg.breaker_reset_s,
-            )
-            degradation = DegradationManager(cfg.degradation, obs=obs)
-        self.injector = injector
-        self.breaker = breaker
-        self.degradation = degradation
-        # Duck-typed service models (tests) may not expose base_config.
-        base_cfg = getattr(self._model, "base_config", None)
-        hybrid_base = (
-            base_cfg.use_hybrid_execution if base_cfg is not None else True
-        )
-        memory_base = (
-            base_cfg.use_memory_management if base_cfg is not None else True
-        )
-        noted_thermal: Optional[float] = None   # active window start
-        noted_pressure: Optional[float] = None
-        next_edge = -math.inf   # windows cannot change before this
-        demoted_windows: set = set()
-        retries = 0
-        exhaustions = 0
-
-        heap = EventHeap()
-        engine = EventEngine(schedule, heap)
-
-        batch_log: List[BatchLogEntry] = []
-        tenant_hist: Dict[str, Dict[int, int]] = {n: {} for n in names}
-        #: the single batch on the device: (owner, rows, batch_failed).
-        in_flight: Optional[Tuple[int, np.ndarray, bool]] = None
-        warmed: Dict[str, bool] = {n: not cfg.cold_start for n in names}
-        armed_timers: Dict[str, float] = {}
-        late_counts: Dict[str, int] = {n: 0 for n in names}
-        failed_counts: Dict[str, int] = {n: 0 for n in names}
-        dispatch_seq = 0
-
-        device_busy = False
-        cpu_busy_total = 0.0
-        gpu_busy_total = 0.0
-
-        # Time-weighted queue-depth accounting.
-        tracker = DepthTracker()
-
-        #: tenants whose arrival process reacts to completions (closed
-        #: loop); open-loop follow-ups are provably no-ops and skipped.
-        has_followup = [
-            type(t.arrival).next_after is not ArrivalProcess.next_after
-            for t in self._tenants
-        ]
-
-        def followup(owner: int, now: float) -> None:
-            """Closed-loop clients re-arm after any terminal outcome."""
-            follow = self._tenants[owner].arrival.next_after(now)
-            if follow is not None:
-                schedule.push(follow, owner)
-
-        def note_windows(now: float) -> None:
-            """Record thermal / memory-pressure window edges once.
-
-            The active windows change only at a window edge, and event
-            time never goes back, so below the next edge there is
-            nothing to record.
-            """
-            nonlocal noted_thermal, noted_pressure, next_edge
-            if now < next_edge:
-                return
-            next_edge = faults.next_edge_after(now)
-            thermal = faults.thermal_at(now)
-            start = thermal.start_s if thermal is not None else None
-            if start != noted_thermal:
-                if noted_thermal is not None:
-                    for w in faults.thermal:
-                        if w.start_s == noted_thermal:
-                            injector.note_thermal_exit(now, w)
-                if thermal is not None:
-                    injector.note_thermal_enter(now, thermal)
-                noted_thermal = start
-            pressure = faults.memory_pressure_at(now)
-            pstart = pressure.start_s if pressure is not None else None
-            if pstart != noted_pressure:
-                if noted_pressure is not None:
-                    for w in faults.memory_pressure:
-                        if w.start_s == noted_pressure:
-                            injector.note_memory_pressure_exit(now, w)
-                if pressure is not None:
-                    injector.note_memory_pressure_enter(now, pressure)
-                noted_pressure = pstart
-
-        def expire_queues(now: float) -> None:
-            for k, queue in enumerate(iqueues):
-                expired = queue.expire(now)
-                if not expired:
-                    continue
-                tracker.remove(expired)
-                if tl is not None:
-                    tl.record_timed_out(now, expired)
-                if obs.enabled:
-                    for _ in range(expired):
-                        requests_total.labels(
-                            tenant=queue.name, outcome="timed_out"
-                        ).inc()
-                    depth_gauge.set(tracker.depth)
-                if has_followup[k]:
-                    for _ in range(expired):
-                        followup(k, now)
-
-        def batch_service(
-            tenant: str, size: int, now: float
-        ) -> Tuple[BatchServiceTime, float, bool]:
-            """Pick the service variant for one dispatch under faults.
-
-            Returns (service time, extra pre-service delay from retry
-            backoff, batch_failed).
-            """
-            nonlocal retries, exhaustions
-            network = specs[tenant].network
-            if faults is None:
-                return self._model.warm(network, size), 0.0, False
-            factors = injector.throttle_at(now)
-            pressure = injector.memory_pressure_at(now)
-            resilient = cfg.resilience
-
-            # Memory pressure, naive service: zero-copy allocation
-            # fails outright — fail fast, batch lost before any work.
-            if pressure and memory_base and not resilient:
-                return BatchServiceTime(0.0, 0.0, 0.0), 0.0, True
-
-            # Execution-mode selection (degraded plan variants).
-            no_hybrid = (
-                resilient
-                and degradation.mode(tenant) == MODE_NO_HYBRID
-            )
-            demote = pressure and memory_base and resilient
-            if demote:
-                window = faults.memory_pressure_at(now)
-                wkey = (tenant, window.start_s)
-                if wkey not in demoted_windows:
-                    demoted_windows.add(wkey)
-                    degradation.note_memory_demotion(
-                        tenant, network, now=now
-                    )
-            if no_hybrid and demote:
-                kind = "safe"
-            elif no_hybrid:
-                kind = "no_hybrid"
-            elif demote:
-                kind = "no_zerocopy"
-            else:
-                kind = "normal"
-
-            # Thermal throttling: naive service runs the stale nominal
-            # plan at throttled rates; the resilient one does too until
-            # sustained latency drift triggers re-tuning against the
-            # throttled spec (plan-cache entry invalidated).
-            retuned = False
-            if factors is not None and resilient:
-                if degradation.retuned(tenant):
-                    retuned = True
-                else:
-                    stale = self._model.service(
-                        network, size, kind=kind, factors=factors,
-                    )
-                    predicted = self._model.service(
-                        network, size, kind=kind
-                    )
-                    if degradation.observe_latency(
-                        tenant, network, now=now,
-                        observed_s=stale.total_s,
-                        predicted_s=predicted.total_s,
-                    ):
-                        default_plan_cache().invalidate(
-                            self._model.plan_key(network, size, kind)
-                        )
-                        retuned = True
-            elif factors is None and resilient and degradation.retuned(
-                tenant
-            ):
-                degradation.clear_drift(tenant, network, now=now)
-
-            svc = self._model.service(
-                network, size, kind=kind, factors=factors, retuned=retuned,
-            )
-
-            # Transient hybrid-kernel launch failures.
-            hybrid_active = (
-                hybrid_base
-                and kind in ("normal", "no_zerocopy")
-                and faults.kernel_failure_p > 0.0
-            )
-            if not hybrid_active:
-                return svc, 0.0, False
-            if not resilient:
-                failed = injector.kernel_fails(
-                    now, detail=f"{tenant}#{dispatch_seq}"
-                )
-                # The failure surfaces mid-run: the device time is
-                # consumed either way, the responses are lost.
-                return svc, 0.0, failed
-            if not breaker.allow(now):
-                # Circuit open: skip the hybrid launch entirely and run
-                # the safe plan until the breaker half-opens.
-                fallback = "safe" if kind == "no_zerocopy" else "no_hybrid"
-                svc = self._model.service(
-                    network, size, kind=fallback,
-                    factors=factors, retuned=retuned,
-                )
-                return svc, 0.0, False
-            delay = 0.0
-            for attempt in range(retry.max_attempts):
-                fails = injector.kernel_fails(
-                    now, detail=f"{tenant}#{dispatch_seq}:a{attempt}"
-                )
-                if not fails:
-                    breaker.record_success(now)
-                    if attempt > 0 and obs.enabled:
-                        obs.metrics.counter(
-                            "repro_resilience_retries_total",
-                            "Hybrid-kernel launch retries",
-                            labels=("tenant",),
-                        ).labels(tenant=tenant).inc(attempt)
-                    retries += attempt
-                    return svc, delay, False
-                if attempt < retry.max_attempts - 1:
-                    delay += retry.delay(attempt, token=dispatch_seq)
-            # All attempts failed: trip the breaker, fall back to the
-            # safe non-hybrid plan (responses still produced, slower).
-            retries += retry.max_attempts - 1
-            exhaustions += 1
-            breaker.record_failure(now)
-            degradation.note_hybrid_exhausted(tenant, network, now=now)
-            fallback = "safe" if kind == "no_zerocopy" else "no_hybrid"
-            svc = self._model.service(
-                network, size, kind=fallback, factors=factors,
-                retuned=retuned,
-            )
-            return svc, delay, False
-
-        def maybe_dispatch(now: float) -> None:
-            nonlocal device_busy, cpu_busy_total, gpu_busy_total
-            nonlocal dispatch_seq, in_flight
-            while not device_busy:
-                expire_queues(now)
-                ready = [q.name for q in iqueues if q.ready(now)]
-                chosen = scheduler.pick(ready)
-                if chosen is None:
-                    # Nothing dispatchable yet: arm a wait-expiry timer
-                    # per tenant still accumulating a batch.
-                    for queue in iqueues:
-                        deadline = queue.wait_deadline_s()
-                        if deadline is None:
-                            continue
-                        if armed_timers.get(queue.name) == deadline:
-                            continue
-                        armed_timers[queue.name] = deadline
-                        heap.push(max(deadline, now), _TIMER, queue.name)
-                    return
-                owner = index_of[chosen]
-                queue = iqueues[owner]
-                rows = queue.take_batch(now)
-                size = len(rows)
-                tracker.remove(size)
-                dispatch_seq += 1
-                mode = "warm" if warmed[chosen] else "cold"
-                poisoned = bool(table.corrupt[rows].any())
-                if warmed[chosen]:
-                    svc, delay, failed = batch_service(chosen, size, now)
-                else:
-                    svc = self._model.cold(specs[chosen].network, size)
-                    delay, failed = 0.0, False
-                    warmed[chosen] = True
-                if poisoned:
-                    # A malformed payload in the batch kills the whole
-                    # launch (the naive service admitted it unchecked);
-                    # the device time is still consumed.
-                    failed = True
-                if failed and svc.total_s == 0.0 and delay == 0.0:
-                    # Fail-fast path (allocation failure): the batch is
-                    # lost before consuming any device time.
-                    table.status[rows] = _ST_FAILED
-                    table.finish_s[rows] = now
-                    failed_counts[chosen] += size
-                    if obs.enabled:
-                        for _ in range(size):
-                            requests_total.labels(
-                                tenant=chosen, outcome="failed"
-                            ).inc()
-                    if has_followup[owner]:
-                        for _ in range(size):
-                            followup(owner, now)
-                    tenant_hist[chosen][size] = (
-                        tenant_hist[chosen].get(size, 0) + 1
-                    )
-                    if tl is not None:
-                        tl.record_failed(now, size, from_queue=True)
-                    continue
-                device_busy = True
-                total = delay + svc.total_s
-                scheduler.charge(chosen, total)
-                cpu_busy_total += svc.cpu_busy_s
-                gpu_busy_total += svc.gpu_busy_s
-                end = now + total
-                batch_log.append((
-                    chosen, size, now, total, delay,
-                    svc.cpu_busy_s, svc.gpu_busy_s,
-                ))
-                if tl is not None:
-                    tl.record_batch(
-                        now, end, size,
-                        busy=(
-                            ("cpu", svc.cpu_busy_s),
-                            ("gpu", svc.gpu_busy_s),
-                        ),
-                        energy_j=svc.energy_j,
-                    )
-                if obs.enabled:
-                    obs.tracer.record(
-                        f"{chosen}:batch(n={size})", now, end,
-                        category="batch",
-                        tenant=chosen, size=size, mode=mode,
-                    )
-                    batches_total.labels(tenant=chosen).inc()
-                    batch_size_hist.observe(size)
-                    depth_gauge.set(tracker.depth)
-                tenant_hist[chosen][size] = (
-                    tenant_hist[chosen].get(size, 0) + 1
-                )
-                in_flight = (owner, rows, failed)
-                heap.push(end, _COMPLETION, chosen)
-                return
-
-        def on_arrival(now: float, owner: int) -> None:
-            """Exact per-arrival path (the legacy scalar semantics)."""
-            tracker.advance(now)
-            if faults is not None:
-                note_windows(now)
-            queue = iqueues[owner]
-            name = queue.name
-            idx = table.append(now, owner)
-            if tl is not None:
-                tl.record_offered(now)
-            if faults is not None and injector.payload_corrupt(
-                now, request_id=idx
-            ):
-                if cfg.resilience:
-                    # Request validation catches the malformed
-                    # payload at the door: reject, don't queue.
-                    queue.reject(idx)
-                    table.finish_s[idx] = now
-                    if tl is not None:
-                        tl.record_rejected(now)
-                    if obs.enabled:
-                        requests_total.labels(
-                            tenant=name, outcome="rejected"
-                        ).inc()
-                    followup(owner, now)
-                    maybe_dispatch(now)
-                    return
-                table.corrupt[idx] = True
-            if queue.offer(idx, now):
-                tracker.admit()
-                if obs.enabled:
-                    depth_gauge.set(tracker.depth)
-            else:
-                # Shed: the client sees an immediate rejection; a
-                # closed-loop client thinks, then retries.
-                table.finish_s[idx] = now
-                if tl is not None:
-                    tl.record_shed(now)
-                if obs.enabled:
-                    requests_total.labels(
-                        tenant=name, outcome="shed"
-                    ).inc()
-                followup(owner, now)
-            maybe_dispatch(now)
-
-        def on_arrivals(times: np.ndarray, owners: np.ndarray) -> None:
-            """Bulk admission: a whole busy-device arrival span at once.
-
-            Only reachable when the device is busy, no faults are
-            active, per-request metrics are off, and every tenant is
-            open loop — conditions under which the scalar path reduces
-            to admit-or-shed plus depth accounting, all vectorizable.
-            """
-            start = table.append_bulk(times, owners)
-            if tl is not None:
-                tl.record_offered_bulk(times)
-            total = len(times)
-            if len(iqueues) == 1:
-                # Single tenant: the span is one FIFO fill — slice
-                # writes only, no index gathers.
-                queue = iqueues[0]
-                queue.offered += total
-                room = queue.policy.max_queue_depth - len(queue)
-                take_n = min(total, room) if room > 0 else 0
-                if take_n:
-                    queue.admit_span(start, take_n, times[:take_n])
-                if take_n < total:
-                    table.status[start + take_n:start + total] = _ST_SHED
-                    table.finish_s[start + take_n:start + total] = (
-                        times[take_n:]
-                    )
-                    queue.shed += total - take_n
-                    if tl is not None:
-                        tl.record_shed_bulk(times[take_n:])
-                tracker.advance_span(times, take_n)
-                return
-            admitted = np.zeros(total, dtype=np.int64)
-            for k, queue in enumerate(iqueues):
-                pos = np.nonzero(owners == k)[0]
-                npos = len(pos)
-                if not npos:
-                    continue
-                queue.offered += npos
-                room = queue.policy.max_queue_depth - len(queue)
-                if room < 0:
-                    room = 0
-                take = pos[:room]
-                over = pos[room:]
-                if len(take):
-                    queue.admit_bulk(start + take, times[take])
-                    admitted[take] = 1
-                if len(over):
-                    shed_rows = start + over
-                    table.status[shed_rows] = _ST_SHED
-                    table.finish_s[shed_rows] = times[over]
-                    queue.shed += len(over)
-                    if tl is not None:
-                        tl.record_shed_bulk(times[over])
-            tracker.advance_bulk(times, admitted)
-
-        def on_event(now: float, kind: int, payload: object) -> None:
-            nonlocal device_busy, in_flight
-            tracker.advance(now)
-            if faults is not None:
-                note_windows(now)
-            if kind == _COMPLETION:
-                owner, rows, batch_failed = in_flight
-                in_flight = None
-                name = names[owner]
-                n = len(rows)
-                table.finish_s[rows] = now
-                if batch_failed:
-                    table.status[rows] = _ST_FAILED
-                    failed_counts[name] += n
-                    lats: Optional[List[float]] = None
-                    late_n = 0
-                    if obs.enabled:
-                        for _ in range(n):
-                            requests_total.labels(
-                                tenant=name, outcome="failed"
-                            ).inc()
-                else:
-                    queue = iqueues[owner]
-                    if queue.policy.deadline_s is not None:
-                        # Completed, but past deadline: the client
-                        # already gave up — late, useless responses.
-                        late_mask = now > table.deadline_s[rows] + EPS
-                        late_n = int(late_mask.sum())
-                    else:
-                        late_n = 0
-                    if late_n:
-                        served_rows = rows[~late_mask]
-                        table.status[rows[late_mask]] = _ST_TIMED_OUT
-                        queue.timed_out += late_n
-                        late_counts[name] += late_n
-                    else:
-                        served_rows = rows
-                    table.status[served_rows] = _ST_SERVED
-                    lats = None
-                    if tl is not None:
-                        lats = (
-                            now - table.arrival_s[served_rows]
-                        ).tolist()
-                    if obs.enabled:
-                        late_list = (
-                            late_mask.tolist() if late_n else [False] * n
-                        )
-                        arrivals = table.arrival_s[rows].tolist()
-                        for i in range(n):
-                            if late_list[i]:
-                                requests_total.labels(
-                                    tenant=name, outcome="timed_out"
-                                ).inc()
-                            else:
-                                requests_total.labels(
-                                    tenant=name, outcome="served"
-                                ).inc()
-                                latency_hist.labels(tenant=name).observe(
-                                    now - arrivals[i]
-                                )
-                if has_followup[owner]:
-                    for _ in range(n):
-                        followup(owner, now)
-                if tl is not None and n:
-                    if batch_failed:
-                        tl.record_failed(now, n)
-                    else:
-                        if lats:
-                            tl.record_served(now, lats)
-                        if late_n:
-                            tl.record_timed_out(now, late_n, late=True)
-                device_busy = False
-                maybe_dispatch(now)
-            else:  # _TIMER
-                if armed_timers.get(payload) is not None:
-                    armed_timers.pop(payload, None)
-                maybe_dispatch(now)
-
-        # The bulk path is only sound when busy-span arrivals are
-        # unobservable one-by-one: no fault injection (per-arrival RNG
-        # draws), no per-request metrics, and fully open-loop tenants
-        # (no completion-driven follow-up arrivals).
-        open_loop = all(
-            type(t.arrival).next_after is ArrivalProcess.next_after
-            for t in self._tenants
-        )
-        use_bulk = faults is None and not obs.enabled and open_loop
-        engine.run(
-            on_arrival=on_arrival,
-            on_event=on_event,
-            bulk_ready=(lambda: device_busy) if use_bulk else None,
-            on_arrivals=on_arrivals if use_bulk else None,
-        )
-
-        self._table = table
+        self._table = run.table
         self._requests = None
-        self._batch_log = batch_log
+        self._batch_log = run.batch_log
         self._trace = None
         self._batches = None
         self.timeline = None
         self.timeline_ops = 0
         self.timeline_op_counts = {}
         self.slo_report = None
+        tl = run.tl
         if tl is not None:
             self.timeline_op_counts = tl.op_counts
             self.timeline_ops = tl.ops
             horizon = self._horizon_s()
             self.timeline = tl.finish(
                 horizon_s=horizon,
-                makespan_s=max(horizon, _last_end(batch_log)),
+                makespan_s=max(horizon, _last_end(run.batch_log)),
                 capacity={"cpu": 1.0, "gpu": 1.0},
             )
             if cfg.slos:
                 monitor = SloMonitor(cfg.slos, cfg.burn)
                 self.slo_report = monitor.evaluate(self.timeline)
-                monitor.record(self.slo_report, obs)
+                monitor.record(self.slo_report, self._obs)
                 # SLO firings reach the same degradation stream the
                 # fault triggers use (before the report snapshots it).
                 monitor.apply(
-                    self.slo_report, degradation,
+                    self.slo_report, run.degradation,
                     network=",".join(
                         sorted({t.network for t in self._tenants})
                     ),
                 )
-        return self._build_report(
-            iqueues, table, tenant_hist, batch_log,
-            tracker, cpu_busy_total, gpu_busy_total,
-            late_counts, failed_counts, retries, exhaustions,
-        )
+        if self._obs.enabled:
+            _record_request_metrics(
+                self._obs.metrics, run.table, self._names, run.batch_log
+            )
+        return self._build_report(run)
 
     # -- report assembly ------------------------------------------------------
 
@@ -1187,21 +588,23 @@ class ServingSimulator:
             for t in self._tenants
         )
 
-    def _build_report(
-        self, queues, table, tenant_hist, batch_log,
-        tracker, cpu_busy_total, gpu_busy_total,
-        late_counts, failed_counts, retries, exhaustions,
-    ) -> ServingReport:
+    def _build_report(self, run: _ServingRun) -> ServingReport:
+        """Assemble the report; every outcome count comes from the
+        request table's status column."""
+        batch_log = run.batch_log
         horizon = self._horizon_s()
         makespan = max(horizon, _last_end(batch_log))
+        table = run.table
         n = len(table)
         arrival = table.arrival_s[:n]
         finish = table.finish_s[:n]
+        dispatch = table.dispatch_s[:n]
         status = table.status[:n]
         owner = table.tenant[:n]
         tenant_stats = []
         all_latencies: List[float] = []
         abandoned: List[float] = []
+        late = 0
         for k, spec in enumerate(self._tenants):
             name = spec.tenant_name
             mine = owner == k
@@ -1210,37 +613,35 @@ class ServingSimulator:
                 finish[served_mask] - arrival[served_mask]
             ).tolist()
             all_latencies.extend(latencies)
-            gone = mine & (status == _ST_TIMED_OUT) & ~np.isnan(finish)
+            gone = mine & (status == _ST_TIMED_OUT)
             abandoned.extend((finish[gone] - arrival[gone]).tolist())
-            queue = queues[k]
+            # Late completions were dispatched; IndexQueue.expire
+            # abandons queued requests without a dispatch instant.
+            late += int(np.count_nonzero(~np.isnan(dispatch[gone])))
+            codes = status[mine]
             tenant_stats.append(
                 TenantServingStats(
                     name=name,
                     network=spec.network,
                     weight=spec.weight,
-                    offered=queue.offered,
+                    offered=len(codes),
                     served=len(latencies),
-                    shed=queue.shed,
-                    timed_out=queue.timed_out,
-                    failed=failed_counts[name],
-                    rejected=queue.rejected,
+                    shed=int(np.count_nonzero(codes == _ST_SHED)),
+                    timed_out=int(np.count_nonzero(gone)),
+                    failed=int(np.count_nonzero(codes == _ST_FAILED)),
+                    rejected=int(np.count_nonzero(codes == _ST_REJECTED)),
                     latency=LatencyStats.from_latencies(latencies),
-                    batch_histogram=dict(tenant_hist[name]),
+                    batch_histogram=dict(run.tenant_hist[name]),
                 )
             )
-        offered = sum(t.offered for t in tenant_stats)
-        served = sum(t.served for t in tenant_stats)
-        shed = sum(t.shed for t in tenant_stats)
-        timed_out = sum(t.timed_out for t in tenant_stats)
-        failed = sum(t.failed for t in tenant_stats)
-        rejected = sum(t.rejected for t in tenant_stats)
+        tracker = run.tracker
         report = ServingReport(
             device=self._spec.name,
             duration_s=horizon,
             makespan_s=makespan,
-            offered=offered,
-            served=served,
-            shed=shed,
+            offered=sum(t.offered for t in tenant_stats),
+            served=sum(t.served for t in tenant_stats),
+            shed=sum(t.shed for t in tenant_stats),
             latency=LatencyStats.from_latencies(all_latencies),
             batch_histogram=merge_histograms(
                 [t.batch_histogram for t in tenant_stats]
@@ -1250,17 +651,19 @@ class ServingSimulator:
             ),
             queue_depth_max=tracker.depth_max,
             cpu_utilization=(
-                min(1.0, cpu_busy_total / makespan) if makespan > 0 else 0.0
+                min(1.0, run.cpu_busy_total / makespan)
+                if makespan > 0 else 0.0
             ),
             gpu_utilization=(
-                min(1.0, gpu_busy_total / makespan) if makespan > 0 else 0.0
+                min(1.0, run.gpu_busy_total / makespan)
+                if makespan > 0 else 0.0
             ),
             tenants=tuple(tenant_stats),
             seed=self._config.seed,
-            timed_out=timed_out,
-            late=sum(late_counts.values()),
-            failed=failed,
-            rejected=rejected,
+            timed_out=sum(t.timed_out for t in tenant_stats),
+            late=late,
+            failed=sum(t.failed for t in tenant_stats),
+            rejected=sum(t.rejected for t in tenant_stats),
             abandoned_latency=LatencyStats.from_latencies(abandoned),
         )
         report.extra["batch_count"] = float(len(batch_log))
@@ -1271,8 +674,8 @@ class ServingSimulator:
         )
         if self.injector is not None:
             report.extra["fault_events"] = float(len(self.injector.events))
-            report.extra["retries"] = float(retries)
-            report.extra["hybrid_exhaustions"] = float(exhaustions)
+            report.extra["retries"] = float(run.retries)
+            report.extra["hybrid_exhaustions"] = float(run.exhaustions)
             report.extra["breaker_opens"] = float(
                 self.breaker.stats.opens if self.breaker else 0
             )
@@ -1280,6 +683,589 @@ class ServingSimulator:
                 len(self.degradation.records) if self.degradation else 0
             )
         return report
+
+
+class _ServingRun:
+    """One :meth:`ServingSimulator.run`: the state the event loop
+    mutates and the engine callbacks that mutate it.
+
+    The request table is the only per-request record of outcomes.  The
+    callbacks write each outcome into its status column, with the
+    instant the request left in ``finish_s``; the report and the
+    per-request metrics count them after the run.  Timeline hooks stay
+    in the loop: :class:`~repro.cluster.ClusterSimulator` feeds the same
+    recorder API and has no table.
+    """
+
+    def __init__(self, sim: ServingSimulator) -> None:
+        cfg = self.cfg = sim._config
+        obs = self.obs = sim._obs
+        model = self.model = sim._model
+        tenants = sim._tenants
+        names = sim._names
+        self.arrivals = [t.arrival for t in tenants]
+        self.networks = {t.tenant_name: t.network for t in tenants}
+        # One merged arrival epoch (whole numpy arrays per tenant) and
+        # a struct-of-arrays request table sized for it up front.
+        self.schedule = ArrivalSchedule(
+            [t.arrival.as_arrays() for t in tenants]
+        )
+        table = self.table = RequestTable(len(self.schedule.times))
+        self.queues = [
+            IndexQueue(t.tenant_name, t.policy or cfg.policy, table)
+            for t in tenants
+        ]
+        self.index_of = {n: k for k, n in enumerate(names)}
+        self.scheduler = WeightedFairScheduler(
+            {t.tenant_name: t.weight for t in tenants}
+        )
+        self.heap = EventHeap()
+        # Time-weighted queue-depth accounting.
+        self.tracker = DepthTracker()
+        #: tenants whose arrival process reacts to completions (closed
+        #: loop); open-loop follow-ups are provably no-ops and skipped.
+        self.has_followup = [
+            type(t.arrival).next_after is not ArrivalProcess.next_after
+            for t in tenants
+        ]
+        # Windowed telemetry recorder (None: every hook is one identity
+        # check on the hot path, covered by the obs-overhead guard).
+        self.tl: Optional[TimelineRecorder] = None
+        if cfg.timeline_window_s > 0.0:
+            self.tl = TimelineRecorder(
+                cfg.timeline_window_s,
+                source=f"serve:{sim._spec.name}",
+                meta={
+                    "seed": str(cfg.seed),
+                    "tenants": ",".join(sorted(names)),
+                },
+            )
+        # The depth gauge's high-water mark needs every live value, so
+        # it is the one metric set in the loop.
+        self.depth_gauge = None
+        if obs.enabled:
+            self.depth_gauge = obs.metrics.gauge(
+                "repro_serving_queue_depth",
+                "Admitted requests waiting across all tenant queues",
+            )
+
+        # -- fault machinery (None when no scenario: zero-cost checks) --------
+        faults = self.faults = cfg.faults
+        self.injector: Optional[FaultInjector] = None
+        self.breaker: Optional[CircuitBreaker] = None
+        self.degradation: Optional[DegradationManager] = None
+        self.retry = cfg.retry or RetryPolicy(seed=cfg.seed)
+        if faults is not None:
+            self.injector = FaultInjector(faults, seed=cfg.seed, obs=obs)
+            self.breaker = CircuitBreaker(
+                failure_threshold=cfg.breaker_failure_threshold,
+                reset_timeout_s=cfg.breaker_reset_s,
+            )
+            self.degradation = DegradationManager(cfg.degradation, obs=obs)
+        # Duck-typed service models (tests) may not expose base_config.
+        base_cfg = getattr(model, "base_config", None)
+        self.hybrid_base = (
+            base_cfg.use_hybrid_execution if base_cfg is not None else True
+        )
+        self.memory_base = (
+            base_cfg.use_memory_management if base_cfg is not None else True
+        )
+        self.noted_thermal: Optional[float] = None  # active window start
+        self.noted_pressure: Optional[float] = None
+        self.next_edge = -math.inf  # windows cannot change before this
+        self.demoted_windows: set = set()
+        self.retries = 0
+        self.exhaustions = 0
+
+        # -- device state ------------------------------------------------------
+        self.batch_log: List[BatchLogEntry] = []
+        self.tenant_hist: Dict[str, Dict[int, int]] = {n: {} for n in names}
+        #: the single batch on the device: (owner, rows, batch_failed).
+        self.in_flight: Optional[Tuple[int, np.ndarray, bool]] = None
+        self.warmed = {n: not cfg.cold_start for n in names}
+        self.armed_timers: Dict[str, float] = {}
+        self.dispatch_seq = 0
+        self.device_busy = False
+        self.cpu_busy_total = 0.0
+        self.gpu_busy_total = 0.0
+
+    def run(self) -> None:
+        """Drive the engine until every event has been processed."""
+        # The bulk path is only sound when busy-span arrivals are
+        # unobservable one-by-one: no fault injection (per-arrival RNG
+        # draws), no per-request metrics, and fully open-loop tenants
+        # (no completion-driven follow-up arrivals).
+        use_bulk = (
+            self.faults is None
+            and not self.obs.enabled
+            and not any(self.has_followup)
+        )
+        EventEngine(self.schedule, self.heap).run(
+            on_arrival=self.on_arrival,
+            on_event=self.on_event,
+            bulk_ready=self.bulk_ready if use_bulk else None,
+            on_arrivals=self.on_arrivals if use_bulk else None,
+        )
+
+    def bulk_ready(self) -> bool:
+        """Busy-device arrivals can be admitted as one span."""
+        return self.device_busy
+
+    def followup(self, owner: int, now: float, n: int = 1) -> None:
+        """Closed-loop clients re-arm after each of ``n`` terminal
+        outcomes."""
+        arrival = self.arrivals[owner]
+        for _ in range(n):
+            follow = arrival.next_after(now)
+            if follow is not None:
+                self.schedule.push(follow, owner)
+
+    def note_windows(self, now: float) -> None:
+        """Record thermal / memory-pressure window edges once.
+
+        The active windows change only at a window edge, and event
+        time never goes back, so below the next edge there is
+        nothing to record.
+        """
+        if now < self.next_edge:
+            return
+        faults = self.faults
+        injector = self.injector
+        self.next_edge = faults.next_edge_after(now)
+        thermal = faults.thermal_at(now)
+        start = thermal.start_s if thermal is not None else None
+        if start != self.noted_thermal:
+            if self.noted_thermal is not None:
+                for w in faults.thermal:
+                    if w.start_s == self.noted_thermal:
+                        injector.note_thermal_exit(now, w)
+            if thermal is not None:
+                injector.note_thermal_enter(now, thermal)
+            self.noted_thermal = start
+        pressure = faults.memory_pressure_at(now)
+        pstart = pressure.start_s if pressure is not None else None
+        if pstart != self.noted_pressure:
+            if self.noted_pressure is not None:
+                for w in faults.memory_pressure:
+                    if w.start_s == self.noted_pressure:
+                        injector.note_memory_pressure_exit(now, w)
+            if pressure is not None:
+                injector.note_memory_pressure_enter(now, pressure)
+            self.noted_pressure = pstart
+
+    def expire_queues(self, now: float) -> None:
+        """Abandon every queued request past its deadline."""
+        tracker = self.tracker
+        tl = self.tl
+        for k, queue in enumerate(self.queues):
+            expired = queue.expire(now)
+            if not expired:
+                continue
+            tracker.remove(expired)
+            if tl is not None:
+                tl.record_timed_out(now, expired)
+            if self.depth_gauge is not None:
+                self.depth_gauge.set(tracker.depth)
+            if self.has_followup[k]:
+                self.followup(k, now, expired)
+
+    def batch_service(
+        self, tenant: str, size: int, now: float
+    ) -> Tuple[BatchServiceTime, float, bool]:
+        """Pick the service variant for one dispatch under faults.
+
+        Returns (service time, extra pre-service delay from retry
+        backoff, batch_failed).
+        """
+        model = self.model
+        network = self.networks[tenant]
+        faults = self.faults
+        if faults is None:
+            return model.warm(network, size), 0.0, False
+        injector = self.injector
+        degradation = self.degradation
+        factors = injector.throttle_at(now)
+        pressure = injector.memory_pressure_at(now)
+        resilient = self.cfg.resilience
+
+        # Memory pressure, naive service: zero-copy allocation
+        # fails outright — fail fast, batch lost before any work.
+        if pressure and self.memory_base and not resilient:
+            return BatchServiceTime(0.0, 0.0, 0.0), 0.0, True
+
+        # Execution-mode selection (degraded plan variants).
+        no_hybrid = (
+            resilient
+            and degradation.mode(tenant) == MODE_NO_HYBRID
+        )
+        demote = pressure and self.memory_base and resilient
+        if demote:
+            window = faults.memory_pressure_at(now)
+            wkey = (tenant, window.start_s)
+            if wkey not in self.demoted_windows:
+                self.demoted_windows.add(wkey)
+                degradation.note_memory_demotion(tenant, network, now=now)
+        if no_hybrid and demote:
+            kind = "safe"
+        elif no_hybrid:
+            kind = "no_hybrid"
+        elif demote:
+            kind = "no_zerocopy"
+        else:
+            kind = "normal"
+
+        # Thermal throttling: naive service runs the stale nominal
+        # plan at throttled rates; the resilient one does too until
+        # sustained latency drift triggers re-tuning against the
+        # throttled spec (plan-cache entry invalidated).
+        retuned = False
+        if factors is not None and resilient:
+            if degradation.retuned(tenant):
+                retuned = True
+            else:
+                stale = model.service(
+                    network, size, kind=kind, factors=factors,
+                )
+                predicted = model.service(network, size, kind=kind)
+                if degradation.observe_latency(
+                    tenant, network, now=now,
+                    observed_s=stale.total_s,
+                    predicted_s=predicted.total_s,
+                ):
+                    default_plan_cache().invalidate(
+                        model.plan_key(network, size, kind)
+                    )
+                    retuned = True
+        elif factors is None and resilient and degradation.retuned(tenant):
+            degradation.clear_drift(tenant, network, now=now)
+
+        svc = model.service(
+            network, size, kind=kind, factors=factors, retuned=retuned,
+        )
+
+        # Transient hybrid-kernel launch failures.
+        hybrid_active = (
+            self.hybrid_base
+            and kind in ("normal", "no_zerocopy")
+            and faults.kernel_failure_p > 0.0
+        )
+        if not hybrid_active:
+            return svc, 0.0, False
+        seq = self.dispatch_seq
+        if not resilient:
+            failed = injector.kernel_fails(now, detail=f"{tenant}#{seq}")
+            # The failure surfaces mid-run: the device time is
+            # consumed either way, the responses are lost.
+            return svc, 0.0, failed
+        breaker = self.breaker
+        fallback = "safe" if kind == "no_zerocopy" else "no_hybrid"
+        if not breaker.allow(now):
+            # Circuit open: skip the hybrid launch entirely and run
+            # the safe plan until the breaker half-opens.
+            svc = model.service(
+                network, size, kind=fallback,
+                factors=factors, retuned=retuned,
+            )
+            return svc, 0.0, False
+        retry = self.retry
+        delay = 0.0
+        for attempt in range(retry.max_attempts):
+            fails = injector.kernel_fails(
+                now, detail=f"{tenant}#{seq}:a{attempt}"
+            )
+            if not fails:
+                breaker.record_success(now)
+                if attempt > 0 and self.obs.enabled:
+                    self.obs.metrics.counter(
+                        "repro_resilience_retries_total",
+                        "Hybrid-kernel launch retries",
+                        labels=("tenant",),
+                    ).labels(tenant=tenant).inc(attempt)
+                self.retries += attempt
+                return svc, delay, False
+            if attempt < retry.max_attempts - 1:
+                delay += retry.delay(attempt, token=seq)
+        # All attempts failed: trip the breaker, fall back to the
+        # safe non-hybrid plan (responses still produced, slower).
+        self.retries += retry.max_attempts - 1
+        self.exhaustions += 1
+        breaker.record_failure(now)
+        degradation.note_hybrid_exhausted(tenant, network, now=now)
+        svc = model.service(
+            network, size, kind=fallback, factors=factors, retuned=retuned,
+        )
+        return svc, delay, False
+
+    def maybe_dispatch(self, now: float) -> None:
+        """Start batches until the device is busy or none is ready."""
+        queues = self.queues
+        table = self.table
+        tracker = self.tracker
+        tl = self.tl
+        while not self.device_busy:
+            self.expire_queues(now)
+            chosen = self.scheduler.pick(
+                [q.name for q in queues if q.ready(now)]
+            )
+            if chosen is None:
+                # Nothing dispatchable yet: arm a wait-expiry timer
+                # per tenant still accumulating a batch.
+                armed = self.armed_timers
+                for queue in queues:
+                    deadline = queue.wait_deadline_s()
+                    if deadline is None or armed.get(queue.name) == deadline:
+                        continue
+                    armed[queue.name] = deadline
+                    self.heap.push(max(deadline, now), _TIMER, queue.name)
+                return
+            owner = self.index_of[chosen]
+            rows = queues[owner].take_batch(now)
+            size = len(rows)
+            tracker.remove(size)
+            self.dispatch_seq += 1
+            warm = self.warmed[chosen]
+            if warm:
+                svc, delay, failed = self.batch_service(chosen, size, now)
+            else:
+                svc = self.model.cold(self.networks[chosen], size)
+                delay, failed = 0.0, False
+                self.warmed[chosen] = True
+            hist = self.tenant_hist[chosen]
+            hist[size] = hist.get(size, 0) + 1
+            if table.corrupt[rows].any():
+                # A malformed payload in the batch kills the whole
+                # launch (the naive service admitted it unchecked);
+                # the device time is still consumed.
+                failed = True
+            if failed and svc.total_s == 0.0 and delay == 0.0:
+                # Fail-fast path (allocation failure): the batch is
+                # lost before consuming any device time.
+                table.status[rows] = _ST_FAILED
+                table.finish_s[rows] = now
+                if self.has_followup[owner]:
+                    self.followup(owner, now, size)
+                if tl is not None:
+                    tl.record_failed(now, size, from_queue=True)
+                continue
+            self.device_busy = True
+            total = delay + svc.total_s
+            self.scheduler.charge(chosen, total)
+            self.cpu_busy_total += svc.cpu_busy_s
+            self.gpu_busy_total += svc.gpu_busy_s
+            end = now + total
+            self.batch_log.append((
+                chosen, size, now, total, delay,
+                svc.cpu_busy_s, svc.gpu_busy_s,
+            ))
+            if tl is not None:
+                tl.record_batch(
+                    now, end, size,
+                    busy=(("cpu", svc.cpu_busy_s), ("gpu", svc.gpu_busy_s)),
+                    energy_j=svc.energy_j,
+                )
+            if self.obs.enabled:
+                self.obs.tracer.record(
+                    f"{chosen}:batch(n={size})", now, end,
+                    category="batch", tenant=chosen, size=size,
+                    mode="warm" if warm else "cold",
+                )
+                self.depth_gauge.set(tracker.depth)
+            self.in_flight = (owner, rows, failed)
+            self.heap.push(end, _COMPLETION, chosen)
+            return
+
+    def on_arrival(self, now: float, owner: int) -> None:
+        """Exact per-arrival path (the legacy scalar semantics)."""
+        tracker = self.tracker
+        tracker.advance(now)
+        faults = self.faults
+        if faults is not None:
+            self.note_windows(now)
+        queue = self.queues[owner]
+        table = self.table
+        idx = table.append(now, owner)
+        tl = self.tl
+        if tl is not None:
+            tl.record_offered(now)
+        corrupt = faults is not None and self.injector.payload_corrupt(
+            now, request_id=idx
+        )
+        if corrupt and self.cfg.resilience:
+            # Request validation catches the malformed payload at the
+            # door: reject, don't queue.
+            queue.reject(idx, now)
+            if tl is not None:
+                tl.record_rejected(now)
+            self.followup(owner, now)
+        else:
+            if corrupt:
+                table.corrupt[idx] = True
+            if queue.offer(idx, now):
+                tracker.admit()
+                if self.depth_gauge is not None:
+                    self.depth_gauge.set(tracker.depth)
+            else:
+                # Shed: the client sees an immediate rejection; a
+                # closed-loop client thinks, then retries.
+                if tl is not None:
+                    tl.record_shed(now)
+                self.followup(owner, now)
+        self.maybe_dispatch(now)
+
+    def on_arrivals(self, times: np.ndarray, owners: np.ndarray) -> None:
+        """Bulk admission: a whole busy-device arrival span at once.
+
+        Only reachable when the device is busy, no faults are
+        active, per-request metrics are off, and every tenant is
+        open loop — conditions under which the scalar path reduces
+        to admit-or-shed plus depth accounting, all vectorizable.
+        """
+        table = self.table
+        tl = self.tl
+        start = table.append_bulk(times, owners)
+        if tl is not None:
+            tl.record_offered_bulk(times)
+        total = len(times)
+        queues = self.queues
+        if len(queues) == 1:
+            # Single tenant: the span is one FIFO fill — slice
+            # writes only, no index gathers.
+            queue = queues[0]
+            room = queue.policy.max_queue_depth - len(queue)
+            take_n = min(total, room) if room > 0 else 0
+            if take_n:
+                queue.admit_span(start, take_n, times[:take_n])
+            if take_n < total:
+                table.status[start + take_n:start + total] = _ST_SHED
+                table.finish_s[start + take_n:start + total] = (
+                    times[take_n:]
+                )
+                if tl is not None:
+                    tl.record_shed_bulk(times[take_n:])
+            self.tracker.advance_span(times, take_n)
+            return
+        admitted = np.zeros(total, dtype=np.int64)
+        for k, queue in enumerate(queues):
+            pos = np.nonzero(owners == k)[0]
+            if not len(pos):
+                continue
+            room = max(queue.policy.max_queue_depth - len(queue), 0)
+            take = pos[:room]
+            over = pos[room:]
+            if len(take):
+                queue.admit_bulk(start + take, times[take])
+                admitted[take] = 1
+            if len(over):
+                shed_rows = start + over
+                table.status[shed_rows] = _ST_SHED
+                table.finish_s[shed_rows] = times[over]
+                if tl is not None:
+                    tl.record_shed_bulk(times[over])
+        self.tracker.advance_bulk(times, admitted)
+
+    def on_event(self, now: float, kind: int, payload: object) -> None:
+        """A batch completion or a wait-expiry timer."""
+        self.tracker.advance(now)
+        if self.faults is not None:
+            self.note_windows(now)
+        if kind == _COMPLETION:
+            self.complete(now)
+        else:  # _TIMER
+            self.armed_timers.pop(payload, None)
+        self.maybe_dispatch(now)
+
+    def complete(self, now: float) -> None:
+        """Settle the batch on the device: failed, or each request
+        served or late."""
+        owner, rows, batch_failed = self.in_flight
+        self.in_flight = None
+        self.device_busy = False
+        table = self.table
+        tl = self.tl
+        table.finish_s[rows] = now
+        if batch_failed:
+            table.status[rows] = _ST_FAILED
+            if tl is not None:
+                tl.record_failed(now, len(rows))
+        else:
+            served_rows = rows
+            late_n = 0
+            if self.queues[owner].policy.deadline_s is not None:
+                # Completed, but past deadline: the client already gave
+                # up — late, useless responses.
+                late_mask = now > table.deadline_s[rows] + EPS
+                late_n = int(late_mask.sum())
+                if late_n:
+                    served_rows = rows[~late_mask]
+                    table.status[rows[late_mask]] = _ST_TIMED_OUT
+            table.status[served_rows] = _ST_SERVED
+            if tl is not None:
+                if len(served_rows):
+                    tl.record_served(
+                        now, (now - table.arrival_s[served_rows]).tolist()
+                    )
+                if late_n:
+                    tl.record_timed_out(now, late_n, late=True)
+        if self.has_followup[owner]:
+            self.followup(owner, now, len(rows))
+
+
+#: status code -> ``outcome`` label of ``repro_serving_requests_total``.
+_OUTCOMES = (
+    (_ST_SERVED, "served"),
+    (_ST_SHED, "shed"),
+    (_ST_TIMED_OUT, "timed_out"),
+    (_ST_FAILED, "failed"),
+    (_ST_REJECTED, "rejected"),
+)
+
+
+def _record_request_metrics(
+    metrics, table: RequestTable, names: Sequence[str],
+    batch_log: List[BatchLogEntry],
+) -> None:
+    """Fill the per-request and per-batch series of a finished run from
+    its request table and batch log."""
+    requests_total = metrics.counter(
+        "repro_serving_requests_total",
+        "Requests by tenant and outcome",
+        labels=("tenant", "outcome"),
+    )
+    latency_hist = metrics.histogram(
+        "repro_serving_request_latency_seconds",
+        "End-to-end served-request latency",
+        labels=("tenant",), buckets=DEFAULT_BUCKETS,
+    )
+    batches_total = metrics.counter(
+        "repro_serving_batches_total",
+        "Batches dispatched per tenant", labels=("tenant",),
+    )
+    batch_size_hist = metrics.histogram(
+        "repro_serving_batch_size",
+        "Dispatched batch sizes", buckets=SIZE_BUCKETS,
+    )
+    n = len(table)
+    status = table.status[:n]
+    owner = table.tenant[:n]
+    for k, name in enumerate(names):
+        mine = status[owner == k]
+        for code, outcome in _OUTCOMES:
+            count = int(np.count_nonzero(mine == code))
+            if count:
+                requests_total.labels(tenant=name, outcome=outcome).inc(count)
+    # Served rows in completion order, so each histogram adds its
+    # observations in the order the requests finished: batches finish
+    # one at a time, and a batch's rows are in row order.
+    served = np.flatnonzero(status == _ST_SERVED)
+    served = served[np.argsort(table.finish_s[served], kind="stable")]
+    latencies = (table.finish_s[served] - table.arrival_s[served]).tolist()
+    for k, latency in zip(owner[served].tolist(), latencies):
+        latency_hist.labels(tenant=names[k]).observe(latency)
+    # Fail-fast batches never reached the device, so the batch log
+    # (and these series) count dispatched batches only.
+    for tenant, size, *_ in batch_log:
+        batches_total.labels(tenant=tenant).inc()
+        batch_size_hist.observe(size)
 
 
 def _last_end(batch_log: List[BatchLogEntry]) -> float:

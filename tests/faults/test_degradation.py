@@ -104,8 +104,5 @@ class TestRecordsAndObs:
         mgr.observe_latency("t", "lenet", now=0.0,
                             observed_s=0.02, predicted_s=0.01)
         mgr.note_memory_demotion("t", "lenet", now=1.0)
-        mgr.note_artifact_discarded("lenet", "plan.json", now=2.0)
         actions = [r.action for r in obs.provenance.degradations()]
-        assert actions == [
-            "retune_throttled", "demote_zero_copy", "retune_from_scratch",
-        ]
+        assert actions == ["retune_throttled", "demote_zero_copy"]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.faults import RetryPolicy
 from repro.serving.batcher import BatchPolicy
-from repro.sim.engine import PENDING, IndexQueue, RequestTable
+from repro.sim.engine import PENDING, TIMED_OUT, IndexQueue, RequestTable
 from repro.sim.engine.queue import EPS
 
 policies = st.builds(
@@ -116,7 +116,9 @@ class TestDeadlineMathProperties:
         queue = _deadline_queue(budget, arrivals)
         expired = queue.expire(now)
         assert expired + len(queue) == len(arrivals)
-        assert queue.timed_out == expired
+        status = queue.table.status[:len(arrivals)]
+        assert (status == TIMED_OUT).sum() == expired
+        assert (status == PENDING).sum() == len(queue)
 
     @given(arrivals=arrival_lists, budget=budgets, now=nows)
     def test_expiry_is_idempotent(self, arrivals, budget, now):

@@ -5,11 +5,16 @@ import pytest
 
 from repro.errors import ReproError
 from repro.serving.batcher import BatchPolicy
-from repro.sim.engine import RUNNING, SHED, IndexQueue, RequestTable
+from repro.sim.engine import PENDING, RUNNING, SHED, IndexQueue, RequestTable
 
 
 def make_queue(policy=None):
     return IndexQueue("m", policy or BatchPolicy(), RequestTable())
+
+
+def count(q, status):
+    """Rows of ``q``'s table in ``status``."""
+    return int((q.table.status[: len(q.table)] == status).sum())
 
 
 def offer(q, t=0.0):
@@ -121,10 +126,11 @@ class TestAdmissionControl:
         q = make_queue(BatchPolicy(max_queue_depth=2))
         assert offer(q)
         assert offer(q)
-        assert not offer(q)
+        assert not offer(q, t=0.5)
         assert q.table.status[2] == SHED
-        assert q.offered == 3
-        assert q.shed == 1
+        assert q.table.finish_s[2] == 0.5     # shed at its arrival
+        assert len(q.table) == 3
+        assert count(q, SHED) == 1
         assert len(q) == 2
 
     def test_depth_frees_after_dispatch(self):
@@ -133,10 +139,11 @@ class TestAdmissionControl:
         offer(q)
         q.take_batch(now=0.0)
         assert offer(q)
-        assert q.shed == 0
+        assert count(q, SHED) == 0
 
     def test_counters_conserve(self):
         q = make_queue(BatchPolicy(max_queue_depth=3))
         admitted = sum(offer(q) for _ in range(10))
-        assert q.offered == 10
-        assert admitted + q.shed == q.offered
+        assert len(q.table) == 10
+        assert admitted == count(q, PENDING) == len(q)
+        assert admitted + count(q, SHED) == len(q.table)

@@ -86,7 +86,6 @@ class TestQueueDeadlines:
         table = queue.table
         assert table.status[:3].tolist() == [TIMED_OUT, PENDING, PENDING]
         assert table.finish_s[0] == pytest.approx(1.5)
-        assert queue.timed_out == 1
         assert len(queue) == 2
 
     def test_expiry_boundary_uses_eps(self):

@@ -166,6 +166,39 @@ def serving_cold_start() -> Simulator:
     return sim
 
 
+def serving_storm_obs(resilience: bool = True) -> Simulator:
+    """Two tenants, tight deadlines and short queues in a 3 s edge-storm,
+    observability and a timeline on.  With resilience on the run serves,
+    sheds, times out, completes late and rejects; with it off it fails
+    batches instead of rejecting payloads.  Not an engine-parity
+    scenario: the outcome goldens pin it (``test_outcome_goldens.py``)."""
+    from repro.obs import Observability
+
+    sim = ServingSimulator(
+        None,
+        [
+            poisson_tenant("lenet", 400.0, 3.0, seed=7),
+            poisson_tenant("fcnn", 100.0, 3.0, seed=8),
+        ],
+        ServingConfig(
+            policy=BatchPolicy(
+                max_batch_size=4, deadline_s=0.01, max_queue_depth=8
+            ),
+            seed=7,
+            faults=scale_to_horizon(load_scenario("edge-storm"), 3.0),
+            resilience=resilience,
+            timeline_window_s=0.5,
+        ),
+        obs=Observability.on(),
+    )
+    return sim
+
+
+def serving_storm_obs_naive() -> Simulator:
+    """:func:`serving_storm_obs` with the resilience layer off."""
+    return serving_storm_obs(resilience=False)
+
+
 def cluster_routing() -> Simulator:
     """Heterogeneous fleet, plan_cost router, rolling thermal faults."""
     sim = ClusterSimulator(
@@ -280,4 +313,15 @@ BUILDERS: Dict[str, Callable[[], Simulator]] = {
 
 SCENARIOS: Dict[str, ScenarioFn] = {
     name: _digests(build) for name, build in BUILDERS.items()
+}
+
+#: every serving scenario: the engine-parity ones plus the two storm
+#: runs, which between them reach every request outcome.
+SERVING_BUILDERS: Dict[str, Callable[[], Simulator]] = {
+    **{
+        name: build for name, build in BUILDERS.items()
+        if name.startswith("serving_")
+    },
+    "serving_storm_obs": serving_storm_obs,
+    "serving_storm_obs_naive": serving_storm_obs_naive,
 }
