@@ -314,8 +314,9 @@ class ClusterSimulator:
         self.timeline_op_counts = {}
         self.trace = Trace() if self._obs.enabled else None
         # The shared event core merges all tenants' arrival epochs
-        # (concatenate + stable argsort, same dedup'd path serving
-        # uses) and drives the completion heap and autoscaler ticks.
+        # (concatenate, then a stable argsort if out of order; the same
+        # path serving uses) and drives the completion heap and
+        # autoscaler ticks.
         schedule = ArrivalSchedule(
             [t.arrival.as_arrays() for t in self._tenants]
         )

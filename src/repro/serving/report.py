@@ -13,25 +13,37 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..errors import ReproError
 
 
-def percentile(values: Sequence[float], q: float) -> float:
+def _nearest_rank(sample: np.ndarray, qs: Sequence[float]) -> List[float]:
+    """Nearest-rank quantiles ``qs`` of ``sample``, from one selection.
+
+    ``np.partition`` places at each requested index the value a full
+    sort would put there; tied entries hold equal values, so each
+    quantile is the one ``sorted(sample)`` gives.
+    """
+    ranks = [max(1, math.ceil(q * len(sample))) - 1 for q in qs]
+    selected = np.partition(sample, sorted(set(ranks)))
+    return [float(selected[r]) for r in ranks]
+
+
+def percentile(values: Union[Sequence[float], np.ndarray], q: float) -> float:
     """Nearest-rank percentile (q in [0, 1]) over ``values``.
 
     Nearest-rank always returns an observed sample, so for any data set
     ``percentile(v, a) <= percentile(v, b)`` whenever ``a <= b`` — the
     monotonicity the report's p50/p95/p99 invariant relies on.
     """
-    if not values:
+    if len(values) == 0:
         raise ReproError("percentile of an empty sample")
     if not 0.0 <= q <= 1.0:
         raise ReproError(f"percentile rank must be in [0, 1], got {q}")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+    return _nearest_rank(np.asarray(values, dtype=np.float64), [q])[0]
 
 
 @dataclass(frozen=True)
@@ -46,17 +58,24 @@ class LatencyStats:
     max_s: float
 
     @classmethod
-    def from_latencies(cls, latencies: Sequence[float]) -> "LatencyStats":
-        if not latencies:
+    def from_latencies(
+        cls, latencies: Union[Sequence[float], np.ndarray]
+    ) -> "LatencyStats":
+        n = len(latencies)
+        if n == 0:
             return cls(count=0, mean_s=0.0, p50_s=0.0, p95_s=0.0,
                        p99_s=0.0, max_s=0.0)
+        sample = np.asarray(latencies, dtype=np.float64)
+        p50, p95, p99 = _nearest_rank(sample, (0.50, 0.95, 0.99))
         return cls(
-            count=len(latencies),
-            mean_s=sum(latencies) / len(latencies),
-            p50_s=percentile(latencies, 0.50),
-            p95_s=percentile(latencies, 0.95),
-            p99_s=percentile(latencies, 0.99),
-            max_s=max(latencies),
+            count=n,
+            # cumsum adds left to right, as the builtin ``sum`` does up
+            # to Python 3.11; np.sum pairs and would move the digests.
+            mean_s=float(np.cumsum(sample)[-1]) / n,
+            p50_s=p50,
+            p95_s=p95,
+            p99_s=p99,
+            max_s=float(sample.max()),
         )
 
 

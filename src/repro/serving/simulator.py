@@ -602,19 +602,17 @@ class ServingSimulator:
         status = table.status[:n]
         owner = table.tenant[:n]
         tenant_stats = []
-        all_latencies: List[float] = []
-        abandoned: List[float] = []
+        all_latencies: List[np.ndarray] = []
+        abandoned: List[np.ndarray] = []
         late = 0
         for k, spec in enumerate(self._tenants):
             name = spec.tenant_name
             mine = owner == k
             served_mask = mine & (status == _ST_SERVED)
-            latencies = (
-                finish[served_mask] - arrival[served_mask]
-            ).tolist()
-            all_latencies.extend(latencies)
+            latencies = finish[served_mask] - arrival[served_mask]
+            all_latencies.append(latencies)
             gone = mine & (status == _ST_TIMED_OUT)
-            abandoned.extend((finish[gone] - arrival[gone]).tolist())
+            abandoned.append(finish[gone] - arrival[gone])
             # Late completions were dispatched; IndexQueue.expire
             # abandons queued requests without a dispatch instant.
             late += int(np.count_nonzero(~np.isnan(dispatch[gone])))
@@ -642,7 +640,9 @@ class ServingSimulator:
             offered=sum(t.offered for t in tenant_stats),
             served=sum(t.served for t in tenant_stats),
             shed=sum(t.shed for t in tenant_stats),
-            latency=LatencyStats.from_latencies(all_latencies),
+            latency=LatencyStats.from_latencies(
+                np.concatenate(all_latencies)
+            ),
             batch_histogram=merge_histograms(
                 [t.batch_histogram for t in tenant_stats]
             ),
@@ -664,7 +664,9 @@ class ServingSimulator:
             late=late,
             failed=sum(t.failed for t in tenant_stats),
             rejected=sum(t.rejected for t in tenant_stats),
-            abandoned_latency=LatencyStats.from_latencies(abandoned),
+            abandoned_latency=LatencyStats.from_latencies(
+                np.concatenate(abandoned)
+            ),
         )
         report.extra["batch_count"] = float(len(batch_log))
         # Each batch starts at its dispatch instant, so this is the

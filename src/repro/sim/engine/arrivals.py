@@ -2,12 +2,13 @@
 
 Every open-loop arrival process knows its whole trace up front
 (:meth:`~repro.workloads.arrivals.ArrivalProcess.as_arrays`), so the
-engine merges all streams once — concatenate plus one stable argsort —
-and walks a cursor instead of paying ``heappush``/``heappop`` per
-request.  Closed-loop follow-ups (arrivals created by completions) go
-through a small dynamic side-heap that loses ties against the static
-epoch, reproducing the legacy single-heap order where static arrivals
-were pushed first and therefore carried smaller sequence numbers.
+engine merges all streams once — a concatenate, plus one stable argsort
+only when the concatenated epoch is out of order — and walks a cursor
+instead of paying ``heappush``/``heappop`` per request.  Closed-loop
+follow-ups (arrivals created by completions) go through a small dynamic
+side-heap that loses ties against the static epoch, reproducing the
+legacy single-heap order where static arrivals were pushed first and
+therefore carried smaller sequence numbers.
 """
 
 from __future__ import annotations
@@ -40,9 +41,13 @@ class ArrivalSchedule:
             owners.append(np.full(len(arr), index, dtype=np.int32))
         times = np.concatenate(chunks) if chunks else np.empty(0)
         owner = np.concatenate(owners) if owners else np.empty(0, np.int32)
-        order = np.argsort(times, kind="stable")
-        self.times = times[order]
-        self.owners = owner[order]
+        # A stable argsort of a non-decreasing epoch is the identity.
+        if np.any(times[1:] < times[:-1]):
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+            owner = owner[order]
+        self.times = times
+        self.owners = owner
         self._i = 0
         self._n = len(self.times)
         #: dynamic follow-ups as (time, seq, owner); seq starts past the

@@ -1,6 +1,12 @@
 """ServingReport metrics: percentiles, conservation, histograms."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.serving.report import (
@@ -12,10 +18,117 @@ from repro.serving.report import (
 )
 
 
+def reference_percentile(values, q):
+    """The sort-based nearest-rank percentile ``percentile`` replaced."""
+    if not values:
+        raise ReproError("percentile of an empty sample")
+    if not 0.0 <= q <= 1.0:
+        raise ReproError(f"percentile rank must be in [0, 1], got {q}")
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q * len(ordered)))
+    return ordered[rank - 1]
+
+
+def reference_stats(latencies):
+    """The sort-per-quantile ``from_latencies`` the selection replaced.
+
+    The mean adds left to right from ``0``, as the builtin ``sum`` does
+    on Python 3.11 (3.12 compensates), so the reference is the value
+    the 3.11 goldens record on every interpreter.
+    """
+    if not latencies:
+        return LatencyStats(count=0, mean_s=0.0, p50_s=0.0, p95_s=0.0,
+                            p99_s=0.0, max_s=0.0)
+    total = 0
+    for value in latencies:
+        total += value
+    return LatencyStats(
+        count=len(latencies),
+        mean_s=total / len(latencies),
+        p50_s=reference_percentile(latencies, 0.50),
+        p95_s=reference_percentile(latencies, 0.95),
+        p99_s=reference_percentile(latencies, 0.99),
+        max_s=max(latencies),
+    )
+
+
+def bits(stats):
+    """Every field of ``stats``, floats as their exact hex form."""
+    return tuple(
+        v.hex() if isinstance(v, float) else v
+        for v in dataclasses.astuple(stats)
+    )
+
+
+# A latency is a difference of two instants, never -0.0; adding 0.0
+# maps -0.0 to 0.0, whose order against 0.0 sorting leaves open.  The
+# bound keeps a 300-value sum finite.
+finite = st.floats(min_value=-1e300, max_value=1e300).map(lambda x: x + 0.0)
+
+
+@st.composite
+def samples(draw, min_size=1, max_size=300):
+    """Finite floats with duplicates: a few values repeat throughout."""
+    pool = draw(st.lists(finite, min_size=1, max_size=8))
+    return draw(st.lists(
+        st.one_of(st.sampled_from(pool), finite),
+        min_size=min_size, max_size=max_size,
+    ))
+
+
+class TestSelectionMatchesSort:
+    @settings(max_examples=300, deadline=None)
+    @given(samples())
+    def test_stats_bit_identical(self, values):
+        assert bits(LatencyStats.from_latencies(values)) == bits(
+            reference_stats(values))
+
+    # q * n lands on an integer for 20, 100 and 200, next to one for 101.
+    @pytest.mark.parametrize("n", [20, 100, 101, 200])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_stats_at_integer_rank_lengths(self, n, data):
+        values = data.draw(samples(min_size=n, max_size=n))
+        assert bits(LatencyStats.from_latencies(values)) == bits(
+            reference_stats(values))
+
+    # NumPy sorts small partitions outright; past a few hundred values
+    # each requested rank must be selected on its own.
+    @pytest.mark.parametrize("n", [1_000, 49_504])
+    def test_stats_of_large_sample(self, n):
+        rng = np.random.default_rng(n)
+        values = np.round(rng.exponential(1e-3, size=n), 7).tolist()
+        assert bits(LatencyStats.from_latencies(values)) == bits(
+            reference_stats(values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples(min_size=0))
+    def test_array_equals_list(self, values):
+        array = np.asarray(values, dtype=np.float64)
+        assert bits(LatencyStats.from_latencies(array)) == bits(
+            LatencyStats.from_latencies(values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples(), st.floats(min_value=0.0, max_value=1.0))
+    def test_percentile_equals_reference(self, values, q):
+        assert percentile(values, q).hex() == reference_percentile(
+            values, q).hex()
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.95, 0.99, 1.0])
+    def test_percentile_of_array(self, q):
+        values = np.random.default_rng(3).exponential(1.0, size=101)
+        assert percentile(values, q) == reference_percentile(
+            values.tolist(), q)
+
+
 class TestPercentile:
     def test_empty_raises(self):
         with pytest.raises(ReproError):
             percentile([], 0.5)
+
+    def test_empty_array_raises(self):
+        with pytest.raises(ReproError):
+            percentile(np.empty(0), 0.5)
 
     @pytest.mark.parametrize("q", [-0.1, 1.1])
     def test_rank_out_of_range(self, q):

@@ -1,5 +1,6 @@
 """Arrival-process determinism and shape."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
@@ -45,6 +46,49 @@ class TestPoisson:
     def test_validation(self, kwargs):
         with pytest.raises(ReproError):
             PoissonArrivals(**kwargs)
+
+
+def reference_poisson(rate_rps, duration_s, seed):
+    """The concatenate-then-cumsum generator, and how many chunks it drew."""
+    rng = np.random.default_rng(seed)
+    expected = max(16, int(rate_rps * duration_s * 1.2))
+    chunks = []
+    carry = 0.0
+    while True:
+        gaps = rng.exponential(1.0 / rate_rps, size=expected)
+        times = np.cumsum(np.concatenate(([carry], gaps)))[1:]
+        cut = int(np.searchsorted(times, duration_s, side="left"))
+        if cut < expected:
+            chunks.append(times[:cut])
+            break
+        chunks.append(times)
+        carry = float(times[-1])
+    return np.concatenate(chunks), len(chunks)
+
+
+# rate x duration near 13 can exhaust the 16-draw minimum, which takes a
+# second chunk and exercises the carry; at 0.5 most seeds draw no arrival.
+POISSON_CASES = [
+    (rate, duration, seed)
+    for rate, duration in [
+        (13.0, 1.0), (24.0, 0.5), (7.0, 2.0), (1.0, 0.5),
+        (100.0, 2.0), (5000.0, 3.0),
+    ]
+    for seed in range(8)
+]
+
+
+class TestPoissonReference:
+    @pytest.mark.parametrize("rate,duration,seed", POISSON_CASES)
+    def test_times_bit_identical(self, rate, duration, seed):
+        times, _ = reference_poisson(rate, duration, seed)
+        arrivals = PoissonArrivals(rate, duration, seed=seed)
+        assert arrivals._times.dtype == np.float64
+        assert arrivals._times.tobytes() == times.tobytes()
+
+    def test_cases_cover_multi_chunk_draws(self):
+        chunks = [reference_poisson(*case)[1] for case in POISSON_CASES]
+        assert sum(n >= 2 for n in chunks) >= 1
 
 
 class TestUniform:
