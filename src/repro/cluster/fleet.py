@@ -177,7 +177,9 @@ class Replica:
 
     Holds the bounded FIFO queue (arrival instants only — at fleet scale
     requests are float timestamps, not objects), the busy horizon, and
-    the counters the report aggregates.  ``version`` increments on every
+    its busy time, energy and batch count.  Request outcomes are not
+    counted here: the simulator derives them from its per-request rows
+    after the run.  ``version`` increments on every
     routing-relevant state change so the routers' lazy heaps can discard
     stale entries in O(1).
     """
@@ -186,8 +188,7 @@ class Replica:
         "name", "idx", "spec", "pool_name", "network", "model",
         "queue", "busy_until", "version", "active", "draining",
         "created_s", "retired_s", "busy_s", "energy_j", "batches",
-        "served", "failed", "svc1_s", "unit_s", "unit_energy_j",
-        "faults", "injector",
+        "svc1_s", "unit_s", "unit_energy_j", "faults", "injector",
     )
 
     def __init__(
@@ -222,8 +223,6 @@ class Replica:
         self.busy_s = 0.0
         self.energy_j = 0.0
         self.batches = 0
-        self.served = 0
-        self.failed = 0
         # Predicted costs from the compiled plan (nominal device): the
         # numbers plan_cost routing ranks replicas by.  Computing them
         # here is the only tuning a replica ever triggers, and it is
@@ -271,13 +270,12 @@ class Replica:
 
 
 class Pool:
-    """All replicas serving one model, plus that model's counters."""
+    """All replicas serving one model, plus its batch and scaling
+    counters (request outcomes come from the simulator's rows)."""
 
     __slots__ = (
-        "name", "network", "policy", "replicas", "latencies",
-        "offered", "served", "shed", "timed_out", "late", "failed",
-        "batch_histogram", "scale_ups", "scale_downs", "replicas_start",
-        "rr_index",
+        "name", "network", "policy", "replicas", "batch_histogram",
+        "scale_ups", "scale_downs", "replicas_start", "rr_index",
     )
 
     def __init__(
@@ -287,15 +285,6 @@ class Pool:
         self.network = network
         self.policy = policy
         self.replicas: List[Replica] = []
-        #: served-request latencies (the percentile substrate); a plain
-        #: float list keeps a million entries cheap and digest-stable.
-        self.latencies: List[float] = []
-        self.offered = 0
-        self.served = 0
-        self.shed = 0
-        self.timed_out = 0
-        self.late = 0
-        self.failed = 0
         self.batch_histogram: Dict[int, int] = {}
         self.scale_ups = 0
         self.scale_downs = 0

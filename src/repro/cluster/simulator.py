@@ -24,7 +24,10 @@ one process:
   which removes timer events entirely;
 - deadline bookkeeping mirrors serving's semantics: requests whose
   deadline passed while queued are abandoned at dispatch (``timed_out``),
-  and completions past deadline count as ``timed_out`` + ``late``.
+  and completions past deadline count as ``timed_out`` + ``late``;
+- outcomes are not counted in the loop: it logs a replica per arrival
+  and a record per dispatch, and the per-request rows, the report and
+  the timeline are rebuilt from those logs after the run.
 
 Faults: a :class:`~repro.faults.FaultScenario` applies to a
 deterministic ``fault_share`` subset of replicas, each with its own
@@ -40,8 +43,11 @@ any process; the CI gate compares digests across fresh interpreters.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.engine import EdgeNNConfig
 from ..core.plan_cache import default_plan_cache
@@ -49,10 +55,19 @@ from ..errors import ReproError
 from ..faults import FaultScenario
 from ..nn.precision import Precision
 from ..obs import NOOP_OBS, Observability
-from ..obs.timeline import TimelineArtifact, TimelineRecorder
+from ..obs.timeline import BatchSpans, TimelineArtifact, TimelineRecorder
 from ..serving.batcher import BatchPolicy
 from ..serving.report import LatencyStats
-from ..sim.engine import ArrivalSchedule, EventEngine, EventHeap
+from ..sim.engine import (
+    FAILED,
+    SERVED,
+    SHED,
+    TIMED_OUT,
+    ArrivalSchedule,
+    EventEngine,
+    EventHeap,
+    RequestRows,
+)
 from ..sim.engine.queue import EPS
 from ..sim.trace import Trace, TraceEvent
 from ..workloads.arrivals import ArrivalProcess, ClosedLoopArrivals
@@ -121,6 +136,131 @@ class ClusterConfig:
     timeline_window_s: float = 0.0
 
 
+class _FleetLog:
+    """What the fleet loop writes, and the per-request rows rebuilt
+    from it after the run.
+
+    The loop logs one replica index per arrival (-1 when shed) and one
+    record per :meth:`ClusterSimulator._try_dispatch` call that pops
+    anything: replica, instant, service total, energy and batch size (0
+    when the call only abandoned requests).  Abandoned counts and failed
+    dispatches are rare, so they are side records keyed by dispatch
+    index.  Typed arrays keep a record at 32 bytes.
+    """
+
+    __slots__ = (
+        "arrival_replica", "replica", "start_s", "total_s", "energy_j",
+        "size", "abandoned", "failed",
+    )
+
+    def __init__(self) -> None:
+        self.arrival_replica = array("i")
+        self.replica = array("i")
+        self.start_s = array("d")
+        self.total_s = array("d")
+        self.energy_j = array("d")
+        self.size = array("i")
+        #: (dispatch index, requests it abandoned in queue)
+        self.abandoned: List[Tuple[int, int]] = []
+        #: indices of the dispatches whose batch failed
+        self.failed = array("i")
+
+    def rows(
+        self, arrival_s: np.ndarray, deadline_s: Optional[float]
+    ) -> RequestRows:
+        """Rebuild the per-request rows of the run.
+
+        Each replica serves its queue in FIFO order, so a stable sort of
+        the arrival log lists each replica's arrivals in the order its
+        dispatches popped them.  Taken replica by replica, in log order,
+        the dispatches pop consecutive runs of that list: first the
+        abandoned prefix, then the batch.  Temporaries are freed as soon
+        as they are used: this runs at the run's peak memory.
+        """
+        n = len(arrival_s)
+        owner = np.frombuffer(self.arrival_replica, dtype=np.int32)
+        fifo = np.argsort(owner, kind="stable").astype(np.int32)
+        shed = fifo[:np.count_nonzero(owner < 0)]
+        take = np.frombuffer(self.size, dtype=np.int32).copy()
+        for index, count in self.abandoned:
+            take[index] += count
+        by_replica = np.argsort(
+            np.frombuffer(self.replica, dtype=np.int32), kind="stable"
+        ).astype(np.int32)
+        runs = take[by_replica]
+        # The dispatch that popped each request; shed ones point past
+        # the log, at a NaN sentinel.
+        popped_by = np.full(n, len(take), dtype=np.int32)
+        popped_by[fifo[len(shed):]] = np.repeat(by_replica, runs)
+        first = np.empty(len(take), dtype=np.int64)
+        first[by_replica] = len(shed) + np.cumsum(runs) - runs
+        abandoned = [
+            (index, fifo[first[index]:first[index] + count])
+            for index, count in self.abandoned
+        ]
+        del by_replica, runs, take, first
+
+        # Completion order of the dispatches: by end instant, ties in
+        # dispatch (heap push) order.
+        end = np.append(self.start_s, np.nan)
+        end += np.append(self.total_s, np.nan)
+        rank = np.empty(len(end), dtype=np.int32)
+        rank[np.argsort(end, kind="stable")] = np.arange(
+            len(end), dtype=np.int32
+        )
+        finish = end[popped_by]
+        del end
+        status = np.full(n, SERVED, dtype=np.int8)
+        failed = np.zeros(len(rank), dtype=bool)
+        failed[np.frombuffer(self.failed, dtype=np.int32)] = True
+        status[failed[popped_by]] = FAILED
+        del failed
+        if deadline_s is not None:
+            limit = arrival_s + deadline_s
+            limit += EPS
+            status[(finish > limit) & (status == SERVED)] = TIMED_OUT
+            del limit
+        start = np.append(self.start_s, np.nan)
+        dispatch = start[popped_by]
+        status[shed] = SHED
+        finish[shed] = arrival_s[shed]
+        for index, gone in abandoned:
+            status[gone] = TIMED_OUT
+            finish[gone] = start[index]
+            dispatch[gone] = np.nan
+        del start, abandoned, fifo, shed
+
+        # Served rows in completion order; within a batch, FIFO order
+        # is row order.
+        served = np.flatnonzero(status == SERVED).astype(np.int32)
+        key = rank[popped_by[served]]
+        del popped_by, rank
+        served = served[np.argsort(key, kind="stable")]
+        return RequestRows(arrival_s, finish, dispatch, status, served)
+
+    def batch_spans(self, classes: Dict[int, str]) -> BatchSpans:
+        """The dispatched batches, each busy on its replica's device
+        class (``classes`` maps replica index to class) for its whole
+        service time."""
+        size = np.frombuffer(self.size, dtype=np.int32)
+        sent = size > 0
+        start = np.frombuffer(self.start_s, dtype=np.float64)[sent]
+        total = np.frombuffer(self.total_s, dtype=np.float64)[sent]
+        replica = np.frombuffer(self.replica, dtype=np.int32)[sent]
+        busy: Dict[str, np.ndarray] = {}
+        for idx, name in classes.items():
+            lane = busy.setdefault(name, np.zeros(len(total)))
+            mine = replica == idx
+            lane[mine] = total[mine]
+        return BatchSpans(
+            start_s=start,
+            end_s=start + total,
+            size=size[sent],
+            energy_j=np.frombuffer(self.energy_j, dtype=np.float64)[sent],
+            busy_s=busy,
+        )
+
+
 class ClusterSimulator:
     """Discrete-event loop over a fleet of replicas and a router tier."""
 
@@ -178,15 +318,13 @@ class ClusterSimulator:
         #: windowed telemetry of the last run (None unless
         #: ``config.timeline_window_s`` > 0).
         self.timeline: Optional[TimelineArtifact] = None
-        #: recorder calls the last run made, total and by hook
-        #: name (feeds the analytic overhead bench).
-        self.timeline_ops: int = 0
-        self.timeline_op_counts: Dict[str, int] = {}
         #: fleet batch-slice trace of the last run (None unless the
         #: observability bundle is enabled) — feeds the Perfetto export.
         self.trace: Optional[Trace] = None
-        # Recorder shared between run() and _try_dispatch().
-        self._tl: Optional[TimelineRecorder] = None
+        #: per-request rows of the last run (None before one).
+        self._rows: Optional[RequestRows] = None
+        # The log the loop writes during run(), rebuilt into rows after.
+        self._log = _FleetLog()
 
     def _horizon_s(self) -> float:
         return max(
@@ -233,42 +371,55 @@ class ClusterSimulator:
         heap: EventHeap,
     ) -> None:
         """Dispatch one batch if the device is free."""
-        if replica.busy_until > now + EPS or not replica.queue:
+        queue = replica.queue
+        if replica.busy_until > now + EPS or not queue:
             return
+        log = self._log
+        scaler = self.autoscaler
         deadline = pool.policy.deadline_s
-        batch: List[float] = []
-        abandoned = 0
-        while replica.queue and len(batch) < pool.policy.max_batch_size:
-            arrival = replica.queue.popleft()
-            if deadline is not None and now > (arrival + deadline) + EPS:
-                # Abandoned in queue: the client gave up before we got
-                # to it — device time is not spent on it.
-                pool.timed_out += 1
+        if deadline is not None and now > (queue[0] + deadline) + EPS:
+            # Abandoned in queue: the client gave up before we got to
+            # it — device time is not spent on it.  Arrivals are FIFO
+            # under one deadline offset, so the expired ones are a
+            # prefix.
+            abandoned = 0
+            while queue and now > (queue[0] + deadline) + EPS:
+                queue.popleft()
                 abandoned += 1
-                if self.autoscaler is not None:
-                    self.autoscaler.observe_miss(pool)
-                continue
-            batch.append(arrival)
+            log.abandoned.append((len(log.size), abandoned))
+            if scaler is not None:
+                for _ in range(abandoned):
+                    scaler.observe_miss(pool)
         replica.version += 1
-        tl = self._tl
-        if tl is not None and abandoned:
-            tl.record_timed_out(now, abandoned)
-        if not batch:
+        size = min(len(queue), pool.policy.max_batch_size)
+        log.replica.append(replica.idx)
+        log.start_s.append(now)
+        log.size.append(size)
+        if not size:
+            log.total_s.append(0.0)
+            log.energy_j.append(0.0)
             return
-        size = len(batch)
+        # The autoscaler needs the arrivals back at completion, to count
+        # late responses; otherwise nothing per request is kept.
+        batch: Optional[Tuple[float, ...]] = None
+        if scaler is not None:
+            batch = tuple(queue.popleft() for _ in range(size))
+        elif size == len(queue):
+            queue.clear()
+        else:
+            for _ in range(size):
+                queue.popleft()
         svc, failed = self._batch_service(replica, size, now)
+        log.total_s.append(svc.total_s)
+        log.energy_j.append(svc.energy_j)
+        if failed:
+            log.failed.append(len(log.size) - 1)
         end = now + svc.total_s
         replica.busy_until = end
         replica.busy_s += svc.total_s
         replica.energy_j += svc.energy_j
         replica.batches += 1
         pool.batch_histogram[size] = pool.batch_histogram.get(size, 0) + 1
-        if tl is not None:
-            tl.record_batch(
-                now, end, size,
-                busy=((base_device_name(replica.spec.name), svc.total_s),),
-                energy_j=svc.energy_j,
-            )
         if self.trace is not None:
             self.trace.add(TraceEvent(
                 resource=replica.name,
@@ -277,7 +428,7 @@ class ClusterSimulator:
                 end_s=end,
                 category="batch",
             ))
-        heap.push(end, _COMPLETION, (replica, tuple(batch), failed))
+        heap.push(end, _COMPLETION, (replica, batch, failed))
 
     def _retire_if_drained(self, replica: Replica, now: float) -> None:
         if (
@@ -296,22 +447,9 @@ class ClusterSimulator:
         cfg = self._config
         cache = default_plan_cache()
         cache_before = cache.stats()
-        tl: Optional[TimelineRecorder] = None
-        if cfg.timeline_window_s > 0.0:
-            tl = TimelineRecorder(
-                cfg.timeline_window_s,
-                source=f"cluster:{cfg.router}",
-                meta={
-                    "seed": str(cfg.seed),
-                    "tenants": ",".join(
-                        sorted(t.tenant_name for t in self._tenants)
-                    ),
-                },
-            )
-        self._tl = tl
         self.timeline = None
-        self.timeline_ops = 0
-        self.timeline_op_counts = {}
+        self._rows = None
+        log = self._log = _FleetLog()
         self.trace = Trace() if self._obs.enabled else None
         # The shared event core merges all tenants' arrival epochs
         # (concatenate, then a stable argsort if out of order; the same
@@ -322,10 +460,7 @@ class ClusterSimulator:
         )
         heap = EventHeap()
         engine = EventEngine(schedule, heap)
-        if tl is not None:
-            # The whole arrival stream is known up front — one bulk
-            # call instead of one recorder call per request.
-            tl.record_offered_bulk(schedule.times)
+        served_by = log.arrival_replica
         pools_of_tenant: List[Pool] = [
             self._pools[t.network] for t in self._tenants
         ]
@@ -367,7 +502,6 @@ class ClusterSimulator:
         def on_arrival(now: float, tenant_index: int) -> None:
             pool = pools_of_tenant[tenant_index]
             router = self.routers[pool.name]
-            pool.offered += 1
             replica = router.choose(now, tenant_names[tenant_index])
             if (
                 replica is None
@@ -376,10 +510,9 @@ class ClusterSimulator:
                 # Admission control: the routing tier sheds what the
                 # chosen backend cannot queue — same accounting as
                 # the single-device service's bounded queues.
-                pool.shed += 1
-                if tl is not None:
-                    tl.record_shed(now)
+                served_by.append(-1)
                 return
+            served_by.append(replica.idx)
             replica.queue.append(now)
             replica.version += 1
             if scaler is not None:
@@ -391,34 +524,12 @@ class ClusterSimulator:
             replica, batch, failed = payload
             pool = self._pools[replica.pool_name]
             deadline = pool.policy.deadline_s
-            lat_before = len(pool.latencies) if tl is not None else 0
-            for arrival in batch:
-                if failed:
-                    pool.failed += 1
-                    replica.failed += 1
-                elif (
-                    deadline is not None
-                    and now > (arrival + deadline) + EPS
-                ):
-                    # Completed, but past deadline: late response.
-                    pool.timed_out += 1
-                    pool.late += 1
-                    if scaler is not None:
+            if batch is not None and not failed and deadline is not None:
+                # Completed, but past deadline: a late response, which
+                # the autoscaler counts as a miss.
+                for arrival in batch:
+                    if now > (arrival + deadline) + EPS:
                         scaler.observe_miss(pool)
-                else:
-                    pool.served += 1
-                    replica.served += 1
-                    pool.latencies.append(now - arrival)
-            if tl is not None:
-                if failed:
-                    tl.record_failed(now, len(batch))
-                else:
-                    served_now = pool.latencies[lat_before:]
-                    if served_now:
-                        tl.record_served(now, served_now)
-                    late_n = len(batch) - len(served_now)
-                    if late_n:
-                        tl.record_timed_out(now, late_n, late=True)
             replica.version += 1
             self._try_dispatch(replica, pool, now, heap)
             self._retire_if_drained(replica, now)
@@ -438,10 +549,24 @@ class ClusterSimulator:
             [r.busy_until for p in self.fleet.pools for r in p.replicas]
             or [0.0]
         ))
-        if tl is not None:
-            self.timeline_op_counts = tl.op_counts
-            self.timeline_ops = tl.ops
-            self.timeline = tl.finish(
+        rows = self._rows = log.rows(
+            schedule.times, self.fleet.policy.deadline_s
+        )
+        if cfg.timeline_window_s > 0.0:
+            recorder = TimelineRecorder(
+                cfg.timeline_window_s,
+                source=f"cluster:{cfg.router}",
+                meta={
+                    "seed": str(cfg.seed),
+                    "tenants": ",".join(sorted(tenant_names)),
+                },
+            )
+            self.timeline = recorder.finish(
+                rows,
+                log.batch_spans({
+                    r.idx: base_device_name(r.spec.name)
+                    for p in self.fleet.pools for r in p.replicas
+                }),
                 horizon_s=horizon,
                 makespan_s=makespan,
                 capacity={
@@ -449,23 +574,49 @@ class ClusterSimulator:
                     for name, count in self.fleet.device_counts().items()
                 },
             )
-            self._tl = None
+        # Free the dispatch log before the report's temporaries.
+        self._log = _FleetLog()
+        del log
         cache_delta = cache.stats().delta(cache_before)
         return self._build_report(
-            makespan, horizon, peak, pool_peak, cache_delta
+            rows, schedule.owners, np.frombuffer(served_by, dtype=np.int32),
+            makespan, horizon, peak, pool_peak, cache_delta,
         )
 
     # -- report assembly --------------------------------------------------
 
     def _build_report(
-        self, makespan, horizon, peak, pool_peak, cache_delta
+        self, rows, tenant, routed_to, makespan, horizon, peak, pool_peak,
+        cache_delta,
     ) -> ClusterReport:
+        """Assemble the report; every outcome count and latency sample
+        comes from the rows, with each request's ``tenant`` index and
+        the index of the replica it was ``routed_to`` (-1: shed)."""
         cfg = self._config
+        pools = self.fleet.pools
+        index = {pool.name: k for k, pool in enumerate(pools)}
+        pool_of = np.array(
+            [index[t.network] for t in self._tenants], dtype=np.int32
+        )[tenant]
+        status = rows.status
+        late = (status == TIMED_OUT) & ~np.isnan(rows.dispatch_s)
+        size = max(r.idx for p in pools for r in p.replicas) + 1
+        served_at = np.bincount(routed_to[status == SERVED], minlength=size)
+        failed_at = np.bincount(routed_to[status == FAILED], minlength=size)
+        # Served latencies pool by pool, each in completion order.
+        served_pool = pool_of[rows.served]
+        ends = np.cumsum(np.bincount(served_pool, minlength=len(pools)))
+        by_pool = rows.served[np.argsort(served_pool, kind="stable")]
+        del served_pool
+        latencies = rows.finish_s[by_pool] - rows.arrival_s[by_pool]
+        del by_pool
         pool_stats: List[PoolStats] = []
         replica_stats: List[ReplicaStats] = []
-        all_latencies: List[float] = []
         by_device: Dict[str, List[float]] = {}
-        for pool in self.fleet.pools:
+        for k, pool in enumerate(pools):
+            mine = pool_of == k
+            codes = np.bincount(status[mine], minlength=FAILED + 1)
+            served = int(codes[SERVED])
             pool_stats.append(
                 PoolStats(
                     name=pool.name,
@@ -475,20 +626,21 @@ class ClusterSimulator:
                         1 for r in pool.replicas if r.active
                     ),
                     replicas_peak=pool_peak[pool.name],
-                    offered=pool.offered,
-                    served=pool.served,
-                    shed=pool.shed,
-                    timed_out=pool.timed_out,
-                    late=pool.late,
-                    failed=pool.failed,
-                    latency=LatencyStats.from_latencies(pool.latencies),
+                    offered=int(np.count_nonzero(mine)),
+                    served=served,
+                    shed=int(codes[SHED]),
+                    timed_out=int(codes[TIMED_OUT]),
+                    late=int(np.count_nonzero(late & mine)),
+                    failed=int(codes[FAILED]),
+                    latency=LatencyStats.from_latencies(
+                        latencies[ends[k] - served:ends[k]]
+                    ),
                     batch_histogram=dict(pool.batch_histogram),
                     energy_j=pool.energy_j,
                     scale_ups=pool.scale_ups,
                     scale_downs=pool.scale_downs,
                 )
             )
-            all_latencies.extend(pool.latencies)
             for replica in pool.replicas:
                 base = base_device_name(replica.spec.name)
                 utilization = replica.utilization(makespan)
@@ -497,8 +649,8 @@ class ClusterSimulator:
                     ReplicaStats(
                         name=replica.name,
                         device=replica.spec.name,
-                        served=replica.served,
-                        failed=replica.failed,
+                        served=int(served_at[replica.idx]),
+                        failed=int(failed_at[replica.idx]),
                         batches=replica.batches,
                         busy_s=replica.busy_s,
                         energy_j=replica.energy_j,
@@ -522,7 +674,7 @@ class ClusterSimulator:
             timed_out=sum(p.timed_out for p in pool_stats),
             late=sum(p.late for p in pool_stats),
             failed=sum(p.failed for p in pool_stats),
-            latency=LatencyStats.from_latencies(all_latencies),
+            latency=LatencyStats.from_latencies(latencies),
             energy_j=sum(p.energy_j for p in pool_stats),
             replicas_start=sum(p.replicas_start for p in pool_stats),
             replicas_end=sum(p.replicas_end for p in pool_stats),

@@ -5,15 +5,12 @@ that degrades steadily from one that loses a whole thermal window — the
 numbers are identical.  This module makes the *time axis* a first-class
 observability surface:
 
-* :class:`TimelineRecorder` — append-only event buffers the simulators
-  feed from their event loops.  Every ``record_*`` hook is an O(1)
-  list append (no window arithmetic, no per-request objects on the hot
-  path; arrival streams known up front go in via one
-  :meth:`~TimelineRecorder.record_offered_bulk` numpy call).  All
-  binning happens once, vectorized, in
-  :meth:`TimelineRecorder.finish` — including the queue-depth curve,
-  which is *derived* from admit/leave events instead of being recorded
-  per event, so telemetry adds zero depth hooks to the loops.
+* :class:`TimelineRecorder` — one vectorized pass, after the run, over
+  the per-request rows (:class:`~repro.sim.engine.RequestRows`) and the
+  batch log (:class:`BatchSpans`) both simulators keep anyway.  The
+  event loops make no telemetry calls at all; even the queue-depth
+  curve is *derived*, from each request's arrival and the instant it
+  left its queue.
 * a deterministic fixed-bucket latency sketch per window (bisect into a
   shared bound ladder + overflow count and exact max), from which the
   per-window p50/p95/p99 series and SLO exceedance fractions derive.
@@ -36,26 +33,23 @@ bans wall-clock reads in this file.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import pathlib
 from bisect import bisect_left
-from array import array
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ReproError
+from ..sim.engine.table import (
+    FAILED,
+    REJECTED,
+    SERVED,
+    SHED,
+    TIMED_OUT,
+    RequestRows,
+)
 from ..units import MEGA
 from .provenance import AlertRecord
 
@@ -119,47 +113,32 @@ def _widx(times: np.ndarray, window_s: float, n: int) -> np.ndarray:
     return np.minimum(idx, n - 1)
 
 
-def _counted(
-    simple: "array", pairs: Sequence[Tuple[float, int]]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge the unit-count fast-path buffer (a typed ``array('d')``,
-    viewed zero-copy) with the (t, n) slow path into parallel
-    (times, counts) arrays."""
-    t = np.frombuffer(simple, dtype=np.float64)
-    k = np.ones(t.shape[0], dtype=np.float64)
-    if pairs:
-        pt, pk = zip(*pairs)
-        t = np.concatenate([t, np.asarray(pt, dtype=np.float64)])
-        k = np.concatenate([k, np.asarray(pk, dtype=np.float64)])
-    return t, k
+@dataclass(frozen=True)
+class BatchSpans:
+    """Dispatched batches in dispatch order, one entry per batch: the
+    per-batch input of :meth:`TimelineRecorder.finish`."""
+
+    start_s: np.ndarray
+    end_s: np.ndarray
+    size: np.ndarray
+    energy_j: np.ndarray
+    #: device class -> busy seconds of each batch on that class
+    busy_s: Mapping[str, np.ndarray] = field(default_factory=dict)
 
 
 class TimelineRecorder:
-    """Append-only telemetry buffers + one vectorized windowing pass.
+    """One vectorized windowing pass over a finished run.
 
-    Every ``record_*`` hook is an O(1) list append — no window
-    arithmetic, no per-request objects, nothing but tuple construction
-    on the simulators' hot paths.  Binning, the latency sketch, busy /
-    energy span spreading, and the queue-depth curve are all computed
-    once in :meth:`finish` with numpy.  Queue depth is *derived* there
-    from admit/leave events (offered/shed/rejected in, batch dispatch /
-    queue abandonment out), so the loops carry no dedicated depth hook.
-
-    ``ops`` counts every hook invocation (derived from the buffer
-    lengths, so the hooks pay nothing for it) — the analytic overhead
-    guard in ``bench_obs_overhead.py`` charges each op at a measured
-    per-append rate plus the one-shot measured :meth:`finish` cost.
+    Nothing is recorded while a simulator runs.  :meth:`finish` derives
+    every series after the run from the per-request rows and the batch
+    log: outcomes bin at each request's finish instant, and the
+    queue-depth curve steps +1 at each arrival and -1 where the request
+    left its queue (its dispatch, or its finish if it was never
+    dispatched).  It keeps the name ``TimelineRecorder`` because the
+    end-to-end benchmark's tracer times :meth:`finish` by that name.
     """
 
-    __slots__ = (
-        "window_s", "source", "meta", "_bounds", "_nb",
-        "_offered_bulk", "_offered_t", "_offered_tn",
-        "_shed_bulk", "_shed_t", "_shed_tn",
-        "_rejected_t", "_rejected_tn",
-        "_failed", "_timeouts",
-        "_served_t", "_served_n", "_lat",
-        "_batches",
-    )
+    __slots__ = ("window_s", "source", "meta", "_bounds", "_nb")
 
     def __init__(
         self,
@@ -183,131 +162,6 @@ class TimelineRecorder:
         self.meta: Dict[str, str] = dict(meta or {})
         self._bounds = ordered
         self._nb = len(ordered)
-        # Unit-count events split into a typed-buffer fast path (zero-
-        # copy ``np.frombuffer`` at finish) and a rare (t, n) slow path.
-        self._offered_bulk: List[np.ndarray] = []
-        self._offered_t = array("d")
-        self._offered_tn: List[Tuple[float, int]] = []
-        self._shed_bulk: List[np.ndarray] = []
-        self._shed_t = array("d")
-        self._shed_tn: List[Tuple[float, int]] = []
-        self._rejected_t = array("d")
-        self._rejected_tn: List[Tuple[float, int]] = []
-        #: (t, n, from_queue) — from_queue=True means the requests left
-        #: the queue at t (fail-fast), so they count as depth leaves.
-        self._failed: List[Tuple[float, int, bool]] = []
-        #: (t, n, late) — late=True marks completed-but-late responses
-        #: (already out of the queue); late=False is queue abandonment.
-        self._timeouts: List[Tuple[float, int, bool]] = []
-        self._served_t = array("d")
-        self._served_n = array("q")
-        #: one latency chunk per record_served() call — flattened at
-        #: finish(); a ~50ns list append beats array.extend() ~10x on
-        #: the hot path.
-        self._lat: List[Tuple[float, ...]] = []
-        #: (start_s, end_s, size, energy_j, busy) per dispatched batch;
-        #: ``busy`` stays the caller's ((device_class, busy_s), ...)
-        #: tuple — it is unpacked per device class at finish(), not on
-        #: the hot path.
-        self._batches: List[
-            Tuple[float, float, int, float, Tuple]
-        ] = []
-
-    @property
-    def op_counts(self) -> Dict[str, int]:
-        """Public hook invocations so far by hook name, derived from
-        the buffer lengths (every hook appends to exactly one buffer).
-        Feeds the per-op analytic charging in the overhead guard."""
-        return {
-            "offered": len(self._offered_t) + len(self._offered_tn)
-            + len(self._offered_bulk),
-            "shed": len(self._shed_t) + len(self._shed_tn)
-            + len(self._shed_bulk),
-            "rejected": len(self._rejected_t) + len(self._rejected_tn),
-            "failed": len(self._failed),
-            "timed_out": len(self._timeouts),
-            "served": len(self._served_t),
-            "batch": len(self._batches),
-        }
-
-    @property
-    def ops(self) -> int:
-        """Total public hook invocations so far."""
-        return sum(self.op_counts.values())
-
-    # -- recording hooks (one append per event-loop site) -----------------
-
-    def record_offered(self, t: float, n: int = 1) -> None:
-        if n == 1:
-            self._offered_t.append(t)
-        else:
-            self._offered_tn.append((t, n))
-
-    def record_offered_bulk(self, times_s: Sequence[float]) -> None:
-        """Record a whole arrival stream in one call (the cluster loop
-        knows every arrival time up front as a numpy array)."""
-        arr = np.asarray(times_s, dtype=np.float64)
-        if arr.size:
-            self._offered_bulk.append(arr)
-
-    def record_shed(self, t: float, n: int = 1) -> None:
-        if n == 1:
-            self._shed_t.append(t)
-        else:
-            self._shed_tn.append((t, n))
-
-    def record_shed_bulk(self, times_s: Sequence[float]) -> None:
-        """Record one shed request per timestamp in a single call (the
-        engine's bulk-admission path sheds whole index spans at once)."""
-        arr = np.asarray(times_s, dtype=np.float64)
-        if arr.size:
-            self._shed_bulk.append(arr)
-
-    def record_rejected(self, t: float, n: int = 1) -> None:
-        if n == 1:
-            self._rejected_t.append(t)
-        else:
-            self._rejected_tn.append((t, n))
-
-    def record_failed(
-        self, t: float, n: int = 1, *, from_queue: bool = False
-    ) -> None:
-        """Failed requests; ``from_queue=True`` marks requests failed
-        straight out of the queue (fail-fast) rather than after a
-        dispatched batch — they count as queue leaves at ``t``."""
-        self._failed.append((t, n, from_queue))
-
-    def record_timed_out(
-        self, t: float, n: int = 1, *, late: bool = False
-    ) -> None:
-        """Deadline misses; ``late=True`` marks completed-but-late
-        responses (a subset of ``timed_out``, mirroring the reports);
-        ``late=False`` is queue abandonment (a depth leave at ``t``)."""
-        self._timeouts.append((t, n, late))
-
-    def record_served(
-        self, t: float, latencies_s: Sequence[float]
-    ) -> None:
-        """Bulk-record one completion's served latencies (seconds)."""
-        self._lat.append(tuple(latencies_s))
-        self._served_t.append(t)
-        self._served_n.append(len(latencies_s))
-
-    def record_batch(
-        self,
-        start_s: float,
-        end_s: float,
-        size: int,
-        *,
-        busy: Tuple = (),
-        energy_j: float = 0.0,
-    ) -> None:
-        """One dispatched batch.  ``busy`` is ``((device_class,
-        busy_seconds), ...)``; busy time and energy are spread over
-        [start, end) proportionally to window overlap at finish()."""
-        self._batches.append((start_s, end_s, size, energy_j, busy))
-
-    # -- finalization -----------------------------------------------------
 
     def _spread(
         self,
@@ -344,91 +198,40 @@ class TimelineRecorder:
 
     def finish(
         self,
+        rows: RequestRows,
+        batches: BatchSpans,
         *,
         horizon_s: float,
         makespan_s: float,
         capacity: Optional[Mapping[str, float]] = None,
     ) -> "TimelineArtifact":
-        """Bin every buffered event and materialize the dense artifact.
+        """Bin a finished run's rows and batches into the dense artifact.
 
         ``capacity`` maps device classes to concurrent-unit counts (one
         integrated device: ``{"cpu": 1, "gpu": 1}``; a fleet: replicas
         per base device) and normalizes busy seconds into utilization.
-        Reads the buffers without consuming them, so it can be called
+        Reads its inputs without changing them, so it can be called
         (and timed) repeatedly.
         """
         w = self.window_s
         nb = self._nb
+        arrival = rows.arrival_s
+        ended = rows.status >= SERVED
+        finish = rows.finish_s[ended]
+        code = rows.status[ended].astype(np.int64)
+        b_st = batches.start_s
+        b_sz = np.asarray(batches.size, dtype=np.float64)
 
-        off_t, off_n = _counted(self._offered_t, self._offered_tn)
-        if self._offered_bulk:
-            bulk = np.concatenate(self._offered_bulk)
-            off_t = np.concatenate([bulk, off_t])
-            off_n = np.concatenate(
-                [np.ones(bulk.shape[0], dtype=np.float64), off_n]
-            )
-        shed_t, shed_n = _counted(self._shed_t, self._shed_tn)
-        if self._shed_bulk:
-            sbulk = np.concatenate(self._shed_bulk)
-            shed_t = np.concatenate([sbulk, shed_t])
-            shed_n = np.concatenate(
-                [np.ones(sbulk.shape[0], dtype=np.float64), shed_n]
-            )
-        rej_t, rej_n = _counted(self._rejected_t, self._rejected_tn)
-        if self._failed:
-            f_t_l, f_n_l, f_q_l = zip(*self._failed)
-            f_t = np.asarray(f_t_l, dtype=np.float64)
-            f_n = np.asarray(f_n_l, dtype=np.float64)
-            f_q = np.asarray(f_q_l, dtype=bool)
-        else:
-            f_t = np.empty(0)
-            f_n = np.empty(0)
-            f_q = np.empty(0, dtype=bool)
-        if self._timeouts:
-            to_t_l, to_n_l, to_late_l = zip(*self._timeouts)
-            to_t = np.asarray(to_t_l, dtype=np.float64)
-            to_n = np.asarray(to_n_l, dtype=np.float64)
-            to_late = np.asarray(to_late_l, dtype=bool)
-        else:
-            to_t = np.empty(0)
-            to_n = np.empty(0)
-            to_late = np.empty(0, dtype=bool)
-        s_t = np.frombuffer(self._served_t, dtype=np.float64)
-        s_n = np.frombuffer(self._served_n, dtype=np.int64)
-        busy_spans: Dict[str, List[Tuple[float, float, float]]] = {}
-        if self._batches:
-            b_st_l, b_en_l, b_sz_l, b_ej_l, b_busy_l = zip(*self._batches)
-            b_st = np.asarray(b_st_l, dtype=np.float64)
-            b_en = np.asarray(b_en_l, dtype=np.float64)
-            b_sz = np.asarray(b_sz_l, dtype=np.float64)
-            b_ej = np.asarray(b_ej_l, dtype=np.float64)
-            for start, end, spans in zip(b_st_l, b_en_l, b_busy_l):
-                for name, busy_s in spans:
-                    busy_spans.setdefault(name, []).append(
-                        (start, end, busy_s)
-                    )
-        else:
-            b_st = np.empty(0)
-            b_en = np.empty(0)
-            b_sz = np.empty(0)
-            b_ej = np.empty(0)
-
-        # One fused pass over every timestamped stream: validate the
-        # time range, bin once, and bincount all count series together
-        # (numpy's fixed per-call dispatch cost dominates at telemetry
-        # volumes, so fewer/larger array ops is the whole game here).
-        streams = (off_t, shed_t, rej_t, f_t, to_t, s_t, b_st)
-        lengths = [arr.size for arr in streams]
-        all_t = np.concatenate(streams)
         t_max = 0.0
-        if all_t.size:
-            lo = float(all_t.min())
+        present = [t for t in (arrival, finish, b_st) if t.size]
+        if present:
+            lo = min(float(t.min()) for t in present)
             if lo < 0.0:
                 raise ReproError(
                     f"timeline event at t={lo} precedes the virtual "
                     f"clock origin; timestamps must be >= 0"
                 )
-            t_max = float(all_t.max())
+            t_max = max(float(t.max()) for t in present)
 
         span = max(makespan_s, horizon_s)
         n = max(
@@ -437,38 +240,31 @@ class TimelineRecorder:
             1,
         )
 
-        widx_all = _widx(all_t, w, n)
-        all_w = np.concatenate(
-            [off_n, shed_n, rej_n, f_n, to_n, s_n,
-             np.ones(b_st.size, dtype=np.float64)]
-        )
-        sid = np.repeat(np.arange(len(streams)), lengths)
-        fused = np.bincount(
-            sid * n + widx_all, weights=all_w,
-            minlength=len(streams) * n,
-        ).reshape(len(streams), n).astype(np.int64)
-        offered, shed, rejected, failed, timed_out, served, batches = fused
-        offsets = np.cumsum([0] + lengths)
-        to_widx = widx_all[offsets[4]:offsets[5]]
-        s_widx = widx_all[offsets[5]:offsets[6]]
-        b_widx = widx_all[offsets[6]:offsets[7]]
-        late = np.zeros(n, dtype=np.int64)
-        if to_t.size:
-            late = np.bincount(
-                to_widx[to_late], weights=to_n[to_late], minlength=n
-            ).astype(np.int64)
+        # Every outcome bins at the instant the request finished; late
+        # responses are the timed-out rows that were dispatched.
+        f_widx = _widx(finish, w, n)
+        by_code = np.bincount(
+            code * n + f_widx, minlength=(REJECTED + 1) * n
+        ).reshape(REJECTED + 1, n)
+        served = by_code[SERVED]
+        late_rows = (code == TIMED_OUT) & ~np.isnan(rows.dispatch_s[ended])
+        late = np.bincount(f_widx[late_rows], minlength=n)
+        b_widx = _widx(b_st, w, n)
+        batch_n = np.bincount(b_widx, minlength=n)
 
         series: Dict[str, List[float]] = {}
-        series["offered"] = offered.tolist()
+        series["offered"] = np.bincount(
+            _widx(arrival, w, n), minlength=n
+        ).tolist()
         series["served"] = served.tolist()
-        series["shed"] = shed.tolist()
-        series["timed_out"] = timed_out.tolist()
+        series["shed"] = by_code[SHED].tolist()
+        series["timed_out"] = by_code[TIMED_OUT].tolist()
         series["late"] = late.tolist()
-        series["failed"] = failed.tolist()
-        series["rejected"] = rejected.tolist()
+        series["failed"] = by_code[FAILED].tolist()
+        series["rejected"] = by_code[REJECTED].tolist()
 
         # Batch series, binned at dispatch time.
-        series["batches"] = batches.tolist()
+        series["batches"] = batch_n.tolist()
         size_sum = np.zeros(n)
         size_max = np.zeros(n)
         if b_st.size:
@@ -476,29 +272,29 @@ class TimelineRecorder:
             np.maximum.at(size_max, b_widx, b_sz)
         series["batch_size_mean"] = [
             float(s / c) if c else 0.0
-            for s, c in zip(size_sum, batches)
+            for s, c in zip(size_sum, batch_n)
         ]
         series["batch_size_max"] = np.rint(size_max).astype(
             np.int64
         ).tolist()
 
-        # Queue depth, derived from admit/leave deltas: arrivals enter
-        # (minus shed/rejected, which never admit), dispatched batches,
-        # queue abandons, and fail-fast failures leave.
-        delta_t = np.concatenate([
-            off_t, shed_t, rej_t, f_t[f_q], to_t[~to_late], b_st,
-        ])
-        delta_v = np.concatenate([
-            off_n, -shed_n, -rej_n, -f_n[f_q], -to_n[~to_late], -b_sz,
-        ])
+        # Queue depth: +1 at each arrival, -1 where the request left
+        # its queue — at dispatch, or at finish if never dispatched.
+        left = np.where(
+            np.isnan(rows.dispatch_s), rows.finish_s, rows.dispatch_s
+        )
+        left = left[~np.isnan(left)]
+        delta_t = np.concatenate([arrival, left])
+        delta_v = np.concatenate(
+            [np.ones(arrival.size), np.full(left.size, -1.0)]
+        )
         depth_mean = np.zeros(n)
         depth_max = np.zeros(n)
         if delta_t.size:
             uniq, inv = np.unique(delta_t, return_inverse=True)
             net = np.bincount(inv, weights=delta_v)
-            # Clamp: simulators that only record a subset of the event
-            # kinds (or tests feeding partial streams) must not push
-            # the derived curve negative.
+            # Clamp: rows that leave before they arrive (hand-built
+            # test inputs) must not push the derived curve negative.
             depth_lvl = np.maximum(np.cumsum(net), 0.0)
             knots = np.append(uniq, max(float(span), float(uniq[-1])))
             integral = np.concatenate(
@@ -520,15 +316,15 @@ class TimelineRecorder:
             np.int64
         ).tolist()
 
-        # Latency sketch: one flat histogram over (window, bucket).
-        lat = np.fromiter(
-            itertools.chain.from_iterable(self._lat), dtype=np.float64
-        )
+        # Latency sketch: one flat histogram over (window, bucket).  The
+        # sums add in completion order.
+        s_finish = rows.finish_s[rows.served]
+        lat = s_finish - arrival[rows.served]
         lat_counts_2d = np.zeros((n, nb + 1), dtype=np.int64)
         lat_sum = np.zeros(n)
         lat_max = np.zeros(n)
         if lat.size:
-            lw = np.repeat(s_widx, s_n)
+            lw = _widx(s_finish, w, n)
             bidx = np.searchsorted(
                 np.asarray(self._bounds), lat, side="left"
             )
@@ -559,26 +355,20 @@ class TimelineRecorder:
 
         # Energy and per-class busy seconds, spread over span overlap.
         energy = np.zeros(n)
-        if b_st.size:
-            self._spread(energy, b_st, b_en, b_ej, n)
-        series["energy_j"] = energy.tolist()
         caps = dict(capacity or {})
-        utilization: Dict[str, List[float]] = {}
         lanes: Dict[str, np.ndarray] = {
             name: np.zeros(n) for name in caps
         }
-        for name in sorted(busy_spans):
-            cols = list(zip(*busy_spans[name]))
-            lane = lanes.get(name)
-            if lane is None:
-                lane = lanes[name] = np.zeros(n)
-            self._spread(
-                lane,
-                np.asarray(cols[0], dtype=np.float64),
-                np.asarray(cols[1], dtype=np.float64),
-                np.asarray(cols[2], dtype=np.float64),
-                n,
-            )
+        if b_st.size:
+            b_en = batches.end_s
+            self._spread(energy, b_st, b_en, batches.energy_j, n)
+            for name in sorted(batches.busy_s):
+                lane = lanes.get(name)
+                if lane is None:
+                    lane = lanes[name] = np.zeros(n)
+                self._spread(lane, b_st, b_en, batches.busy_s[name], n)
+        series["energy_j"] = energy.tolist()
+        utilization: Dict[str, List[float]] = {}
         for name in sorted(lanes):
             cap = max(caps.get(name, 1.0), 1e-12)
             utilization[name] = [
@@ -1191,7 +981,7 @@ class SloMonitor:
     """Evaluates declarative objectives over a finished timeline.
 
     Post-run evaluation keeps the simulators' hot loops untouched: the
-    recorder already holds everything the burn computation needs, so
+    finished artifact holds everything the burn computation needs, so
     alerting adds zero per-event cost.
     """
 
@@ -1329,31 +1119,10 @@ def _trailing_mean(
     return total / weight if weight > 0.0 else 0.0
 
 
-#: Callable registry of derived metrics (documentation + CLI listing).
-METRIC_HELP: Dict[str, str] = {
-    "goodput_rps": "served requests per second",
-    "throughput_rps": "served + late responses per second",
-    "goodput_ratio": "served / terminal outcomes",
-    "shed_rate": "shed / terminal outcomes",
-    "miss_rate": "timed out / terminal outcomes",
-    "error_rate": "(failed + rejected) / terminal outcomes",
-    "queue_depth_mean": "time-weighted queue depth",
-    "queue_depth_max": "peak queue depth",
-    "batch_size_mean": "mean dispatched batch size",
-    "p50_ms": "windowed latency median (sketch)",
-    "p95_ms": "windowed latency p95 (sketch)",
-    "p99_ms": "windowed latency p99 (sketch)",
-    "energy_j": "energy drawn in the window",
-}
-
-_MetricFn = Callable[[TimelineArtifact], List[float]]
-_Number = Union[int, float]
-
-
 __all__ = [
+    "BatchSpans",
     "BurnRateRule",
     "DiffTolerances",
-    "METRIC_HELP",
     "SKETCH_BOUNDS_S",
     "SloAlert",
     "SloMonitor",

@@ -64,6 +64,7 @@ from ..nn.precision import Precision
 from ..obs import NOOP_OBS, Observability
 from ..obs.metrics import DEFAULT_BUCKETS, SIZE_BUCKETS
 from ..obs.timeline import (
+    BatchSpans,
     BurnRateRule,
     SloMonitor,
     SloObjective,
@@ -77,6 +78,7 @@ from ..sim.engine import (
     EventEngine,
     EventHeap,
     IndexQueue,
+    RequestRows,
     RequestTable,
 )
 from ..sim.engine import (
@@ -188,8 +190,8 @@ class BatchServiceTime:
 
 
 #: One dispatched batch: (tenant, size, start, total incl. retry delay,
-#: retry delay, CPU busy, GPU busy).
-BatchLogEntry = Tuple[str, int, float, float, float, float, float]
+#: retry delay, CPU busy, GPU busy, energy).
+BatchLogEntry = Tuple[str, int, float, float, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -449,10 +451,6 @@ class ServingSimulator:
         #: windowed telemetry of the last run (None unless
         #: ``config.timeline_window_s`` > 0).
         self.timeline: Optional[TimelineArtifact] = None
-        #: recorder calls the last run made, total and by hook
-        #: name (feeds the analytic overhead bench).
-        self.timeline_ops: int = 0
-        self.timeline_op_counts: Dict[str, int] = {}
         #: SLO evaluation of the last run (None unless ``config.slos``).
         self.slo_report: Optional[SloReport] = None
 
@@ -490,7 +488,7 @@ class ServingSimulator:
         :class:`~repro.sim.timeline.Timeline`."""
         if self._trace is None and self._batch_log is not None:
             timeline = Timeline((DEVICE, CPU, GPU, COPY))
-            for tenant, size, now, total, delay, cpu_s, gpu_s in (
+            for tenant, size, now, total, delay, cpu_s, gpu_s, _ in (
                 self._batch_log
             ):
                 label = f"{tenant}:batch(n={size})"
@@ -549,15 +547,23 @@ class ServingSimulator:
         self._trace = None
         self._batches = None
         self.timeline = None
-        self.timeline_ops = 0
-        self.timeline_op_counts = {}
         self.slo_report = None
-        tl = run.tl
-        if tl is not None:
-            self.timeline_op_counts = tl.op_counts
-            self.timeline_ops = tl.ops
+        rows = None
+        if cfg.timeline_window_s > 0.0 or self._obs.enabled:
+            rows = run.table.rows()
+        if cfg.timeline_window_s > 0.0:
             horizon = self._horizon_s()
-            self.timeline = tl.finish(
+            recorder = TimelineRecorder(
+                cfg.timeline_window_s,
+                source=f"serve:{self._spec.name}",
+                meta={
+                    "seed": str(cfg.seed),
+                    "tenants": ",".join(sorted(self._names)),
+                },
+            )
+            self.timeline = recorder.finish(
+                rows,
+                _batch_spans(run.batch_log),
                 horizon_s=horizon,
                 makespan_s=max(horizon, _last_end(run.batch_log)),
                 capacity={"cpu": 1.0, "gpu": 1.0},
@@ -574,9 +580,10 @@ class ServingSimulator:
                         sorted({t.network for t in self._tenants})
                     ),
                 )
-        if self._obs.enabled:
+        if rows is not None and self._obs.enabled:
             _record_request_metrics(
-                self._obs.metrics, run.table, self._names, run.batch_log
+                self._obs.metrics, rows, run.table.tenant, self._names,
+                run.batch_log,
             )
         return self._build_report(run)
 
@@ -693,10 +700,9 @@ class _ServingRun:
 
     The request table is the only per-request record of outcomes.  The
     callbacks write each outcome into its status column, with the
-    instant the request left in ``finish_s``; the report and the
-    per-request metrics count them after the run.  Timeline hooks stay
-    in the loop: :class:`~repro.cluster.ClusterSimulator` feeds the same
-    recorder API and has no table.
+    instant the request left in ``finish_s``; the report, the
+    per-request metrics and the timeline are derived from it after the
+    run, so the loop makes no telemetry calls.
     """
 
     def __init__(self, sim: ServingSimulator) -> None:
@@ -730,18 +736,6 @@ class _ServingRun:
             type(t.arrival).next_after is not ArrivalProcess.next_after
             for t in tenants
         ]
-        # Windowed telemetry recorder (None: every hook is one identity
-        # check on the hot path, covered by the obs-overhead guard).
-        self.tl: Optional[TimelineRecorder] = None
-        if cfg.timeline_window_s > 0.0:
-            self.tl = TimelineRecorder(
-                cfg.timeline_window_s,
-                source=f"serve:{sim._spec.name}",
-                meta={
-                    "seed": str(cfg.seed),
-                    "tenants": ",".join(sorted(names)),
-                },
-            )
         # The depth gauge's high-water mark needs every live value, so
         # it is the one metric set in the loop.
         self.depth_gauge = None
@@ -858,14 +852,11 @@ class _ServingRun:
     def expire_queues(self, now: float) -> None:
         """Abandon every queued request past its deadline."""
         tracker = self.tracker
-        tl = self.tl
         for k, queue in enumerate(self.queues):
             expired = queue.expire(now)
             if not expired:
                 continue
             tracker.remove(expired)
-            if tl is not None:
-                tl.record_timed_out(now, expired)
             if self.depth_gauge is not None:
                 self.depth_gauge.set(tracker.depth)
             if self.has_followup[k]:
@@ -1003,7 +994,6 @@ class _ServingRun:
         queues = self.queues
         table = self.table
         tracker = self.tracker
-        tl = self.tl
         while not self.device_busy:
             self.expire_queues(now)
             chosen = self.scheduler.pick(
@@ -1046,8 +1036,6 @@ class _ServingRun:
                 table.finish_s[rows] = now
                 if self.has_followup[owner]:
                     self.followup(owner, now, size)
-                if tl is not None:
-                    tl.record_failed(now, size, from_queue=True)
                 continue
             self.device_busy = True
             total = delay + svc.total_s
@@ -1057,14 +1045,8 @@ class _ServingRun:
             end = now + total
             self.batch_log.append((
                 chosen, size, now, total, delay,
-                svc.cpu_busy_s, svc.gpu_busy_s,
+                svc.cpu_busy_s, svc.gpu_busy_s, svc.energy_j,
             ))
-            if tl is not None:
-                tl.record_batch(
-                    now, end, size,
-                    busy=(("cpu", svc.cpu_busy_s), ("gpu", svc.gpu_busy_s)),
-                    energy_j=svc.energy_j,
-                )
             if self.obs.enabled:
                 self.obs.tracer.record(
                     f"{chosen}:batch(n={size})", now, end,
@@ -1086,9 +1068,6 @@ class _ServingRun:
         queue = self.queues[owner]
         table = self.table
         idx = table.append(now, owner)
-        tl = self.tl
-        if tl is not None:
-            tl.record_offered(now)
         corrupt = faults is not None and self.injector.payload_corrupt(
             now, request_id=idx
         )
@@ -1096,8 +1075,6 @@ class _ServingRun:
             # Request validation catches the malformed payload at the
             # door: reject, don't queue.
             queue.reject(idx, now)
-            if tl is not None:
-                tl.record_rejected(now)
             self.followup(owner, now)
         else:
             if corrupt:
@@ -1109,8 +1086,6 @@ class _ServingRun:
             else:
                 # Shed: the client sees an immediate rejection; a
                 # closed-loop client thinks, then retries.
-                if tl is not None:
-                    tl.record_shed(now)
                 self.followup(owner, now)
         self.maybe_dispatch(now)
 
@@ -1123,10 +1098,7 @@ class _ServingRun:
         to admit-or-shed plus depth accounting, all vectorizable.
         """
         table = self.table
-        tl = self.tl
         start = table.append_bulk(times, owners)
-        if tl is not None:
-            tl.record_offered_bulk(times)
         total = len(times)
         queues = self.queues
         if len(queues) == 1:
@@ -1142,8 +1114,6 @@ class _ServingRun:
                 table.finish_s[start + take_n:start + total] = (
                     times[take_n:]
                 )
-                if tl is not None:
-                    tl.record_shed_bulk(times[take_n:])
             self.tracker.advance_span(times, take_n)
             return
         admitted = np.zeros(total, dtype=np.int64)
@@ -1161,8 +1131,6 @@ class _ServingRun:
                 shed_rows = start + over
                 table.status[shed_rows] = _ST_SHED
                 table.finish_s[shed_rows] = times[over]
-                if tl is not None:
-                    tl.record_shed_bulk(times[over])
         self.tracker.advance_bulk(times, admitted)
 
     def on_event(self, now: float, kind: int, payload: object) -> None:
@@ -1183,31 +1151,16 @@ class _ServingRun:
         self.in_flight = None
         self.device_busy = False
         table = self.table
-        tl = self.tl
         table.finish_s[rows] = now
         if batch_failed:
             table.status[rows] = _ST_FAILED
-            if tl is not None:
-                tl.record_failed(now, len(rows))
         else:
-            served_rows = rows
-            late_n = 0
+            table.status[rows] = _ST_SERVED
             if self.queues[owner].policy.deadline_s is not None:
                 # Completed, but past deadline: the client already gave
                 # up — late, useless responses.
-                late_mask = now > table.deadline_s[rows] + EPS
-                late_n = int(late_mask.sum())
-                if late_n:
-                    served_rows = rows[~late_mask]
-                    table.status[rows[late_mask]] = _ST_TIMED_OUT
-            table.status[served_rows] = _ST_SERVED
-            if tl is not None:
-                if len(served_rows):
-                    tl.record_served(
-                        now, (now - table.arrival_s[served_rows]).tolist()
-                    )
-                if late_n:
-                    tl.record_timed_out(now, late_n, late=True)
+                late = rows[now > table.deadline_s[rows] + EPS]
+                table.status[late] = _ST_TIMED_OUT
         if self.has_followup[owner]:
             self.followup(owner, now, len(rows))
 
@@ -1223,11 +1176,11 @@ _OUTCOMES = (
 
 
 def _record_request_metrics(
-    metrics, table: RequestTable, names: Sequence[str],
+    metrics, rows: RequestRows, tenant: np.ndarray, names: Sequence[str],
     batch_log: List[BatchLogEntry],
 ) -> None:
     """Fill the per-request and per-batch series of a finished run from
-    its request table and batch log."""
+    its request rows, their tenant column and the batch log."""
     requests_total = metrics.counter(
         "repro_serving_requests_total",
         "Requests by tenant and outcome",
@@ -1246,9 +1199,8 @@ def _record_request_metrics(
         "repro_serving_batch_size",
         "Dispatched batch sizes", buckets=SIZE_BUCKETS,
     )
-    n = len(table)
-    status = table.status[:n]
-    owner = table.tenant[:n]
+    status = rows.status
+    owner = tenant[:len(status)]
     for k, name in enumerate(names):
         mine = status[owner == k]
         for code, outcome in _OUTCOMES:
@@ -1256,11 +1208,9 @@ def _record_request_metrics(
             if count:
                 requests_total.labels(tenant=name, outcome=outcome).inc(count)
     # Served rows in completion order, so each histogram adds its
-    # observations in the order the requests finished: batches finish
-    # one at a time, and a batch's rows are in row order.
-    served = np.flatnonzero(status == _ST_SERVED)
-    served = served[np.argsort(table.finish_s[served], kind="stable")]
-    latencies = (table.finish_s[served] - table.arrival_s[served]).tolist()
+    # observations in the order the requests finished.
+    served = rows.served
+    latencies = (rows.finish_s[served] - rows.arrival_s[served]).tolist()
     for k, latency in zip(owner[served].tolist(), latencies):
         latency_hist.labels(tenant=names[k]).observe(latency)
     # Fail-fast batches never reached the device, so the batch log
@@ -1268,6 +1218,22 @@ def _record_request_metrics(
     for tenant, size, *_ in batch_log:
         batches_total.labels(tenant=tenant).inc()
         batch_size_hist.observe(size)
+
+
+def _batch_spans(batch_log: List[BatchLogEntry]) -> BatchSpans:
+    """The timeline's view of a batch log (fail-fast batches never
+    reached the device, so the log holds dispatched batches only)."""
+    cols = np.array(
+        [entry[1:] for entry in batch_log], dtype=np.float64
+    ).reshape(-1, 7)
+    size, start, total, _, cpu_s, gpu_s, energy_j = cols.T
+    return BatchSpans(
+        start_s=start,
+        end_s=start + total,
+        size=size,
+        energy_j=energy_j,
+        busy_s={"cpu": cpu_s, "gpu": gpu_s},
+    )
 
 
 def _last_end(batch_log: List[BatchLogEntry]) -> float:

@@ -15,6 +15,9 @@ struct-of-arrays core:
 * :class:`~repro.sim.engine.table.RequestTable` — request state as
   parallel numpy columns instead of one Python object per request,
   with lazy materialization for trace exports;
+  :class:`~repro.sim.engine.table.RequestRows` is the finished-run view
+  both simulators hand to their reports and timelines (serving takes it
+  from the table, the cluster rebuilds it from its dispatch log);
 * :class:`~repro.sim.engine.queue.IndexQueue` — serving's bounded
   FIFO: it applies a :class:`~repro.serving.batcher.BatchPolicy`
   (admission, max-batch / max-wait readiness, deadlines) to table
@@ -47,6 +50,7 @@ from .table import (
     SERVED,
     SHED,
     TIMED_OUT,
+    RequestRows,
     RequestTable,
     status_of_code,
 )
@@ -57,6 +61,7 @@ __all__ = [
     "EventEngine",
     "EventHeap",
     "IndexQueue",
+    "RequestRows",
     "RequestTable",
     "PENDING",
     "RUNNING",

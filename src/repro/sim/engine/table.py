@@ -11,6 +11,7 @@ once after the run, off the hot path.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -39,6 +40,27 @@ def status_of_code() -> Dict[int, object]:
         FAILED: RequestStatus.FAILED,
         REJECTED: RequestStatus.REJECTED,
     }
+
+
+@dataclass(frozen=True)
+class RequestRows:
+    """The per-request record of a finished run, one entry per request.
+
+    Both simulators produce it: serving as views of its
+    :class:`RequestTable`, the cluster by rebuilding its dispatch log.
+    The report counts, latency samples and the timeline are derived
+    from these columns after the run.
+    """
+
+    arrival_s: np.ndarray
+    #: instant the request left the system (NaN while it had not)
+    finish_s: np.ndarray
+    #: instant its batch was dispatched (NaN when it never was)
+    dispatch_s: np.ndarray
+    #: status codes (:data:`SERVED`, :data:`SHED`, ...)
+    status: np.ndarray
+    #: indices of the SERVED rows in completion order
+    served: np.ndarray
 
 
 class RequestTable:
@@ -108,6 +130,19 @@ class RequestTable:
         self.tenant[start:start + n] = tenant
         self.size = start + n
         return start
+
+    def rows(self) -> RequestRows:
+        """Views of the used rows.  Batches complete one at a time and
+        a batch's rows are in row order, so completion order is the
+        stable order of the served rows' finish instants."""
+        n = self.size
+        status = self.status[:n]
+        finish = self.finish_s[:n]
+        served = np.flatnonzero(status == SERVED)
+        served = served[np.argsort(finish[served], kind="stable")]
+        return RequestRows(
+            self.arrival_s[:n], finish, self.dispatch_s[:n], status, served
+        )
 
     # -- materialization (off the hot path) ------------------------------
 

@@ -4,11 +4,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
 from repro.obs import Observability
 from repro.obs.timeline import (
+    BatchSpans,
     BurnRateRule,
     DiffTolerances,
     SloMonitor,
@@ -18,20 +20,58 @@ from repro.obs.timeline import (
     diff_timelines,
     sparkline,
 )
+from repro.sim.engine import (
+    FAILED,
+    PENDING,
+    SERVED,
+    TIMED_OUT,
+    RequestRows,
+)
+
+NAN = float("nan")
+
+
+def rows(*requests):
+    """Rows from ``(arrival, status, finish, dispatch)`` tuples; served
+    rows complete in finish order, ties in the order given."""
+    cols = np.array(requests, dtype=np.float64).reshape(-1, 4)
+    status = cols[:, 1].astype(np.int8)
+    finish = cols[:, 2]
+    served = np.flatnonzero(status == SERVED)
+    served = served[np.argsort(finish[served], kind="stable")]
+    return RequestRows(cols[:, 0], finish, cols[:, 3], status, served)
+
+
+def batches(*spans, busy=()):
+    """Batches from ``(start, end, size, energy)`` tuples; ``busy``
+    names each batch's device class and busy seconds."""
+    cols = np.array(spans, dtype=np.float64).reshape(-1, 4)
+    lanes = {}
+    for i, (name, busy_s) in enumerate(busy):
+        lanes.setdefault(name, np.zeros(len(cols)))[i] = busy_s
+    return BatchSpans(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3], lanes)
+
+
+def served_at(finish, latencies, dispatch=None):
+    """Rows served at ``finish`` with the given latencies."""
+    start = finish if dispatch is None else dispatch
+    return [(finish - lat, SERVED, finish, start) for lat in latencies]
 
 
 def small_artifact(**kw):
     """One deterministic two-batch run: 3 offered, 3 served."""
     r = TimelineRecorder(window_s=0.5, source="test", **kw)
-    r.record_offered(0.1)
-    r.record_offered(0.2)
-    r.record_offered(1.2)
-    r.record_batch(0.5, 0.6, 2, busy=(("cpu", 0.1),), energy_j=0.2)
-    r.record_served(0.6, [0.4, 0.5])
-    r.record_batch(1.3, 1.35, 1, busy=(("cpu", 0.05),))
-    r.record_served(1.35, [0.15])
     return r.finish(
-        horizon_s=1.5, makespan_s=1.35, capacity={"cpu": 1.0}
+        rows(
+            (0.1, SERVED, 0.6, 0.5),
+            (0.2, SERVED, 0.6, 0.5),
+            (1.2, SERVED, 1.35, 1.3),
+        ),
+        batches(
+            (0.5, 0.6, 2, 0.2), (1.3, 1.35, 1, 0.0),
+            busy=(("cpu", 0.1), ("cpu", 0.05)),
+        ),
+        horizon_s=1.5, makespan_s=1.35, capacity={"cpu": 1.0},
     )
 
 
@@ -53,45 +93,25 @@ class TestRecorder:
 
     def test_event_on_window_edge_opens_next_window(self):
         r = TimelineRecorder(1.0)
-        r.record_offered(1.0)
-        art = r.finish(horizon_s=2.0, makespan_s=1.0)
+        art = r.finish(
+            rows((1.0, PENDING, NAN, NAN)), batches(),
+            horizon_s=2.0, makespan_s=1.0,
+        )
         assert art.series["offered"] == [0, 1]
-
-    def test_bulk_offered_equals_per_event_offered(self):
-        times = [0.1, 0.4, 1.7, 2.2, 2.9]
-        one = TimelineRecorder(1.0)
-        for t in times:
-            one.record_offered(t)
-        bulk = TimelineRecorder(1.0)
-        bulk.record_offered_bulk(times)
-        a = one.finish(horizon_s=3.0, makespan_s=3.0)
-        b = bulk.finish(horizon_s=3.0, makespan_s=3.0)
-        assert a.digest() == b.digest()
-        assert bulk.op_counts["offered"] == 1
-        assert one.op_counts["offered"] == len(times)
 
     def test_negative_timestamp_raises_at_finish(self):
         r = TimelineRecorder(1.0)
-        r.record_offered(-0.1)
         with pytest.raises(ReproError):
-            r.finish(horizon_s=1.0, makespan_s=1.0)
-
-    def test_ops_and_op_counts_are_derived(self):
-        r = TimelineRecorder(0.5)
-        r.record_offered(0.1)
-        r.record_shed(0.2, 3)
-        r.record_served(0.3, [0.01, 0.02])
-        assert r.op_counts["offered"] == 1
-        assert r.op_counts["shed"] == 1
-        assert r.op_counts["served"] == 1
-        assert r.ops == 3
+            r.finish(
+                rows((-0.1, PENDING, NAN, NAN)), batches(),
+                horizon_s=1.0, makespan_s=1.0,
+            )
 
     def test_finish_is_pure(self):
         r = TimelineRecorder(0.5)
-        r.record_offered(0.1)
-        r.record_served(0.2, [0.05])
-        a = r.finish(horizon_s=1.0, makespan_s=0.5)
-        b = r.finish(horizon_s=1.0, makespan_s=0.5)
+        run = rows((0.1, SERVED, 0.2, 0.15))
+        a = r.finish(run, batches(), horizon_s=1.0, makespan_s=0.5)
+        b = r.finish(run, batches(), horizon_s=1.0, makespan_s=0.5)
         assert a.digest() == b.digest()
 
     def test_queue_depth_is_derived_from_admits_and_leaves(self):
@@ -103,44 +123,51 @@ class TestRecorder:
         assert art.series["queue_depth_max"] == [2, 0, 1]
 
     def test_fail_fast_failed_counts_as_queue_leave(self):
+        # Failed straight out of the queue: it leaves at its dispatch
+        # instant although no batch reached the device.
         r = TimelineRecorder(1.0)
-        r.record_offered(0.0)
-        r.record_failed(0.5, 1, from_queue=True)
-        art = r.finish(horizon_s=2.0, makespan_s=2.0)
+        art = r.finish(
+            rows((0.0, FAILED, 0.5, 0.5)), batches(),
+            horizon_s=2.0, makespan_s=2.0,
+        )
         assert art.series["queue_depth_mean"][0] == pytest.approx(0.5)
         assert art.series["queue_depth_mean"][1] == pytest.approx(0.0)
 
     def test_late_timeout_does_not_touch_queue_depth(self):
-        # A late completion is already out of the queue; only
-        # late=False (queue abandonment) is a depth leave.
+        # A late completion left the queue when it was dispatched; only
+        # queue abandonment (no dispatch instant) leaves at its finish.
         r = TimelineRecorder(1.0)
-        r.record_offered(0.0)
-        r.record_batch(0.2, 0.4, 1)
-        r.record_timed_out(0.4, 1, late=True)
-        art = r.finish(horizon_s=1.0, makespan_s=1.0)
+        art = r.finish(
+            rows((0.0, TIMED_OUT, 0.4, 0.2)), batches((0.2, 0.4, 1, 0.0)),
+            horizon_s=1.0, makespan_s=1.0,
+        )
         assert art.series["queue_depth_mean"][0] == pytest.approx(0.2)
         assert art.series["late"] == [1]
         assert art.series["timed_out"] == [1]
 
     def test_latency_quantiles_report_bucket_upper_bounds(self):
         r = TimelineRecorder(1.0)
-        r.record_served(0.5, [0.004] * 99 + [0.2])
-        art = r.finish(horizon_s=1.0, makespan_s=1.0)
+        art = r.finish(
+            rows(*served_at(0.5, [0.004] * 99 + [0.2])), batches(),
+            horizon_s=1.0, makespan_s=1.0,
+        )
         assert art.series["p50_ms"] == [5.0]
         assert art.series["p99_ms"] == [5.0]
         assert art.series["latency_max_ms"] == [200.0]
 
     def test_overflow_latency_reports_window_max(self):
-        r = TimelineRecorder(1.0)
-        r.record_served(0.5, [120.0])  # past the last sketch bound
-        art = r.finish(horizon_s=1.0, makespan_s=1.0)
+        r = TimelineRecorder(200.0)
+        art = r.finish(
+            rows(*served_at(120.5, [120.0])),  # past the last sketch bound
+            batches(), horizon_s=1.0, makespan_s=1.0,
+        )
         assert art.series["p99_ms"] == [120000.0]
 
     def test_batch_span_straddling_windows_splits_energy(self):
         r = TimelineRecorder(1.0)
-        r.record_batch(0.5, 1.5, 4, energy_j=1.0, busy=(("gpu", 1.0),))
         art = r.finish(
-            horizon_s=2.0, makespan_s=2.0, capacity={"gpu": 1.0}
+            rows(), batches((0.5, 1.5, 4, 1.0), busy=(("gpu", 1.0),)),
+            horizon_s=2.0, makespan_s=2.0, capacity={"gpu": 1.0},
         )
         assert art.series["energy_j"][0] == pytest.approx(0.5)
         assert art.series["energy_j"][1] == pytest.approx(0.5)
@@ -148,9 +175,9 @@ class TestRecorder:
 
     def test_utilization_is_clamped_to_one(self):
         r = TimelineRecorder(1.0)
-        r.record_batch(0.0, 1.0, 1, busy=(("cpu", 5.0),))
         art = r.finish(
-            horizon_s=1.0, makespan_s=1.0, capacity={"cpu": 1.0}
+            rows(), batches((0.0, 1.0, 1, 0.0), busy=(("cpu", 5.0),)),
+            horizon_s=1.0, makespan_s=1.0, capacity={"cpu": 1.0},
         )
         assert art.utilization["cpu"] == [1.0]
 
@@ -219,8 +246,10 @@ class TestArtifact:
     def test_exceedance_boundary_bucket_counts_as_fast(self):
         r = TimelineRecorder(1.0)
         # 10 ms lands exactly on a sketch bound: <=10ms is fast.
-        r.record_served(0.5, [0.004, 0.009, 0.2])
-        art = r.finish(horizon_s=1.0, makespan_s=1.0)
+        art = r.finish(
+            rows(*served_at(0.5, [0.004, 0.009, 0.2])), batches(),
+            horizon_s=1.0, makespan_s=1.0,
+        )
         assert art.exceedance(10.0) == [pytest.approx(1 / 3)]
         assert art.exceedance(0.001) == [1.0]
         assert art.exceedance(10_000.0) == [0.0]
@@ -330,18 +359,19 @@ class TestSloObjective:
 
 def degraded_artifact(bad_windows, total=10, served_per_window=10):
     """A timeline where the given windows serve nothing at all."""
-    r = TimelineRecorder(1.0, source="slo-test")
+    requests, spans = [], []
     for w in range(total):
         t = w + 0.5
-        r.record_offered(t, served_per_window)
         if w in bad_windows:
-            r.record_timed_out(t, served_per_window)
+            requests += [(t, TIMED_OUT, t, NAN)] * served_per_window
         else:
-            r.record_batch(t, t + 0.01, served_per_window)
-            r.record_served(
-                t + 0.01, [0.005] * served_per_window
-            )
-    return r.finish(horizon_s=float(total), makespan_s=float(total))
+            spans.append((t, t + 0.01, served_per_window, 0.0))
+            requests += [(t, SERVED, t + 0.01, t)] * served_per_window
+    r = TimelineRecorder(1.0, source="slo-test")
+    return r.finish(
+        rows(*requests), batches(*spans),
+        horizon_s=float(total), makespan_s=float(total),
+    )
 
 
 class TestSloMonitor:
@@ -447,7 +477,8 @@ class TestServingIntegration:
         assert art.total("served") == report.served
         assert art.total("shed") == report.shed
         assert art.total("timed_out") == report.timed_out
-        assert sim.timeline_ops == sum(sim.timeline_op_counts.values())
+        assert art.total("late") == report.late
+        assert art.total("batches") == report.extra["batch_count"]
 
     def test_same_seed_reruns_are_digest_identical(self):
         a, _ = self.run_sim()
@@ -492,8 +523,11 @@ class TestClusterIntegration:
         assert art.total("offered") == report.offered
         assert art.total("served") == report.served
         assert art.total("shed") == report.shed
-        # The whole arrival stream goes in through one bulk call.
-        assert sim.timeline_op_counts["offered"] == 1
+        assert art.total("timed_out") == report.timed_out
+        assert art.total("late") == report.late
+        assert art.total("batches") == sum(
+            r.batches for r in report.replicas
+        )
 
     def test_cross_process_digests_are_bit_identical(self):
         script = (

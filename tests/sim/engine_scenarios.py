@@ -273,6 +273,51 @@ def cluster_flash_crowd() -> Simulator:
     return sim
 
 
+def cluster_storm() -> Simulator:
+    """A flash crowd and a steady second pool on a throttled mixed
+    fleet in a 3 s edge-storm, with 20 ms deadlines, 4-deep queues and
+    the autoscaler on: the only cluster run that sheds, abandons,
+    completes late and fails batches.  Not an engine-parity scenario:
+    ``test_outcome_goldens.py`` pins it."""
+    sim = ClusterSimulator(
+        [
+            ClusterTenant(
+                "lenet",
+                FlashCrowdArrivals(
+                    1500.0, 3.0, spike_start_s=1.0, spike_duration_s=0.5,
+                    spike_factor=4.0, seed=7,
+                ),
+            ),
+            ClusterTenant("fcnn", PoissonArrivals(500.0, 3.0, seed=8)),
+        ],
+        DeviceMix.parse(
+            "jetson-agx-xavier:2,raspberry-pi-4", throttled_share=0.34
+        ),
+        3,
+        ClusterConfig(
+            router="plan_cost",
+            seed=7,
+            policy=BatchPolicy(
+                max_batch_size=4, max_wait_s=0.0, max_queue_depth=4,
+                deadline_s=0.02,
+            ),
+            faults=scale_to_horizon(load_scenario("edge-storm"), 3.0),
+            fault_share=0.5,
+            fault_stagger_s=0.5,
+            autoscaler=AutoscalerPolicy(
+                interval_s=0.25,
+                high_depth=2.0,
+                low_depth=0.25,
+                cooldown_s=0.25,
+                min_replicas=1,
+                max_replicas=6,
+            ),
+            timeline_window_s=0.5,
+        ),
+    )
+    return sim
+
+
 def run_hermetic(build: Callable[[], Simulator]) -> Tuple[Simulator, object]:
     """Build and run one scenario isolated from process-global state.
 

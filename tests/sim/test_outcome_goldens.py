@@ -6,13 +6,20 @@ series are derived from it after the run.  These goldens pin, for
 every serving scenario:
 
 * the request table itself, column by column;
-* the recorder calls of the timeline, by hook;
+* the timeline derived from it, where the scenario records one (the
+  storm runs are the only timelines that reach shed, rejected,
+  fail-fast, abandoned and late requests);
 * with observability on, every metric value per (family, label set),
   the span forest and the provenance log;
 * the Prometheus text of ``serving_obs``, byte for byte.
 
 Metric series are compared sorted by label set: the order of label sets
 within a family is not part of the contract, their values are.
+
+The cluster rebuilds its per-request rows from a dispatch log after the
+run.  Its parity scenarios serve every request, so one storm run pins
+the rebuild's shed, abandoned, late and failed paths: its report and
+timeline digests and each replica's served, failed and batch counts.
 
 Alongside the goldens, two oracles that need no golden at all: the
 outcome counts of every report add up from the table, and Little's law
@@ -35,7 +42,7 @@ from repro.sim.engine import (
     TIMED_OUT,
 )
 
-from .engine_scenarios import SERVING_BUILDERS, run_hermetic
+from .engine_scenarios import SERVING_BUILDERS, cluster_storm, run_hermetic
 
 #: columns of the request table, in digest order.
 COLUMNS = (
@@ -77,24 +84,20 @@ TABLE_GOLDENS = {
     ),
 }
 
-#: scenario -> timeline recorder calls by hook (empty: no timeline).
-OP_COUNT_GOLDENS = {
-    "serving_deadline": {
-        "batch": 209, "failed": 0, "offered": 303, "rejected": 0,
-        "served": 209, "shed": 0, "timed_out": 0,
-    },
-    "serving_faults": {
-        "batch": 105, "failed": 0, "offered": 115, "rejected": 0,
-        "served": 105, "shed": 0, "timed_out": 0,
-    },
-    "serving_storm_obs": {
-        "batch": 119, "failed": 0, "offered": 1527, "rejected": 66,
-        "served": 63, "shed": 620, "timed_out": 164,
-    },
-    "serving_storm_obs_naive": {
-        "batch": 106, "failed": 199, "offered": 1527, "rejected": 0,
-        "served": 39, "shed": 516, "timed_out": 130,
-    },
+#: scenario -> timeline digest (absent: the scenario records none).
+TIMELINE_GOLDENS = {
+    "serving_deadline": (
+        "ea0788ee6f931effb27c5ac5840567919a911b3828132bcd291ec7cb38e10b94"
+    ),
+    "serving_faults": (
+        "f08005caeebbeef6002bba9ea56a142c5ef07b270a8dc48487428dd0109b107d"
+    ),
+    "serving_storm_obs": (
+        "a65eb76419a6e4d2a813cf1cd825217e7563073abd74c2dc00807ac0a4a60e78"
+    ),
+    "serving_storm_obs_naive": (
+        "5c11c75c4f51012402f006aa3a425583e255b53a31a5c2c4406f19da6031140e"
+    ),
 }
 
 #: scenario -> sha256 of (sorted metrics JSON, span JSON, provenance JSON)
@@ -127,6 +130,31 @@ STORM_COUNTS = {
     "serving_storm_obs": (1527, 114, 620, 727, 76, 0, 66),
     "serving_storm_obs_naive": (1527, 75, 516, 617, 50, 319, 0),
 }
+
+
+#: cluster_storm: (report digest, timeline digest).
+CLUSTER_STORM_DIGESTS = (
+    "7d616130ae3188e5707a04742c165fa4107f56e8c3bcb64f1554f30697514c6d",
+    "0b0d8668625ecffcd19cd55928ea3266541bbad495604554ace5e798143362c5",
+)
+
+#: cluster_storm: replica -> (served, failed, batches).
+CLUSTER_STORM_REPLICAS = {
+    "lenet#0": (2514, 0, 1680),
+    "lenet#1": (1987, 358, 1763),
+    "lenet#2": (38, 6, 44),
+    "lenet#3": (1656, 0, 1386),
+    "fcnn#0": (0, 12, 66),
+    "fcnn#1": (0, 28, 67),
+    "fcnn#2": (0, 0, 0),
+    "fcnn#3": (0, 8, 59),
+    "fcnn#4": (0, 14, 53),
+    "fcnn#5": (0, 0, 0),
+}
+
+#: cluster_storm: (offered, served, shed, timed_out, late, failed,
+#: scaling events).
+CLUSTER_STORM_COUNTS = (8152, 6195, 594, 937, 288, 426, 4)
 
 
 def _sha(text: str) -> str:
@@ -166,9 +194,10 @@ def test_request_table_golden(name, runs):
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_GOLDENS))
-def test_timeline_op_counts_golden(name, runs):
+def test_timeline_golden(name, runs):
     sim, _ = runs[name]
-    assert sim.timeline_op_counts == OP_COUNT_GOLDENS.get(name, {})
+    digest = sim.timeline.digest() if sim.timeline is not None else None
+    assert digest == TIMELINE_GOLDENS.get(name)
 
 
 @pytest.mark.parametrize("name", sorted(OBS_GOLDENS))
@@ -193,6 +222,32 @@ def test_storm_runs_reach_every_outcome(name, runs):
         report.offered, report.served, report.shed, report.timed_out,
         report.late, report.failed, report.rejected,
     ) == STORM_COUNTS[name]
+
+
+@pytest.fixture(scope="module")
+def storm():
+    """(simulator, report) of the cluster storm, run once per module."""
+    return run_hermetic(cluster_storm)
+
+
+def test_cluster_storm_golden(storm):
+    sim, report = storm
+    assert (report.digest(), sim.timeline.digest()) == CLUSTER_STORM_DIGESTS
+    assert {
+        r.name: (r.served, r.failed, r.batches) for r in report.replicas
+    } == CLUSTER_STORM_REPLICAS
+
+
+def test_cluster_storm_reaches_every_outcome(storm):
+    sim, report = storm
+    assert (
+        report.offered, report.served, report.shed, report.timed_out,
+        report.late, report.failed, report.scaling_events,
+    ) == CLUSTER_STORM_COUNTS
+    # Abandoned in queue: timed out without a dispatch instant.
+    rows = sim._rows
+    abandoned = (rows.status == TIMED_OUT) & np.isnan(rows.dispatch_s)
+    assert np.count_nonzero(abandoned) == report.timed_out - report.late > 0
 
 
 # -- oracles ---------------------------------------------------------------
