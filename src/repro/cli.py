@@ -321,8 +321,9 @@ def cmd_serve(args) -> int:
         print(f"trace     : {args.trace}")
     if args.obs_out:
         names = write_obs_artifacts(
-            args.obs_out, obs,
-            kernel_trace=simulator.trace, requests=simulator.requests,
+            args.obs_out, obs, kernel_trace=simulator.trace,
+            table=simulator.table,
+            tenants=[t.tenant_name for t in tenants],
         )
         print(f"obs       : {args.obs_out}/ ({', '.join(names)})")
     return 0

@@ -177,9 +177,9 @@ class Replica:
 
     Holds the bounded FIFO queue (arrival instants only — at fleet scale
     requests are float timestamps, not objects), the busy horizon, and
-    its busy time, energy and batch count.  Request outcomes are not
-    counted here: the simulator derives them from its per-request rows
-    after the run.  ``version`` increments on every
+    its batch count, which keys its fault draws.  Request outcomes,
+    busy time and energy are not counted here: the simulator derives
+    them from its logs after the run.  ``version`` increments on every
     routing-relevant state change so the routers' lazy heaps can discard
     stale entries in O(1).
     """
@@ -187,7 +187,7 @@ class Replica:
     __slots__ = (
         "name", "idx", "spec", "pool_name", "network", "model",
         "queue", "busy_until", "version", "active", "draining",
-        "created_s", "retired_s", "busy_s", "energy_j", "batches",
+        "created_s", "retired_s", "batches",
         "svc1_s", "unit_s", "unit_energy_j", "faults", "injector",
     )
 
@@ -220,8 +220,6 @@ class Replica:
         self.draining = False
         self.created_s = created_s
         self.retired_s: Optional[float] = None
-        self.busy_s = 0.0
-        self.energy_j = 0.0
         self.batches = 0
         # Predicted costs from the compiled plan (nominal device): the
         # numbers plan_cost routing ranks replicas by.  Computing them
@@ -260,21 +258,23 @@ class Replica:
         """Predicted completion delay: wait plus own service."""
         return self.predicted_wait_s(now) + self.svc1_s
 
-    def utilization(self, makespan_s: float) -> float:
-        """Busy share of this replica's lifetime within the run."""
+    def utilization(self, busy_s: float, makespan_s: float) -> float:
+        """Share of this replica's lifetime within the run that
+        ``busy_s`` of device time covers."""
         end = self.retired_s if self.retired_s is not None else makespan_s
         alive = end - self.created_s
         if alive <= 0.0:
             return 0.0
-        return min(1.0, self.busy_s / alive)
+        return min(1.0, busy_s / alive)
 
 
 class Pool:
-    """All replicas serving one model, plus its batch and scaling
-    counters (request outcomes come from the simulator's rows)."""
+    """All replicas serving one model, plus its scaling counters
+    (request outcomes and batch counts come from the simulator's
+    logs)."""
 
     __slots__ = (
-        "name", "network", "policy", "replicas", "batch_histogram",
+        "name", "network", "policy", "replicas",
         "scale_ups", "scale_downs", "replicas_start", "rr_index",
     )
 
@@ -285,7 +285,6 @@ class Pool:
         self.network = network
         self.policy = policy
         self.replicas: List[Replica] = []
-        self.batch_histogram: Dict[int, int] = {}
         self.scale_ups = 0
         self.scale_downs = 0
         self.replicas_start = 0
@@ -294,10 +293,6 @@ class Pool:
     @property
     def active_replicas(self) -> List[Replica]:
         return [r for r in self.replicas if r.routable]
-
-    @property
-    def energy_j(self) -> float:
-        return sum(r.energy_j for r in self.replicas)
 
 
 class Fleet:

@@ -26,8 +26,10 @@ one process:
   deadline passed while queued are abandoned at dispatch (``timed_out``),
   and completions past deadline count as ``timed_out`` + ``late``;
 - outcomes are not counted in the loop: it logs a replica per arrival
-  and a record per dispatch, and the per-request rows, the report and
-  the timeline are rebuilt from those logs after the run.
+  and a record per dispatch, and the per-request rows, each replica's
+  busy time and energy, each pool's batch histogram, the report, the
+  timeline and the Perfetto batch trace are derived from those logs
+  after the run.
 
 Faults: a :class:`~repro.faults.FaultScenario` applies to a
 deterministic ``fault_share`` subset of replicas, each with its own
@@ -260,6 +262,54 @@ class _FleetLog:
             busy_s=busy,
         )
 
+    def replica_totals(self, count: int) -> Tuple[List[float], List[float]]:
+        """Busy time and energy of replicas ``0 .. count - 1``: their
+        dispatches' service totals and energies, each added in log
+        order like a running total (``np.bincount`` adds its weights in
+        input order)."""
+        replica = np.frombuffer(self.replica, dtype=np.int32)
+        busy, energy = (
+            np.bincount(
+                replica, weights=np.frombuffer(column, dtype=np.float64),
+                minlength=count,
+            ).tolist()
+            for column in (self.total_s, self.energy_j)
+        )
+        return busy, energy
+
+    def batch_histograms(
+        self, pool_of: np.ndarray, pools: int
+    ) -> List[Dict[int, int]]:
+        """Per pool, dispatched batch size -> count (``pool_of`` maps a
+        replica index to its pool index)."""
+        size = np.frombuffer(self.size, dtype=np.int32)
+        sent = size > 0
+        pool = pool_of[np.frombuffer(self.replica, dtype=np.int32)[sent]]
+        size = size[sent]
+        histograms = []
+        for k in range(pools):
+            values, counts = np.unique(size[pool == k], return_counts=True)
+            histograms.append(dict(zip(values.tolist(), counts.tolist())))
+        return histograms
+
+    def batch_trace(self, replicas: Dict[int, Replica]) -> Trace:
+        """One ``batch`` slice per dispatched batch, on its replica's
+        row, in dispatch order (``replicas`` maps index to replica)."""
+        trace = Trace()
+        for idx, start, total, size in zip(
+            self.replica, self.start_s, self.total_s, self.size
+        ):
+            if size:
+                replica = replicas[idx]
+                trace.add(TraceEvent(
+                    resource=replica.name,
+                    label=f"{replica.pool_name}:batch(n={size})",
+                    start_s=start,
+                    end_s=start + total,
+                    category="batch",
+                ))
+        return trace
+
 
 class ClusterSimulator:
     """Discrete-event loop over a fleet of replicas and a router tier."""
@@ -416,18 +466,7 @@ class ClusterSimulator:
             log.failed.append(len(log.size) - 1)
         end = now + svc.total_s
         replica.busy_until = end
-        replica.busy_s += svc.total_s
-        replica.energy_j += svc.energy_j
         replica.batches += 1
-        pool.batch_histogram[size] = pool.batch_histogram.get(size, 0) + 1
-        if self.trace is not None:
-            self.trace.add(TraceEvent(
-                resource=replica.name,
-                label=f"{pool.name}:batch(n={size})",
-                start_s=now,
-                end_s=end,
-                category="batch",
-            ))
         heap.push(end, _COMPLETION, (replica, batch, failed))
 
     def _retire_if_drained(self, replica: Replica, now: float) -> None:
@@ -448,9 +487,9 @@ class ClusterSimulator:
         cache = default_plan_cache()
         cache_before = cache.stats()
         self.timeline = None
+        self.trace = None
         self._rows = None
         log = self._log = _FleetLog()
-        self.trace = Trace() if self._obs.enabled else None
         # The shared event core merges all tenants' arrival epochs
         # (concatenate, then a stable argsort if out of order; the same
         # path serving uses) and drives the completion heap and
@@ -552,6 +591,8 @@ class ClusterSimulator:
         rows = self._rows = log.rows(
             schedule.times, self.fleet.policy.deadline_s
         )
+        pools = self.fleet.pools
+        replicas = {r.idx: r for p in pools for r in p.replicas}
         if cfg.timeline_window_s > 0.0:
             recorder = TimelineRecorder(
                 cfg.timeline_window_s,
@@ -564,8 +605,8 @@ class ClusterSimulator:
             self.timeline = recorder.finish(
                 rows,
                 log.batch_spans({
-                    r.idx: base_device_name(r.spec.name)
-                    for p in self.fleet.pools for r in p.replicas
+                    idx: base_device_name(r.spec.name)
+                    for idx, r in replicas.items()
                 }),
                 horizon_s=horizon,
                 makespan_s=makespan,
@@ -574,24 +615,35 @@ class ClusterSimulator:
                     for name, count in self.fleet.device_counts().items()
                 },
             )
+        if self._obs.enabled:
+            self.trace = log.batch_trace(replicas)
+        busy_s, energy_j = log.replica_totals(max(replicas) + 1)
+        pool_of = np.zeros(len(busy_s), dtype=np.int32)
+        for k, pool in enumerate(pools):
+            for replica in pool.replicas:
+                pool_of[replica.idx] = k
+        histograms = log.batch_histograms(pool_of, len(pools))
         # Free the dispatch log before the report's temporaries.
         self._log = _FleetLog()
         del log
         cache_delta = cache.stats().delta(cache_before)
         return self._build_report(
             rows, schedule.owners, np.frombuffer(served_by, dtype=np.int32),
+            busy_s, energy_j, histograms,
             makespan, horizon, peak, pool_peak, cache_delta,
         )
 
     # -- report assembly --------------------------------------------------
 
     def _build_report(
-        self, rows, tenant, routed_to, makespan, horizon, peak, pool_peak,
-        cache_delta,
+        self, rows, tenant, routed_to, busy_s, energy_j, histograms,
+        makespan, horizon, peak, pool_peak, cache_delta,
     ) -> ClusterReport:
         """Assemble the report; every outcome count and latency sample
         comes from the rows, with each request's ``tenant`` index and
-        the index of the replica it was ``routed_to`` (-1: shed)."""
+        the index of the replica it was ``routed_to`` (-1: shed).  Each
+        replica's ``busy_s`` and ``energy_j`` (by replica index) and
+        each pool's batch ``histograms`` come from the dispatch log."""
         cfg = self._config
         pools = self.fleet.pools
         index = {pool.name: k for k, pool in enumerate(pools)}
@@ -600,7 +652,7 @@ class ClusterSimulator:
         )[tenant]
         status = rows.status
         late = (status == TIMED_OUT) & ~np.isnan(rows.dispatch_s)
-        size = max(r.idx for p in pools for r in p.replicas) + 1
+        size = len(busy_s)
         served_at = np.bincount(routed_to[status == SERVED], minlength=size)
         failed_at = np.bincount(routed_to[status == FAILED], minlength=size)
         # Served latencies pool by pool, each in completion order.
@@ -635,15 +687,16 @@ class ClusterSimulator:
                     latency=LatencyStats.from_latencies(
                         latencies[ends[k] - served:ends[k]]
                     ),
-                    batch_histogram=dict(pool.batch_histogram),
-                    energy_j=pool.energy_j,
+                    batch_histogram=histograms[k],
+                    energy_j=sum(energy_j[r.idx] for r in pool.replicas),
                     scale_ups=pool.scale_ups,
                     scale_downs=pool.scale_downs,
                 )
             )
             for replica in pool.replicas:
                 base = base_device_name(replica.spec.name)
-                utilization = replica.utilization(makespan)
+                busy = busy_s[replica.idx]
+                utilization = replica.utilization(busy, makespan)
                 by_device.setdefault(base, []).append(utilization)
                 replica_stats.append(
                     ReplicaStats(
@@ -652,8 +705,8 @@ class ClusterSimulator:
                         served=int(served_at[replica.idx]),
                         failed=int(failed_at[replica.idx]),
                         batches=replica.batches,
-                        busy_s=replica.busy_s,
-                        energy_j=replica.energy_j,
+                        busy_s=busy,
+                        energy_j=energy_j[replica.idx],
                         utilization=utilization,
                         created_s=replica.created_s,
                         retired_s=(

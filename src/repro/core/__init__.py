@@ -47,7 +47,6 @@ from .multitenant import (
     TenantResult,
     concurrent_edgenn,
     run_concurrent,
-    serve_concurrent,
 )
 from .service import ServiceProfile, profile_service, warm_report
 from .semantics import (
@@ -103,7 +102,6 @@ __all__ = [
     "plan_allocations",
     "predict_assignment_time",
     "run_concurrent",
-    "serve_concurrent",
     "speedup",
     "profile_service",
     "split_layer",

@@ -20,8 +20,7 @@ This module is the *one-shot* co-run primitive: every tenant submits
 exactly one inference and the interleaving is round-robin.  Sustained
 request streams — queues, dynamic batching, admission control, and
 **weighted fair-share** scheduling that replaces round-robin at the
-request level — live in :mod:`repro.serving`;
-:func:`serve_concurrent` below is the bridge.
+request level — live in :mod:`repro.serving`.
 """
 
 from __future__ import annotations
@@ -161,39 +160,3 @@ def concurrent_edgenn(
     engines = [EdgeNN(net, device, config) for net in networks]
     jobs = [(engine.graph, engine.plan) for engine in engines]
     return run_concurrent(Device(engines[0].device.spec), jobs)
-
-
-def serve_concurrent(
-    networks: Sequence[str],
-    device: Union[Device, DeviceSpec, None] = None,
-    *,
-    rate_rps: float = 10.0,
-    duration_s: float = 10.0,
-    weights: Optional[Sequence[float]] = None,
-    seed: int = 0,
-):
-    """Request-level multi-tenant serving of several networks.
-
-    The sustained-traffic successor of :func:`concurrent_edgenn`: each
-    network becomes a tenant with an open-loop Poisson stream of
-    ``rate_rps`` and a fair-share weight, and the full serving stack
-    (queues, dynamic batching, admission control, weighted fair
-    scheduling) multiplexes them.  Returns a
-    :class:`~repro.serving.report.ServingReport`.
-    """
-    from ..serving.simulator import poisson_tenant, simulate
-
-    if weights is None:
-        weights = [1.0] * len(networks)
-    if len(weights) != len(networks):
-        raise ReproError(
-            f"{len(networks)} networks but {len(weights)} weights"
-        )
-    tenants = [
-        poisson_tenant(
-            net, rate_rps, duration_s, seed=seed + i, weight=w,
-            name=f"{net}#{i}" if networks.count(net) > 1 else None,
-        )
-        for i, (net, w) in enumerate(zip(networks, weights))
-    ]
-    return simulate(tenants, device)

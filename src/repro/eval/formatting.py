@@ -204,28 +204,3 @@ def format_serving_sweep(rows) -> str:
         ],
         title="Serving — arrival-rate sweep",
     )
-
-
-def format_all() -> str:
-    """Render every experiment (the EXPERIMENTS.md generator's core)."""
-    results = ex.run_all()
-    parts = [
-        format_fig06(results["fig06"]),
-        format_efficiency(results["fig07"], "Fig 7",
-                          "paper: power geomean 29.14x, price geomean 0.61"),
-        format_fig08(results["fig08"]),
-        format_fig09(results["fig09"]),
-        format_layer_times(results["fig10"],
-                           "Fig 10 — AlexNet layers, zero-copy off vs on"),
-        format_layer_times(results["fig11_zc"],
-                           "Fig 11 — AlexNet layers, hybrid (with zero-copy)"),
-        format_layer_times(results["fig11_nozc"],
-                           "Fig 11 — AlexNet layers, hybrid (no zero-copy)"),
-        format_table1(results["table1"]),
-        format_fig12(results["fig12"]),
-        format_efficiency(results["fig13"], "Fig 13",
-                          "paper: power 5.70x, price 1.25x"),
-        format_sec5f(results["sec5f"]),
-        format_sec5b2(results["sec5b2"]),
-    ]
-    return "\n\n".join(parts)

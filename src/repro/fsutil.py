@@ -31,8 +31,9 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
 
     The temporary file lives in the same directory as the target so the
     final :func:`os.replace` never crosses a filesystem boundary.  The
-    data is flushed and fsynced before the rename, so a crash after
-    return cannot roll the content back either.
+    data is flushed and fsynced before the rename, and the directory is
+    fsynced after it, so the rename itself is on disk too: a crash
+    after return cannot roll the content back.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -52,6 +53,11 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
             pass
         raise
     os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
     return path
 
 

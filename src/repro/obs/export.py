@@ -3,20 +3,23 @@
 The Chrome-trace builder is the piece that makes the observability layer
 *unified*: it merges the kernel-level timeline of
 :class:`repro.sim.trace.Trace` (CPU/GPU/copy rows, and the serving
-``device`` row) with request-lifecycle events from the serving layer —
-one async track per request (enqueue → complete) plus paired flow events
-(``ph: "s"`` at enqueue, ``ph: "f"`` at dispatch) — so a single
-``trace.json`` loaded into Perfetto (https://ui.perfetto.dev) shows the
-whole stack: which kernel ran while which request waited in which queue.
+``device`` row) with request-lifecycle events read from a serving run's
+:class:`~repro.sim.engine.RequestTable` — one async track per request
+(enqueue → complete) plus paired flow events (``ph: "s"`` at enqueue,
+``ph: "f"`` at dispatch) — so a single ``trace.json`` loaded into
+Perfetto (https://ui.perfetto.dev) shows the whole stack: which kernel
+ran while which request waited in which queue.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .. import units
+from ..sim.engine import SHED
 from .metrics import Gauge, Histogram
 
 #: pid of the simulator (kernel / resource) rows in merged traces.
@@ -157,10 +160,11 @@ def _kernel_records(trace) -> List[Dict[str, Any]]:
     return meta + records
 
 
-def _request_records(requests: Iterable) -> List[Dict[str, Any]]:
+def _request_records(table, tenants: Sequence[str]) -> List[Dict[str, Any]]:
     """Request-lifecycle events (pid 2): async tracks + paired flows.
 
-    Per served request:
+    One request per row of ``table``, its id the row index and its
+    tenant named by ``tenants[table.tenant[row]]``.  Per served request:
 
     * async begin/end (``ph: "b"``/``"e"``) spanning arrival → completion,
       one overlappable track per request id;
@@ -171,41 +175,48 @@ def _request_records(requests: Iterable) -> List[Dict[str, Any]]:
 
     Shed requests become instant events instead.
     """
-    records: List[Dict[str, Any]] = []
-    meta: List[Dict[str, Any]] = [
+    n = len(table) if table is not None else 0
+    if not n:
+        return []
+    records: List[Dict[str, Any]] = [
         {"name": "process_name", "ph": "M", "pid": REQUEST_PID,
          "args": {"name": "requests"}},
         {"name": "thread_name", "ph": "M", "pid": REQUEST_PID, "tid": 1,
          "args": {"name": "lifecycle"}},
     ]
-    any_request = False
-    for req in requests:
-        any_request = True
-        rid = str(req.request_id)
-        arrival_us = units.to_microseconds(req.arrival_s)
-        shed = getattr(req.status, "value", str(req.status)) == "shed"
+    rows = zip(
+        table.arrival_s[:n].tolist(), table.finish_s[:n].tolist(),
+        table.dispatch_s[:n].tolist(), (table.status[:n] == SHED).tolist(),
+        table.tenant[:n].tolist(), table.batch_size[:n].tolist(),
+    )
+    for request_id, (arrival, finish, dispatch, shed, owner, size) in (
+        enumerate(rows)
+    ):
+        rid = str(request_id)
+        tenant = tenants[owner]
+        arrival_us = units.to_microseconds(arrival)
         if shed:
             records.append({
                 "name": f"shed:req{rid}", "cat": "request", "ph": "i",
                 "ts": arrival_us, "pid": REQUEST_PID, "tid": 1, "s": "t",
-                "args": {"tenant": req.tenant},
+                "args": {"tenant": tenant},
             })
             continue
-        args = {"tenant": req.tenant, "batch_size": req.batch_size}
+        args = {"tenant": tenant, "batch_size": size}
         records.append({
-            "name": f"req:{req.tenant}", "cat": "request", "ph": "b",
+            "name": f"req:{tenant}", "cat": "request", "ph": "b",
             "id": rid, "ts": arrival_us, "pid": REQUEST_PID, "tid": 1,
             "args": args,
         })
-        if req.finish_s is not None:
+        if not math.isnan(finish):
             records.append({
-                "name": f"req:{req.tenant}", "cat": "request", "ph": "e",
-                "id": rid, "ts": units.to_microseconds(req.finish_s),
+                "name": f"req:{tenant}", "cat": "request", "ph": "e",
+                "id": rid, "ts": units.to_microseconds(finish),
                 "pid": REQUEST_PID, "tid": 1,
             })
-        if req.dispatch_s is None:
+        if math.isnan(dispatch):
             continue
-        dispatch_us = units.to_microseconds(req.dispatch_s)
+        dispatch_us = units.to_microseconds(dispatch)
         # Anchor slices for the flow arrow (zero duration is legal).
         records.append({
             "name": f"enqueue:req{rid}", "cat": "request", "ph": "X",
@@ -225,25 +236,27 @@ def _request_records(requests: Iterable) -> List[Dict[str, Any]]:
             "name": "queue", "cat": "request_flow", "ph": "f", "bp": "e",
             "id": rid, "ts": dispatch_us, "pid": REQUEST_PID, "tid": 1,
         })
-    return (meta + records) if any_request else []
+    return records
 
 
 def chrome_trace(
     kernel_trace=None,
-    requests: Iterable = (),
+    table=None,
+    tenants: Sequence[str] = (),
     *,
     indent: Optional[int] = None,
 ) -> str:
     """Serialize a merged Chrome trace (kernel timeline + request events).
 
-    Either side may be empty: with only ``kernel_trace`` this degrades to
-    the classic kernel trace, with only ``requests`` to a pure
-    request-lifecycle trace.
+    ``table`` is a serving run's request table and ``tenants`` the
+    names its tenant column indexes.  Either side may be empty: with
+    only ``kernel_trace`` this degrades to the classic kernel trace,
+    with only ``table`` to a pure request-lifecycle trace.
     """
     records: List[Dict[str, Any]] = []
     if kernel_trace is not None:
         records.extend(_kernel_records(kernel_trace))
-    records.extend(_request_records(requests))
+    records.extend(_request_records(table, tenants))
     meta = [r for r in records if r.get("ph") == "M"]
     rest = sorted(
         (r for r in records if r.get("ph") != "M"),
@@ -262,13 +275,16 @@ def write_obs_artifacts(
     obs,
     *,
     kernel_trace=None,
-    requests: Iterable = (),
+    table=None,
+    tenants: Sequence[str] = (),
 ) -> List[str]:
     """Write the standard observability bundle into ``directory``.
 
-    Emits ``trace.json`` (merged Chrome trace), ``metrics.prom``
-    (Prometheus text), ``metrics.json``, ``provenance.json``, and
-    ``spans.json``; returns the file names written.
+    Emits ``trace.json`` (the merged Chrome trace of ``kernel_trace``
+    and the request ``table``, see :func:`chrome_trace`),
+    ``metrics.prom`` (Prometheus text), ``metrics.json``,
+    ``provenance.json``, and ``spans.json``; returns the file names
+    written.
     """
     out = pathlib.Path(directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,7 +294,7 @@ def write_obs_artifacts(
         (out / name).write_text(text)
         written.append(name)
 
-    _write("trace.json", chrome_trace(kernel_trace, requests))
+    _write("trace.json", chrome_trace(kernel_trace, table, tenants))
     _write("metrics.prom", prometheus_text(obs.metrics))
     _write("metrics.json", metrics_json(obs.metrics))
     _write("provenance.json", obs.provenance.to_json())

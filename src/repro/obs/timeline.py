@@ -138,7 +138,7 @@ class TimelineRecorder:
     end-to-end benchmark's tracer times :meth:`finish` by that name.
     """
 
-    __slots__ = ("window_s", "source", "meta", "_bounds", "_nb")
+    __slots__ = ("window_s", "source", "meta")
 
     def __init__(
         self,
@@ -146,22 +146,14 @@ class TimelineRecorder:
         *,
         source: str = "",
         meta: Optional[Mapping[str, str]] = None,
-        bounds_s: Sequence[float] = SKETCH_BOUNDS_S,
     ) -> None:
         if window_s <= 0.0:
             raise ReproError(
                 f"timeline window width must be > 0, got {window_s}"
             )
-        ordered = tuple(bounds_s)
-        if not ordered or list(ordered) != sorted(set(ordered)):
-            raise ReproError(
-                f"sketch bounds must be strictly increasing: {bounds_s}"
-            )
         self.window_s = float(window_s)
         self.source = source
         self.meta: Dict[str, str] = dict(meta or {})
-        self._bounds = ordered
-        self._nb = len(ordered)
 
     def _spread(
         self,
@@ -214,7 +206,7 @@ class TimelineRecorder:
         (and timed) repeatedly.
         """
         w = self.window_s
-        nb = self._nb
+        nb = len(SKETCH_BOUNDS_S)
         arrival = rows.arrival_s
         ended = rows.status >= SERVED
         finish = rows.finish_s[ended]
@@ -326,7 +318,7 @@ class TimelineRecorder:
         if lat.size:
             lw = _widx(s_finish, w, n)
             bidx = np.searchsorted(
-                np.asarray(self._bounds), lat, side="left"
+                np.asarray(SKETCH_BOUNDS_S), lat, side="left"
             )
             bidx = np.minimum(bidx, nb)
             lat_counts_2d = np.bincount(
@@ -347,7 +339,7 @@ class TimelineRecorder:
         ):
             series[key] = [
                 float(_bucket_quantile(
-                    self._bounds, lat_counts_2d[i, :nb],
+                    SKETCH_BOUNDS_S, lat_counts_2d[i, :nb],
                     int(lat_counts_2d[i, nb]), float(lat_max[i]), q,
                 ) * 1e3) if served[i] else 0.0
                 for i in range(n)
@@ -389,7 +381,7 @@ class TimelineRecorder:
             capacity={k: float(v) for k, v in sorted(caps.items())},
             series=series,
             utilization=utilization,
-            latency_bounds_ms=[b * 1e3 for b in self._bounds],
+            latency_bounds_ms=[b * 1e3 for b in SKETCH_BOUNDS_S],
             latency_counts=lat_counts_2d.tolist(),
         )
 

@@ -16,7 +16,6 @@ from .report import (
     TenantServingStats,
     percentile,
 )
-from .request import Request, RequestStatus
 from .scheduler import WeightedFairScheduler
 from .simulator import (
     BatchServiceTime,
@@ -33,8 +32,6 @@ __all__ = [
     "BatchPolicy",
     "BatchServiceTime",
     "LatencyStats",
-    "Request",
-    "RequestStatus",
     "ServiceTimeModel",
     "ServingConfig",
     "ServingReport",

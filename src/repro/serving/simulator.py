@@ -51,7 +51,6 @@ from ..errors import ReproError
 from ..faults import (
     CircuitBreaker,
     DegradationManager,
-    DegradationPolicy,
     FaultInjector,
     FaultScenario,
     MODE_NO_HYBRID,
@@ -100,7 +99,6 @@ from .report import (
     TenantServingStats,
     merge_histograms,
 )
-from .request import Request
 from .scheduler import WeightedFairScheduler
 
 #: Serving-level timeline resource: the whole integrated device, which
@@ -160,13 +158,6 @@ class ServingConfig:
     #: enable the resilience layer (retries, breaker, degradation,
     #: payload validation).  Off shows what a naive service suffers.
     resilience: bool = True
-    #: retry schedule around hybrid-kernel launches (None: defaults
-    #: seeded from ``seed``).
-    retry: Optional[RetryPolicy] = None
-    #: degradation thresholds (None: defaults).
-    degradation: Optional[DegradationPolicy] = None
-    breaker_failure_threshold: int = 3
-    breaker_reset_s: float = 0.25
     #: timeline window width in virtual seconds (0: recording off).
     #: When on, the run exposes a digest-stable
     #: :class:`~repro.obs.timeline.TimelineArtifact` on the simulator.
@@ -192,16 +183,6 @@ class BatchServiceTime:
 #: One dispatched batch: (tenant, size, start, total incl. retry delay,
 #: retry delay, CPU busy, GPU busy, energy).
 BatchLogEntry = Tuple[str, int, float, float, float, float, float, float]
-
-
-@dataclass(frozen=True)
-class BatchRecord:
-    """One dispatched batch (for the serving trace / debugging)."""
-
-    tenant: str
-    size: int
-    start_s: float
-    end_s: float
 
 
 class ServiceTimeMemo:
@@ -435,15 +416,11 @@ class ServingSimulator:
             obs=self._obs,
         )
         self._names = names
-        #: struct-of-arrays request state of the last :meth:`run`;
-        #: :attr:`requests` materializes legacy objects lazily from it.
         self._table: Optional[RequestTable] = None
-        self._requests: Optional[List[Request]] = None
         #: per-batch log of the last :meth:`run` (None before one);
-        #: :attr:`trace` and :attr:`batches` are derived from it lazily.
+        #: :attr:`trace` is derived from it lazily.
         self._batch_log: Optional[List[BatchLogEntry]] = None
         self._trace: Optional[Trace] = None
-        self._batches: Optional[List[BatchRecord]] = None
         #: fault machinery of the last run (None without a scenario).
         self.injector: Optional[FaultInjector] = None
         self.breaker: Optional[CircuitBreaker] = None
@@ -455,30 +432,11 @@ class ServingSimulator:
         self.slo_report: Optional[SloReport] = None
 
     @property
-    def requests(self) -> List[Request]:
-        """Request objects of the last :meth:`run`.
-
-        Materialized lazily from the engine's request table — only the
-        Chrome-trace export and the CLI walk individual requests, so
-        the hot loop never builds them.
-        """
-        if self._requests is None:
-            if self._table is None:
-                return []
-            self._requests = self._table.materialize(self._names)
-        return self._requests
-
-    @property
-    def batches(self) -> List[BatchRecord]:
-        """Batches of the last :meth:`run`, in dispatch order."""
-        if self._batches is None:
-            if self._batch_log is None:
-                return []
-            self._batches = [
-                BatchRecord(tenant, size, now, now + total)
-                for tenant, size, now, total, *_ in self._batch_log
-            ]
-        return self._batches
+    def table(self) -> Optional[RequestTable]:
+        """Request table of the last :meth:`run` (None before one): one
+        row per request, whose ``tenant`` column indexes the tenants in
+        the order they were given."""
+        return self._table
 
     @property
     def trace(self) -> Optional[Trace]:
@@ -542,12 +500,11 @@ class ServingSimulator:
         run.run()
 
         self._table = run.table
-        self._requests = None
         self._batch_log = run.batch_log
         self._trace = None
-        self._batches = None
         self.timeline = None
         self.slo_report = None
+        spans = _batch_spans(run.batch_log)
         rows = None
         if cfg.timeline_window_s > 0.0 or self._obs.enabled:
             rows = run.table.rows()
@@ -563,7 +520,7 @@ class ServingSimulator:
             )
             self.timeline = recorder.finish(
                 rows,
-                _batch_spans(run.batch_log),
+                spans,
                 horizon_s=horizon,
                 makespan_s=max(horizon, _last_end(run.batch_log)),
                 capacity={"cpu": 1.0, "gpu": 1.0},
@@ -585,7 +542,7 @@ class ServingSimulator:
                 self._obs.metrics, rows, run.table.tenant, self._names,
                 run.batch_log,
             )
-        return self._build_report(run)
+        return self._build_report(run, spans)
 
     # -- report assembly ------------------------------------------------------
 
@@ -595,9 +552,12 @@ class ServingSimulator:
             for t in self._tenants
         )
 
-    def _build_report(self, run: _ServingRun) -> ServingReport:
+    def _build_report(
+        self, run: _ServingRun, spans: BatchSpans
+    ) -> ServingReport:
         """Assemble the report; every outcome count comes from the
-        request table's status column."""
+        request table's status column, and the busy times from the
+        batch log's columns (``spans``)."""
         batch_log = run.batch_log
         horizon = self._horizon_s()
         makespan = max(horizon, _last_end(batch_log))
@@ -657,14 +617,8 @@ class ServingSimulator:
                 tracker.integral_s / makespan if makespan > 0 else 0.0
             ),
             queue_depth_max=tracker.depth_max,
-            cpu_utilization=(
-                min(1.0, run.cpu_busy_total / makespan)
-                if makespan > 0 else 0.0
-            ),
-            gpu_utilization=(
-                min(1.0, run.gpu_busy_total / makespan)
-                if makespan > 0 else 0.0
-            ),
+            cpu_utilization=_utilization(spans.busy_s["cpu"], makespan),
+            gpu_utilization=_utilization(spans.busy_s["gpu"], makespan),
             tenants=tuple(tenant_stats),
             seed=self._config.seed,
             timed_out=sum(t.timed_out for t in tenant_stats),
@@ -750,14 +704,13 @@ class _ServingRun:
         self.injector: Optional[FaultInjector] = None
         self.breaker: Optional[CircuitBreaker] = None
         self.degradation: Optional[DegradationManager] = None
-        self.retry = cfg.retry or RetryPolicy(seed=cfg.seed)
+        self.retry = RetryPolicy(seed=cfg.seed)
         if faults is not None:
             self.injector = FaultInjector(faults, seed=cfg.seed, obs=obs)
             self.breaker = CircuitBreaker(
-                failure_threshold=cfg.breaker_failure_threshold,
-                reset_timeout_s=cfg.breaker_reset_s,
+                failure_threshold=3, reset_timeout_s=0.25
             )
-            self.degradation = DegradationManager(cfg.degradation, obs=obs)
+            self.degradation = DegradationManager(None, obs=obs)
         # Duck-typed service models (tests) may not expose base_config.
         base_cfg = getattr(model, "base_config", None)
         self.hybrid_base = (
@@ -782,8 +735,6 @@ class _ServingRun:
         self.armed_timers: Dict[str, float] = {}
         self.dispatch_seq = 0
         self.device_busy = False
-        self.cpu_busy_total = 0.0
-        self.gpu_busy_total = 0.0
 
     def run(self) -> None:
         """Drive the engine until every event has been processed."""
@@ -1040,8 +991,6 @@ class _ServingRun:
             self.device_busy = True
             total = delay + svc.total_s
             self.scheduler.charge(chosen, total)
-            self.cpu_busy_total += svc.cpu_busy_s
-            self.gpu_busy_total += svc.gpu_busy_s
             end = now + total
             self.batch_log.append((
                 chosen, size, now, total, delay,
@@ -1234,6 +1183,15 @@ def _batch_spans(batch_log: List[BatchLogEntry]) -> BatchSpans:
         energy_j=energy_j,
         busy_s={"cpu": cpu_s, "gpu": gpu_s},
     )
+
+
+def _utilization(busy_s: np.ndarray, makespan_s: float) -> float:
+    """Busy share of the makespan, capped at 1.  ``busy_s`` is a
+    batch-log column, added left to right in dispatch order like a
+    running total."""
+    if makespan_s <= 0 or not len(busy_s):
+        return 0.0
+    return min(1.0, float(np.cumsum(busy_s)[-1]) / makespan_s)
 
 
 def _last_end(batch_log: List[BatchLogEntry]) -> float:

@@ -13,8 +13,7 @@ struct-of-arrays core:
   ``(time, kind, seq)`` events that provably never pops out of
   virtual-time order;
 * :class:`~repro.sim.engine.table.RequestTable` — request state as
-  parallel numpy columns instead of one Python object per request,
-  with lazy materialization for trace exports;
+  parallel numpy columns instead of one Python object per request;
   :class:`~repro.sim.engine.table.RequestRows` is the finished-run view
   both simulators hand to their reports and timelines (serving takes it
   from the table, the cluster rebuilds it from its dispatch log);
@@ -52,7 +51,6 @@ from .table import (
     TIMED_OUT,
     RequestRows,
     RequestTable,
-    status_of_code,
 )
 
 __all__ = [
@@ -70,5 +68,4 @@ __all__ = [
     "TIMED_OUT",
     "FAILED",
     "REJECTED",
-    "status_of_code",
 ]

@@ -1,18 +1,16 @@
 """Request state as a struct of arrays.
 
-One row per request, one numpy column per field — the engine's
-replacement for a Python :class:`~repro.serving.request.Request`
-object per arrival.  Status codes are small ints mapping 1:1 onto
-:class:`~repro.serving.request.RequestStatus`; unset instants are NaN
-(materialized back to ``None``).  Consumers that genuinely need
-objects (the Chrome-trace export, the CLI) call :meth:`materialize`
-once after the run, off the hot path.
+One row per request, one numpy column per field, instead of a Python
+object per arrival.  Status codes are small ints (:data:`SERVED`,
+:data:`SHED`, ...); unset instants are NaN.  Everything per request
+that a finished run reports — counts, latencies, timelines, the
+Chrome-trace lifecycle events — is read from these columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -24,22 +22,6 @@ SHED = 3
 TIMED_OUT = 4
 FAILED = 5
 REJECTED = 6
-
-
-def status_of_code() -> Dict[int, object]:
-    """Code → :class:`RequestStatus` map (deferred import: the serving
-    package imports this engine, so the edge back must stay lazy)."""
-    from ...serving.request import RequestStatus
-
-    return {
-        PENDING: RequestStatus.PENDING,
-        RUNNING: RequestStatus.RUNNING,
-        SERVED: RequestStatus.SERVED,
-        SHED: RequestStatus.SHED,
-        TIMED_OUT: RequestStatus.TIMED_OUT,
-        FAILED: RequestStatus.FAILED,
-        REJECTED: RequestStatus.REJECTED,
-    }
 
 
 @dataclass(frozen=True)
@@ -143,37 +125,3 @@ class RequestTable:
         return RequestRows(
             self.arrival_s[:n], finish, self.dispatch_s[:n], status, served
         )
-
-    # -- materialization (off the hot path) ------------------------------
-
-    def materialize(
-        self, tenant_names: Sequence[str], limit: Optional[int] = None
-    ) -> List["object"]:
-        """Build legacy :class:`Request` objects for trace export."""
-        from ...serving.request import Request
-
-        codes = status_of_code()
-        n = self.size if limit is None else min(limit, self.size)
-        arrival = self.arrival_s[:n].tolist()
-        finish = self.finish_s[:n].tolist()
-        dispatch = self.dispatch_s[:n].tolist()
-        deadline = self.deadline_s[:n].tolist()
-        status = self.status[:n].tolist()
-        tenant = self.tenant[:n].tolist()
-        batch = self.batch_size[:n].tolist()
-        corrupt = self.corrupt[:n].tolist()
-        out: List[Request] = []
-        isnan = np.isnan
-        for i in range(n):
-            out.append(Request(
-                request_id=i,
-                tenant=tenant_names[tenant[i]],
-                arrival_s=arrival[i],
-                status=codes[status[i]],
-                dispatch_s=None if isnan(dispatch[i]) else dispatch[i],
-                finish_s=None if isnan(finish[i]) else finish[i],
-                batch_size=batch[i],
-                deadline_s=None if isnan(deadline[i]) else deadline[i],
-                corrupt=corrupt[i],
-            ))
-        return out

@@ -211,8 +211,6 @@ class TestReplicaPredictions:
             policy=BatchPolicy(max_wait_s=0.0),
         )
         replica = fleet.pools[0].replicas[0]
-        replica.busy_s = 50.0
-        assert replica.utilization(10.0) == 1.0
-        replica.busy_s = 5.0
-        assert replica.utilization(10.0) == pytest.approx(0.5)
-        assert replica.utilization(0.0) == 0.0
+        assert replica.utilization(50.0, 10.0) == 1.0
+        assert replica.utilization(5.0, 10.0) == pytest.approx(0.5)
+        assert replica.utilization(5.0, 0.0) == 0.0

@@ -4,7 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     AutoscalerPolicy,
@@ -14,6 +17,7 @@ from repro.cluster import (
     DeviceMix,
     simulate_cluster,
 )
+from repro.cluster.simulator import _FleetLog
 from repro.errors import ReproError
 from repro.faults import load_scenario, scale_to_horizon
 from repro.serving.batcher import BatchPolicy
@@ -73,6 +77,48 @@ class TestAccounting:
     def test_makespan_covers_trailing_completions(self):
         report = run()
         assert report.makespan_s >= report.duration_s
+
+
+class TestDispatchLogFigures:
+    """Per-replica busy time and energy and per-pool batch histograms
+    are derived from the dispatch log after the run.  They equal the
+    running counters a loop keeps per dispatch, in log order, bit for
+    bit."""
+
+    #: replica index -> pool index
+    POOL_OF = np.array([0, 0, 1, 1, 1], dtype=np.int32)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.floats(0.0, 10.0, allow_nan=False),
+            st.floats(0.0, 10.0, allow_nan=False),
+            st.integers(0, 8),
+        ),
+        max_size=80,
+    ))
+    def test_match_running_counters(self, records):
+        log = _FleetLog()
+        busy = [0.0] * len(self.POOL_OF)
+        energy = [0.0] * len(self.POOL_OF)
+        histograms = [{}, {}]
+        for replica, total, joules, size in records:
+            if not size:
+                # A dispatch call that only abandoned requests.
+                total = joules = 0.0
+            log.replica.append(replica)
+            log.start_s.append(0.0)
+            log.total_s.append(total)
+            log.energy_j.append(joules)
+            log.size.append(size)
+            if size:
+                busy[replica] += total
+                energy[replica] += joules
+                hist = histograms[self.POOL_OF[replica]]
+                hist[size] = hist.get(size, 0) + 1
+        assert log.replica_totals(len(self.POOL_OF)) == (busy, energy)
+        assert log.batch_histograms(self.POOL_OF, 2) == histograms
 
 
 class TestValidation:

@@ -10,6 +10,7 @@ only debris must be a ``*.tmp`` file that ``sweep_tmp_files`` collects.
 
 import os
 import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -120,3 +121,44 @@ atomic_write_text({str(target)!r}, '{{"new": "' + "x" * 65536 + '"}}')
         assert target.read_bytes() == before
         assert sweep_tmp_files(tmp_path)
         assert target.read_bytes() == before
+
+
+class TestDirectoryFsync:
+    def test_directory_is_fsynced_after_the_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """A rename is durable only once its directory is fsynced: the
+        tmp file's data is fsynced before ``os.replace``, and a
+        descriptor of the target's directory after it."""
+        calls = []
+        real_replace, real_fsync = os.replace, os.fsync
+
+        def replace(src, dst):
+            calls.append(("replace", None))
+            real_replace(src, dst)
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd)))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        target = tmp_path / "objects" / "artifact.json"
+        atomic_write_text(target, '{"complete": "content"}\n')
+        monkeypatch.undo()
+
+        kinds = [kind for kind, _ in calls]
+        assert kinds.count("replace") == 1
+        split = kinds.index("replace")
+        directory = os.stat(target.parent)
+
+        def is_directory(st):
+            return stat.S_ISDIR(st.st_mode) and (st.st_dev, st.st_ino) == (
+                directory.st_dev, directory.st_ino,
+            )
+
+        before = [st for kind, st in calls[:split] if kind == "fsync"]
+        after = [st for kind, st in calls[split + 1:] if kind == "fsync"]
+        assert before and all(stat.S_ISREG(st.st_mode) for st in before)
+        assert any(is_directory(st) for st in after)
+        assert target.read_text() == '{"complete": "content"}\n'

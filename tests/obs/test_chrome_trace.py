@@ -1,10 +1,14 @@
 """Merged Chrome-trace export: kernel timeline + request lifecycle."""
 
 import json
+import math
 
 from repro.obs.export import REQUEST_PID, SIM_PID, chrome_trace
-from repro.serving.request import Request, RequestStatus
+from repro.sim.engine import SERVED, SHED, TIMED_OUT, RequestTable
 from repro.sim.trace import Trace, TraceEvent
+
+#: tenant names the test tables' tenant column indexes.
+TENANTS = ("lenet",)
 
 
 def kernel_trace():
@@ -15,31 +19,37 @@ def kernel_trace():
     return trace
 
 
-def served_request(rid=0, arrival=0.0, dispatch=0.001, finish=0.002):
-    req = Request(request_id=rid, tenant="lenet", arrival_s=arrival)
-    req.status = RequestStatus.SERVED
-    req.dispatch_s = dispatch
-    req.finish_s = finish
-    req.batch_size = 2
-    return req
+def served_request(arrival=0.0, dispatch=0.001, finish=0.002):
+    """(arrival, status, dispatch, finish, batch size) of a table row."""
+    return (arrival, SERVED, dispatch, finish, 2)
 
 
-def shed_request(rid=9, arrival=0.5):
-    req = Request(request_id=rid, tenant="lenet", arrival_s=arrival)
-    req.status = RequestStatus.SHED
-    req.finish_s = arrival
-    return req
+def shed_request(arrival=0.5):
+    return (arrival, SHED, math.nan, arrival, 0)
+
+
+def request_table(*requests):
+    """A request table with one row per request; the row index is the
+    request id."""
+    table = RequestTable(len(requests))
+    for arrival, status, dispatch, finish, size in requests:
+        idx = table.append(arrival, 0)
+        table.status[idx] = status
+        table.dispatch_s[idx] = dispatch
+        table.finish_s[idx] = finish
+        table.batch_size[idx] = size
+    return table
 
 
 class TestMergedTrace:
-    def events(self, **kw):
-        doc = json.loads(chrome_trace(**kw))
+    def events(self, *requests, kernel_trace=None):
+        table = request_table(*requests) if requests else None
+        doc = json.loads(chrome_trace(kernel_trace, table, TENANTS))
         assert "traceEvents" in doc
         return doc["traceEvents"]
 
     def test_valid_json_with_both_sides(self):
-        evs = self.events(kernel_trace=kernel_trace(),
-                          requests=[served_request()])
+        evs = self.events(served_request(), kernel_trace=kernel_trace())
         pids = {e["pid"] for e in evs}
         assert pids == {SIM_PID, REQUEST_PID}
 
@@ -50,33 +60,35 @@ class TestMergedTrace:
         assert {s["name"] for s in slices} == {"conv1", "relu1", "memcpy:x"}
 
     def test_requests_only_degrades_gracefully(self):
-        evs = self.events(requests=[served_request()])
+        evs = self.events(served_request())
         assert {e["pid"] for e in evs} == {REQUEST_PID}
 
     def test_empty_trace_is_valid(self):
         assert self.events() == []
+        # An empty request table contributes no process metadata.
+        doc = json.loads(chrome_trace(None, RequestTable(), TENANTS))
+        assert doc["traceEvents"] == []
 
     def test_timestamps_monotone_after_metadata(self):
-        evs = self.events(kernel_trace=kernel_trace(),
-                          requests=[served_request(), shed_request()])
+        evs = self.events(served_request(), shed_request(),
+                          kernel_trace=kernel_trace())
         body = [e for e in evs if e["ph"] != "M"]
         ts = [e["ts"] for e in body]
         assert ts == sorted(ts)
 
     def test_metadata_first(self):
-        evs = self.events(kernel_trace=kernel_trace(),
-                          requests=[served_request()])
+        evs = self.events(served_request(), kernel_trace=kernel_trace())
         phases = [e["ph"] for e in evs]
         last_meta = max(i for i, p in enumerate(phases) if p == "M")
         first_body = min(i for i, p in enumerate(phases) if p != "M")
         assert last_meta < first_body
 
     def test_flow_events_are_paired_by_id(self):
-        reqs = [served_request(rid=i, arrival=i * 0.01,
+        reqs = [served_request(arrival=i * 0.01,
                                dispatch=i * 0.01 + 0.005,
                                finish=i * 0.01 + 0.008)
                 for i in range(5)]
-        evs = self.events(requests=reqs)
+        evs = self.events(*reqs)
         starts = {e["id"]: e["ts"] for e in evs if e["ph"] == "s"}
         finishes = {e["id"]: e["ts"] for e in evs if e["ph"] == "f"}
         assert set(starts) == set(finishes) == {str(i) for i in range(5)}
@@ -87,21 +99,27 @@ class TestMergedTrace:
                 assert e["bp"] == "e"
 
     def test_async_track_spans_arrival_to_finish(self):
-        req = served_request(rid=3, arrival=0.25, finish=0.75)
-        evs = self.events(requests=[req])
+        evs = self.events(shed_request(),
+                          served_request(arrival=0.25, finish=0.75))
         begin = next(e for e in evs if e["ph"] == "b")
         end = next(e for e in evs if e["ph"] == "e")
-        assert begin["id"] == end["id"] == "3"
+        assert begin["id"] == end["id"] == "1"
         assert begin["ts"] == 0.25e6
         assert end["ts"] == 0.75e6
+        assert begin["args"] == {"tenant": "lenet", "batch_size": 2}
 
     def test_shed_request_is_instant_event(self):
-        evs = self.events(requests=[shed_request(rid=7)])
+        evs = self.events(shed_request())
         instants = [e for e in evs if e["ph"] == "i"]
         assert len(instants) == 1
-        assert instants[0]["name"] == "shed:req7"
+        assert instants[0]["name"] == "shed:req0"
         assert instants[0]["s"] == "t"
         assert not [e for e in evs if e["ph"] in ("s", "f")]
+
+    def test_undispatched_request_has_no_flow(self):
+        # Abandoned in its queue: a lifecycle track, but no dispatch.
+        evs = self.events((0.1, TIMED_OUT, math.nan, 0.3, 0))
+        assert [e["ph"] for e in evs if e["ph"] != "M"] == ["b", "e"]
 
     def test_microsecond_units(self):
         evs = self.events(kernel_trace=kernel_trace())
@@ -112,8 +130,7 @@ class TestMergedTrace:
         assert conv["dur"] == pytest.approx(1000)  # 0.001 s
 
     def test_process_names_label_both_pids(self):
-        evs = self.events(kernel_trace=kernel_trace(),
-                          requests=[served_request()])
+        evs = self.events(served_request(), kernel_trace=kernel_trace())
         names = {e["pid"]: e["args"]["name"] for e in evs
                  if e["ph"] == "M" and e["name"] == "process_name"}
         assert names == {SIM_PID: "simulator", REQUEST_PID: "requests"}
@@ -129,8 +146,7 @@ class TestEndToEndServingTrace:
             None, [poisson_tenant("lenet", 150.0, 0.3, seed=3)], obs=obs
         )
         report = sim.run()
-        doc = json.loads(chrome_trace(kernel_trace=sim.trace,
-                                      requests=sim.requests))
+        doc = json.loads(chrome_trace(sim.trace, sim.table, ["lenet"]))
         evs = doc["traceEvents"]
         assert doc["displayTimeUnit"] == "ms"
         # one flow pair per served request

@@ -169,5 +169,8 @@ class TestServingIntegration:
     def test_requests_and_batches_exposed(self):
         obs = Observability.on()
         sim, report = self.scenario(obs=obs)
-        assert len(sim.requests) == report.offered
-        assert len(sim.batches) == int(report.extra["batch_count"])
+        assert len(sim.table) == report.offered
+        # One device slice per dispatched batch in the kernel trace.
+        assert len(sim.trace.events_for("device")) == int(
+            report.extra["batch_count"]
+        )

@@ -80,10 +80,6 @@ class TestRecorder:
         with pytest.raises(ReproError):
             TimelineRecorder(0.0)
 
-    def test_rejects_unsorted_bounds(self):
-        with pytest.raises(ReproError):
-            TimelineRecorder(1.0, bounds_s=(0.1, 0.1, 0.2))
-
     def test_counts_land_in_their_windows(self):
         art = small_artifact()
         assert art.windows == 3

@@ -6,7 +6,10 @@ hand-checkable batch costs so assertions are about the *serving* logic
 A few integration tests at the bottom run the real engine on lenet.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.serving.batcher import BatchPolicy
@@ -16,6 +19,7 @@ from repro.serving.simulator import (
     ServingConfig,
     ServingSimulator,
     TenantSpec,
+    _utilization,
     poisson_tenant,
     simulate,
     simulate_poisson,
@@ -82,11 +86,28 @@ class TestBeforeRun:
             service_model=FixedServiceModel(),
         )
         assert sim.trace is None
-        assert sim.batches == []
-        assert sim.requests == []
+        assert sim.table is None
         report = sim.run()
-        assert len(sim.batches) == report.extra["batch_count"] > 0
-        assert len(sim.trace) == 3 * len(sim.batches)
+        assert len(sim.table) == report.offered
+        batches = report.extra["batch_count"]
+        assert batches > 0
+        assert len(sim.trace) == 3 * batches
+
+
+class TestUtilization:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=60),
+        st.floats(0.0, 100.0, allow_nan=False),
+    )
+    def test_sums_the_batch_log_like_a_running_total(self, busy, makespan):
+        """CPU/GPU utilization sums a batch-log column after the run;
+        it equals a per-dispatch ``+=`` total, bit for bit."""
+        running = 0.0
+        for busy_s in busy:
+            running += busy_s
+        expected = min(1.0, running / makespan) if makespan > 0 else 0.0
+        assert _utilization(np.array(busy), makespan) == expected
 
 
 class TestConservation:

@@ -273,12 +273,13 @@ def cluster_flash_crowd() -> Simulator:
     return sim
 
 
-def cluster_storm() -> Simulator:
+def cluster_storm(obs=None) -> Simulator:
     """A flash crowd and a steady second pool on a throttled mixed
     fleet in a 3 s edge-storm, with 20 ms deadlines, 4-deep queues and
     the autoscaler on: the only cluster run that sheds, abandons,
     completes late and fails batches.  Not an engine-parity scenario:
-    ``test_outcome_goldens.py`` pins it."""
+    ``test_outcome_goldens.py`` pins it, and its batch trace when run
+    with ``obs`` on."""
     sim = ClusterSimulator(
         [
             ClusterTenant(
@@ -314,6 +315,7 @@ def cluster_storm() -> Simulator:
             ),
             timeline_window_s=0.5,
         ),
+        obs=obs,
     )
     return sim
 

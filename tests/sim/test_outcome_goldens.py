@@ -11,7 +11,9 @@ every serving scenario:
   fail-fast, abandoned and late requests);
 * with observability on, every metric value per (family, label set),
   the span forest and the provenance log;
-* the Prometheus text of ``serving_obs``, byte for byte.
+* the Prometheus text of ``serving_obs``, byte for byte;
+* with observability on, the merged Chrome trace: the kernel trace plus
+  one lifecycle track per request.
 
 Metric series are compared sorted by label set: the order of label sets
 within a family is not part of the contract, their values are.
@@ -19,7 +21,8 @@ within a family is not part of the contract, their values are.
 The cluster rebuilds its per-request rows from a dispatch log after the
 run.  Its parity scenarios serve every request, so one storm run pins
 the rebuild's shed, abandoned, late and failed paths: its report and
-timeline digests and each replica's served, failed and batch counts.
+timeline digests and each replica's served, failed and batch counts,
+and, run again with observability on, its batch trace.
 
 Alongside the goldens, two oracles that need no golden at all: the
 outcome counts of every report add up from the table, and Little's law
@@ -33,7 +36,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.obs.export import metrics_to_dict, prometheus_text
+from repro.obs import Observability
+from repro.obs.export import chrome_trace, metrics_to_dict, prometheus_text
 from repro.sim.engine import (
     FAILED,
     REJECTED,
@@ -124,6 +128,19 @@ SERVING_OBS_PROMETHEUS = (
     "dcd60e0625f6b9600dfdec4f265cebb45b2a6a9236857b9c375b5d2a06a0cbb3"
 )
 
+#: scenario -> sha256 of the merged Chrome trace of the run.
+TRACE_GOLDENS = {
+    "serving_obs": (
+        "11c07cc94e7a418b1da5f847f79717d0adf8b282bf5ec70f8ab3a49b6d3dac5a"
+    ),
+    "serving_storm_obs": (
+        "5cb84ff07ea04a117f87f622037797556989c44914c027f091c3e3a60a9c467b"
+    ),
+    "serving_storm_obs_naive": (
+        "9af6203ad9f0514d1a945df5f7e5d0f82c0e65aec658607872f3f032f58d3dad"
+    ),
+}
+
 #: the storm runs reach every outcome: (offered, served, shed,
 #: timed_out, late, failed, rejected).
 STORM_COUNTS = {
@@ -136,6 +153,11 @@ STORM_COUNTS = {
 CLUSTER_STORM_DIGESTS = (
     "7d616130ae3188e5707a04742c165fa4107f56e8c3bcb64f1554f30697514c6d",
     "0b0d8668625ecffcd19cd55928ea3266541bbad495604554ace5e798143362c5",
+)
+
+#: sha256 of cluster_storm's Chrome trace, run with observability on.
+CLUSTER_STORM_TRACE = (
+    "958e0a27b51d4f514a56ad48791e1c471368ffdcb52e873bdbe2f238b9220ec7"
 )
 
 #: cluster_storm: replica -> (served, failed, batches).
@@ -215,6 +237,13 @@ def test_serving_obs_prometheus_text_is_byte_identical(runs):
     assert _sha(prometheus_text(sim._obs.metrics)) == SERVING_OBS_PROMETHEUS
 
 
+@pytest.mark.parametrize("name", sorted(TRACE_GOLDENS))
+def test_chrome_trace_golden(name, runs):
+    sim, _ = runs[name]
+    trace = chrome_trace(sim.trace, sim.table, sim._names)
+    assert _sha(trace) == TRACE_GOLDENS[name]
+
+
 @pytest.mark.parametrize("name", sorted(STORM_COUNTS))
 def test_storm_runs_reach_every_outcome(name, runs):
     _, report = runs[name]
@@ -236,6 +265,11 @@ def test_cluster_storm_golden(storm):
     assert {
         r.name: (r.served, r.failed, r.batches) for r in report.replicas
     } == CLUSTER_STORM_REPLICAS
+
+
+def test_cluster_storm_trace_golden():
+    sim, _ = run_hermetic(lambda: cluster_storm(Observability.on()))
+    assert _sha(chrome_trace(sim.trace)) == CLUSTER_STORM_TRACE
 
 
 def test_cluster_storm_reaches_every_outcome(storm):

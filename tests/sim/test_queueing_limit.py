@@ -44,7 +44,8 @@ def test_mean_wait_is_pollaczek_khinchine(rho):
     assert report.shed == 0
     assert report.served == report.offered
 
-    waits = np.array([r.dispatch_s - r.arrival_s for r in sim.requests])
+    table = sim.table
+    waits = table.dispatch_s[:len(table)] - table.arrival_s[:len(table)]
     per_batch = len(waits) // BATCHES
     means = waits[: per_batch * BATCHES].reshape(BATCHES, per_batch).mean(1)
     stderr = means.std(ddof=1) / np.sqrt(BATCHES)

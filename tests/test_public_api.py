@@ -55,7 +55,6 @@ PUBLIC_MODULES = [
     "repro.serving",
     "repro.serving.batcher",
     "repro.serving.report",
-    "repro.serving.request",
     "repro.serving.scheduler",
     "repro.serving.simulator",
     "repro.sim",
