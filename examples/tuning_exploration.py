@@ -17,6 +17,7 @@ from repro.core.executor import HybridExecutor
 from repro.core.plan import Assignment
 from repro.core.tuner import AdaptiveTuner, TunerConfig
 from repro.nn.models import build
+from repro.obs.export import chrome_trace
 
 
 def main(network: str = "alexnet") -> None:
@@ -54,7 +55,7 @@ def main(network: str = "alexnet") -> None:
 
     final = HybridExecutor(net, device, result.plan).run()
     out = pathlib.Path(f"{network}_schedule.trace.json")
-    out.write_text(final.trace.to_chrome_trace())
+    out.write_text(chrome_trace(kernel_trace=final.trace))
     print(f"\nfinal plan: {result.plan.describe()}")
     print(f"final latency: {final.total_s * 1e3:.3f} ms")
     print(f"chrome trace written to {out} "

@@ -55,7 +55,7 @@ VIRTUAL_CLOCK_PARTS: Set[str] = {
 }
 #: File names that run on the virtual clock wherever they live.
 VIRTUAL_CLOCK_FILES: Set[str] = {"tuner.py"}
-#: Path parts of the engine + execution backends (exception discipline).
+#: Path parts of the engine, compiler and baselines (exception discipline).
 ENGINE_PARTS: Set[str] = {"core", "compile", "baselines"}
 #: File names whose decision branches must log provenance.
 DECISION_FILES: Set[str] = {"tuner.py", "degradation.py"}

@@ -116,8 +116,10 @@ def cmd_run(args) -> int:
           + (" (reloaded from artifact, 0 run here)"
              if tuning.source == "artifact" else ""))
     if args.trace:
+        from .obs.export import chrome_trace
+
         with open(args.trace, "w") as f:
-            f.write(report.trace.to_chrome_trace())
+            f.write(chrome_trace(kernel_trace=report.trace))
         print(f"trace     : {args.trace}")
     return 0
 
@@ -284,7 +286,7 @@ def cmd_serve(args) -> int:
             args.network, args.arrival_rate, args.duration, seed=args.seed,
         ))
     from .obs import Observability
-    from .obs.export import write_obs_artifacts
+    from .obs.export import chrome_trace, write_obs_artifacts
 
     _configure_store(args)
     obs = Observability.on() if args.obs_out else Observability.off()
@@ -317,7 +319,7 @@ def cmd_serve(args) -> int:
         print(simulator.slo_report.render())
     if args.trace:
         with open(args.trace, "w") as f:
-            f.write(simulator.trace.to_chrome_trace())
+            f.write(chrome_trace(kernel_trace=simulator.trace))
         print(f"trace     : {args.trace}")
     if args.obs_out:
         names = write_obs_artifacts(
@@ -596,11 +598,11 @@ def cmd_plan_show(args) -> int:
 
 
 def cmd_plan_run(args) -> int:
-    from .compile import AnalyticBackend, CompiledPlan, PlanArtifact
+    from .compile import CompiledPlan, PlanArtifact
 
     artifact = PlanArtifact.load(args.artifact)
     compiled = CompiledPlan.from_artifact(artifact)
-    report = AnalyticBackend().execute(compiled)
+    report = compiled.execute()
     print(f"network   : {artifact.key.network} on {artifact.key.device} "
           f"(artifact v{artifact.version}, no tuning run)")
     print(f"latency   : {report.total_s * 1e3:.3f} ms")

@@ -3,8 +3,8 @@
 Turns "derive a plan and execute it" into an explicit, inspectable
 compiler: five stages (``profile → place → partition → schedule →
 lower``) producing a versioned, JSON-serializable
-:class:`~repro.compile.artifact.PlanArtifact`, executed by pluggable
-backends (analytic simulator / NumPy numerics).
+:class:`~repro.compile.artifact.PlanArtifact`, executed on the
+virtual-clock simulator by :meth:`CompiledPlan.execute`.
 
 Public surface:
 
@@ -13,8 +13,7 @@ Public surface:
 * :class:`CompilerPipeline` — the stage driver (used by
   :meth:`repro.core.tuner.AdaptiveTuner.tune` under the hood);
 * :class:`PlanArtifact` — save/load compiled plans across processes;
-* :func:`get_backend` / :class:`AnalyticBackend` /
-  :class:`NumpyBackend` — execute a compiled plan.
+* :meth:`CompiledPlan.execute` — run a compiled plan.
 """
 
 from .artifact import (
@@ -26,13 +25,6 @@ from .artifact import (
     TunerProvenance,
     payload_checksum,
 )
-from .backends import (
-    BACKENDS,
-    AnalyticBackend,
-    ExecutionBackend,
-    NumpyBackend,
-    get_backend,
-)
 from .pipeline import (
     CompiledPlan,
     CompilerPipeline,
@@ -43,18 +35,13 @@ from .pipeline import (
 __all__ = [
     "ARTIFACT_SCHEMA",
     "ARTIFACT_VERSION",
-    "BACKENDS",
     "STAGE_NAMES",
-    "AnalyticBackend",
     "CompiledPlan",
     "CompilerPipeline",
-    "ExecutionBackend",
     "Lowering",
-    "NumpyBackend",
     "PlanArtifact",
     "TunerProvenance",
     "compile_fixed",
     "compile_plan",
-    "get_backend",
     "payload_checksum",
 ]

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union, TYPE_CHECKING
 
+from ..core.executor import HybridExecutor
 from ..core.memory_manager import MemoryPolicy, plan_allocations
 from ..core.plan import ExecutionPlan, cpu_layer, gpu_layer
 from ..core.plan_cache import PlanKey
@@ -48,6 +49,7 @@ from ..obs import NOOP_OBS, Observability
 from .artifact import Lowering, PlanArtifact, TunerProvenance
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..core.report import InferenceReport
     from ..core.tuner import AdaptiveTuner, TunerConfig, TuningResult
 
 
@@ -55,8 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class CompiledPlan:
     """A plan artifact bound to its in-memory graph and device.
 
-    This is what execution backends consume: the artifact alone is
-    enough to rebuild one in a fresh process
+    :meth:`execute` is the one way to run a compiled plan.  The artifact
+    alone is enough to rebuild one in a fresh process
     (:meth:`CompiledPlan.from_artifact`).
     """
 
@@ -111,13 +113,37 @@ class CompiledPlan:
             device = Device(device)
         return cls(graph=graph, device=device, artifact=artifact)
 
-    def execute(self, backend=None, *, payload=None, obs=None):
-        """Run this plan on a backend (default: the analytic backend)."""
-        from .backends import AnalyticBackend
+    def execute(
+        self,
+        *,
+        warm_weights: bool = False,
+        serialize: Optional[bool] = None,
+        host_staging: Optional[bool] = None,
+        obs: Optional[Observability] = None,
+    ) -> "InferenceReport":
+        """Run one inference of this plan on the virtual-clock simulator.
 
-        if backend is None:
-            backend = AnalyticBackend()
-        return backend.execute(self, payload=payload, obs=obs)
+        ``serialize``/``host_staging`` default to the artifact's lowering;
+        pass booleans to override it.  ``warm_weights`` starts with the
+        weights device-resident (steady-state serving).  Numerics do not
+        go through a plan: see :meth:`NetworkGraph.forward`.
+        """
+        lowering = self.artifact.lowering
+        if serialize is None:
+            serialize = lowering.serialize
+        if host_staging is None:
+            host_staging = lowering.host_staging
+        return HybridExecutor(
+            self.graph,
+            self.device,
+            self.plan,
+            serialize=serialize,
+            host_staging=host_staging,
+            warm_weights=warm_weights,
+            precision=self.precision,
+            batch_size=self.batch_size,
+            obs=obs if obs is not None else NOOP_OBS,
+        ).run()
 
 
 def _key_for_tuner(

@@ -48,7 +48,7 @@ from .multitenant import (
     concurrent_edgenn,
     run_concurrent,
 )
-from .service import ServiceProfile, profile_service, warm_report
+from .service import ServiceProfile, profile_service
 from .semantics import (
     BufferRole,
     classify_buffers,
@@ -106,6 +106,5 @@ __all__ = [
     "profile_service",
     "split_layer",
     "total_time",
-    "warm_report",
     "weights_buffer",
 ]

@@ -225,18 +225,15 @@ class EdgeNN:
         return self.compiled().artifact
 
     def run(self) -> InferenceReport:
-        """Simulate one inference under the tuned plan (analytic backend)."""
-        from ..compile.backends import AnalyticBackend
-
-        backend = AnalyticBackend()
+        """Simulate one inference under the tuned plan."""
         compiled = self.compiled()
         if not self.obs.enabled:
-            return backend.execute(compiled)
+            return compiled.execute()
         with self.obs.tracer.span(
             f"execute:{self._network}", category="execute",
             device=self.device.name, batch=self.config.batch_size,
         ) as span:
-            report = backend.execute(compiled, obs=self.obs)
+            report = compiled.execute(obs=self.obs)
             span.set_times(0.0, report.total_s)
             span.set_attributes(
                 latency_ms=report.total_s * 1e3,
@@ -247,7 +244,7 @@ class EdgeNN:
     # -- numerics ---------------------------------------------------------------
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """Numerically execute the network on ``x`` (NumPy backend).
+        """Numerically execute the network on ``x`` (``graph.forward``).
 
         Independent of the timing simulation: the placement of a layer on
         CPU or GPU never changes its mathematical result, so this path

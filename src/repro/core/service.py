@@ -22,14 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from ..compile.backends import AnalyticBackend
 from ..hardware.device import Device
 from ..hardware.specs import DeviceSpec
 from ..nn.graph import NetworkGraph
 from ..nn.models import build as build_model
 from .engine import EdgeNN, EdgeNNConfig
 from .memory_manager import MemoryPolicy
-from .report import InferenceReport
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,7 @@ class ServiceProfile:
         return self.cold_s - self.warm_s
 
 
-def _backend_kwargs(config: EdgeNNConfig | None) -> dict:
+def _lowering_overrides(config: EdgeNNConfig | None) -> dict:
     """Match the execution semantics of the configuration: without the
     semantic memory manager, the runtime behaves like the original
     programs (single stream, per-layer host staging)."""
@@ -67,9 +65,9 @@ def profile_service(
     graph = build_model(network) if isinstance(network, str) else network
     engine = EdgeNN(graph, device, config)
     compiled = engine.compiled()
-    kwargs = _backend_kwargs(config)
-    cold = AnalyticBackend(**kwargs).execute(compiled)
-    warm = AnalyticBackend(warm_weights=True, **kwargs).execute(compiled)
+    overrides = _lowering_overrides(config)
+    cold = compiled.execute(**overrides)
+    warm = compiled.execute(warm_weights=True, **overrides)
     overhead = max(0.0, cold.total_s - warm.total_s)
     if overhead <= 0:
         amortize = 1
@@ -83,15 +81,3 @@ def profile_service(
         requests_to_amortize=amortize,
     )
 
-
-def warm_report(
-    network: Union[str, NetworkGraph],
-    device: Union[Device, DeviceSpec, None] = None,
-    config: EdgeNNConfig | None = None,
-) -> InferenceReport:
-    """Full report of one steady-state (warm) request."""
-    graph = build_model(network) if isinstance(network, str) else network
-    engine = EdgeNN(graph, device, config)
-    return AnalyticBackend(
-        warm_weights=True, **_backend_kwargs(config)
-    ).execute(engine.compiled())

@@ -67,59 +67,6 @@ def to_json(result: Any, *, indent: int = 2) -> str:
     return json.dumps(document, indent=indent)
 
 
-def serving_rows(report) -> List[Dict[str, Any]]:
-    """Flatten a :class:`~repro.serving.report.ServingReport` into one
-    row per tenant (plus the aggregate as tenant ``*``)."""
-    rows: List[Dict[str, Any]] = []
-    for t in list(report.tenants):
-        rows.append({
-            "tenant": t.name,
-            "network": t.network,
-            "weight": t.weight,
-            "offered": t.offered,
-            "served": t.served,
-            "shed": t.shed,
-            "shed_rate": t.shed_rate,
-            "p50_ms": t.latency.p50_s * 1e3,
-            "p95_ms": t.latency.p95_s * 1e3,
-            "p99_ms": t.latency.p99_s * 1e3,
-            "mean_ms": t.latency.mean_s * 1e3,
-            "mean_batch_size": t.mean_batch_size,
-        })
-    rows.append({
-        "tenant": "*",
-        "network": "*",
-        "weight": sum(t.weight for t in report.tenants),
-        "offered": report.offered,
-        "served": report.served,
-        "shed": report.shed,
-        "shed_rate": report.shed_rate,
-        "p50_ms": report.latency.p50_s * 1e3,
-        "p95_ms": report.latency.p95_s * 1e3,
-        "p99_ms": report.latency.p99_s * 1e3,
-        "mean_ms": report.latency.mean_s * 1e3,
-        "mean_batch_size": report.mean_batch_size,
-    })
-    return rows
-
-
-def serving_to_csv(report) -> str:
-    """Per-tenant CSV of one serving run."""
-    rows = serving_rows(report)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def serving_to_json(report, *, indent: int = 2) -> str:
-    """Full JSON document of one serving run (summary + tenants)."""
-    document = report.to_dict()
-    document["tenants"] = serving_rows(report)[:-1]
-    return json.dumps(document, indent=indent)
-
-
 def write_all(directory) -> List[str]:
     """Run every experiment and write ``<id>.csv``/``<id>.json`` pairs into
     ``directory``; returns the artifact ids written."""

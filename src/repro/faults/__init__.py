@@ -10,7 +10,7 @@ timeline in any process — and supplies the resilience mechanisms that
 survive it:
 
 * :class:`RetryPolicy` / :class:`CircuitBreaker` — backoff-with-jitter
-  retries and a breaker around backend execution;
+  retries and a breaker around the serving simulator's kernel launches;
 * :class:`DegradationManager` — latency-drift detection that re-tunes
   against the throttled device, and a safe-plan fallback after
   repeated hybrid-kernel failures;

@@ -122,7 +122,6 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 3,
         reset_timeout_s: float = 0.5,
-        name: str = "backend",
     ) -> None:
         if failure_threshold < 1:
             raise ReproError(
@@ -132,7 +131,6 @@ class CircuitBreaker:
             raise ReproError(
                 f"reset_timeout_s must be > 0, got {reset_timeout_s}"
             )
-        self.name = name
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
         self._state = self.CLOSED

@@ -10,8 +10,8 @@ a thermal window puts the system on, exactly the way
 
 A throttled spec is a first-class :class:`DeviceSpec`: the tuner can
 re-tune against it (graceful degradation re-plans for the operating
-point actually in effect), and the analytic backend can execute a stale
-plan on it (what a non-resilient deployment suffers).
+point actually in effect), and a compiled plan can execute stale on
+it (what a non-resilient deployment suffers).
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..compile.backends import AnalyticBackend
 from ..compile.pipeline import CompiledPlan
 from ..core.engine import EdgeNN, EdgeNNConfig
 from ..core.plan_cache import default_plan_cache
@@ -249,7 +248,7 @@ def warm_service_time(
     compiled: CompiledPlan, obs: Observability
 ) -> BatchServiceTime:
     """Run one compiled plan warm (weights device-resident)."""
-    report = AnalyticBackend(warm_weights=True).execute(compiled, obs=obs)
+    report = compiled.execute(warm_weights=True, obs=obs)
     return BatchServiceTime(
         total_s=report.total_s,
         cpu_busy_s=report.cpu_busy_s,

@@ -1,17 +1,16 @@
-"""Execution trace records and Chrome-trace export.
+"""Execution trace records.
 
 Every scheduled interval on the timeline becomes a :class:`TraceEvent`.
-``Trace.to_chrome_trace()`` emits the ``chrome://tracing`` / Perfetto JSON
-format so simulated schedules can be inspected visually.
+:func:`repro.obs.export.chrome_trace` emits a :class:`Trace` in the
+``chrome://tracing`` / Perfetto JSON format so simulated schedules can
+be inspected visually.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
-from .. import units
 from ..errors import ReproError
 
 
@@ -77,46 +76,3 @@ class Trace:
         if not self._events:
             return 0.0
         return max(e.end_s for e in self._events)
-
-    def to_chrome_trace(self) -> str:
-        """Serialize to the Chrome trace-event JSON format (microseconds)."""
-        pid_for: Dict[str, int] = {}
-        records = []
-        for event in self._events:
-            tid = pid_for.setdefault(event.resource, len(pid_for) + 1)
-            records.append(
-                {
-                    "name": event.label,
-                    "cat": event.category,
-                    "ph": "X",
-                    "ts": units.to_microseconds(event.start_s),
-                    "dur": units.to_microseconds(event.duration_s),
-                    "pid": 1,
-                    "tid": tid,
-                }
-            )
-        meta: List[dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 0,
-                "args": {"name": "simulated device"},
-            }
-        ]
-        for resource, tid in pid_for.items():
-            meta.append({
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "args": {"name": resource},
-            })
-            meta.append({
-                "name": "thread_sort_index",
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "args": {"sort_index": tid},
-            })
-        return json.dumps({"traceEvents": meta + records})

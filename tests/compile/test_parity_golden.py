@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.compile import AnalyticBackend, CompiledPlan, PlanArtifact
+from repro.compile import CompiledPlan, PlanArtifact
 from repro.core.engine import EdgeNN, EdgeNNConfig
 from repro.core.memory_manager import MemoryPolicy
 from repro.core.plan_cache import PlanCache
@@ -123,7 +123,7 @@ def test_artifact_round_trip_reproduces_golden_report(tmp_path):
     direct = engine.run()
     path = engine.artifact().save(tmp_path / "alexnet.json")
     reloaded = CompiledPlan.from_artifact(PlanArtifact.load(path))
-    replayed = AnalyticBackend().execute(reloaded)
+    replayed = reloaded.execute()
     assert replayed.to_dict() == direct.to_dict()
     assert report_scalars(replayed) == GOLDENS["integrated"][
         combo_key("alexnet", True, True)

@@ -1,5 +1,6 @@
 """The staged compilation pipeline and its thin clients."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.cpu_only import cpu_only_plan
@@ -105,6 +106,60 @@ class TestCompiledPlan:
         art = compile_fixed("lenet", JETSON_AGX_XAVIER).artifact
         with pytest.raises(ReproError, match="does not match"):
             CompiledPlan.from_artifact(art, graph=build_model("alexnet"))
+
+    def test_matches_engine_run(self):
+        compiled = compile_plan("lenet", JETSON_AGX_XAVIER)
+        engine = EdgeNN("lenet", JETSON_AGX_XAVIER, plan_cache=PlanCache())
+        assert compiled.execute().to_dict() == engine.run().to_dict()
+
+    def test_override_beats_lowering(self):
+        # The artifact says serialized + host-staged; the override
+        # restores concurrent zero-copy execution and must change timing.
+        compiled = compile_fixed(
+            "alexnet", JETSON_AGX_XAVIER, placement="gpu",
+            serialize=True, host_staging=True,
+        )
+        pinned = compiled.execute()
+        overridden = compiled.execute(serialize=False, host_staging=False)
+        assert overridden.total_s < pinned.total_s
+
+    def test_warm_weights_drop_cold_copies(self):
+        compiled = compile_fixed("alexnet", JETSON_AGX_XAVIER, placement="gpu")
+        cold = compiled.execute()
+        warm = compiled.execute(warm_weights=True)
+        assert warm.total_s <= cold.total_s
+        assert warm.copy_s_total <= cold.copy_s_total
+
+    def test_reloaded_graph_matches_reference_forward(self):
+        # A graph rebuilt from a saved artifact computes exactly what the
+        # compiled graph does.
+        compiled = compile_fixed("lenet", JETSON_AGX_XAVIER)
+        art = PlanArtifact.from_json(compiled.artifact.to_json())
+        reloaded = CompiledPlan.from_artifact(art)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(compiled.graph.input_shape).astype(np.float32)
+        engine = EdgeNN(reloaded.graph, reloaded.device,
+                        plan_cache=PlanCache())
+        np.testing.assert_array_equal(
+            engine.infer(x), compiled.graph.forward(x)
+        )
+
+    def test_placement_never_changes_math(self):
+        rng = np.random.default_rng(3)
+        x = None
+        outputs = []
+        for placement in ("cpu", "gpu"):
+            compiled = compile_fixed(
+                "lenet", JETSON_AGX_XAVIER, placement=placement
+            )
+            if x is None:
+                x = rng.standard_normal(
+                    compiled.graph.input_shape
+                ).astype(np.float32)
+            engine = EdgeNN(compiled.graph, compiled.device,
+                            plan_cache=PlanCache())
+            outputs.append(engine.infer(x))
+        np.testing.assert_array_equal(outputs[0], outputs[1])
 
 
 class TestStageTracing:

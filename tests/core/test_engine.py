@@ -8,6 +8,7 @@ from repro.core.memory_manager import MemoryPolicy
 from repro.errors import ReproError
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER, RASPBERRY_PI_4, RTX_2080TI_HOST
+from repro.nn.graph import NetworkGraph
 from repro.nn.models import MODEL_BUILDERS
 from repro.workloads import input_for
 
@@ -136,3 +137,22 @@ class TestInfer:
                                 use_hybrid_execution=False),
         ).infer(x)
         np.testing.assert_allclose(full, plain, rtol=1e-6)
+
+    def test_params_cached_per_graph(self, chain_net, monkeypatch):
+        # The graph owns its parameters: any number of forward passes and
+        # engine calls on one graph materialize them exactly once.
+        calls = []
+        materialize = NetworkGraph.materialize_params
+
+        def counting(graph):
+            calls.append(graph)
+            return materialize(graph)
+
+        monkeypatch.setattr(NetworkGraph, "materialize_params", counting)
+        x = input_for(chain_net, seed=5)
+        first = chain_net.forward(x)
+        second = chain_net.forward(x)
+        engine = EdgeNN(chain_net, JETSON_AGX_XAVIER)
+        np.testing.assert_array_equal(engine.infer(x), first)
+        np.testing.assert_array_equal(second, first)
+        assert calls == [chain_net]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.engine import EdgeNNConfig
-from repro.core.service import ServiceProfile, profile_service, warm_report
+from repro.core.service import profile_service
 from repro.core.memory_manager import MemoryPolicy
 
 from ..conftest import make_chain_net
@@ -49,8 +49,3 @@ class TestWarmBehaviour:
         cold_gain = cold_regular.cold_s - cold_managed.cold_s
         warm_gain = cold_regular.warm_s - cold_managed.warm_s
         assert cold_gain > warm_gain
-
-    def test_warm_report_is_full_report(self, chain_net):
-        report = warm_report(chain_net)
-        assert report.total_s > 0
-        assert len(report.layers) == len(chain_net)

@@ -130,10 +130,19 @@ class TestCommands:
         assert "shed 0 (0.0%)" in capsys.readouterr().out
 
     def test_serve_writes_trace(self, tmp_path, capsys):
-        trace = tmp_path / "serve.json"
+        # --trace writes the kernel half of the --obs-out bundle's trace,
+        # record for record: one serializer behind both.
+        trace, out = tmp_path / "serve.json", tmp_path / "obs"
         assert main(["serve", "--network", "lenet", "--duration", "1",
-                     "--trace", str(trace)]) == 0
-        assert trace.exists()
+                     "--trace", str(trace), "--obs-out", str(out)]) == 0
+        import json as _json
+
+        from repro.obs.export import SIM_PID
+
+        kernel = _json.loads(trace.read_text())["traceEvents"]
+        merged = _json.loads((out / "trace.json").read_text())["traceEvents"]
+        assert kernel
+        assert kernel == [e for e in merged if e["pid"] == SIM_PID]
 
     def test_serve_obs_out_writes_artifact_bundle(self, tmp_path, capsys):
         out = tmp_path / "obs"

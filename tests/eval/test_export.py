@@ -66,50 +66,6 @@ class TestJson:
         assert "max_discrete" in doc
 
 
-def _serving_report():
-    from repro.serving import BatchPolicy, ServingConfig, ServingSimulator, TenantSpec
-    from repro.serving.simulator import BatchServiceTime
-    from repro.hardware.specs import JETSON_AGX_XAVIER
-    from repro.workloads.arrivals import UniformArrivals
-
-    class Model:
-        def warm(self, network, batch):
-            t = 0.01 * batch
-            return BatchServiceTime(total_s=t, cpu_busy_s=0.2 * t,
-                                    gpu_busy_s=0.8 * t)
-
-        cold = warm
-
-    tenants = [TenantSpec(network="lenet", arrival=UniformArrivals(50, 1.0))]
-    sim = ServingSimulator(JETSON_AGX_XAVIER, tenants, ServingConfig(),
-                           service_model=Model())
-    return sim.run()
-
-
-class TestServingExport:
-    def test_rows_have_aggregate_sentinel(self):
-        from repro.eval.export import serving_rows
-
-        rows = serving_rows(_serving_report())
-        assert rows[-1]["tenant"] == "*"
-        assert rows[-1]["offered"] == sum(r["offered"] for r in rows[:-1])
-
-    def test_csv_parses_back(self):
-        from repro.eval.export import serving_to_csv
-
-        parsed = list(csv.DictReader(io.StringIO(
-            serving_to_csv(_serving_report()))))
-        assert parsed[0]["network"] == "lenet"
-        assert float(parsed[0]["p99_ms"]) >= float(parsed[0]["p50_ms"])
-
-    def test_json_round_trip(self):
-        from repro.eval.export import serving_to_json
-
-        doc = json.loads(serving_to_json(_serving_report()))
-        assert doc["offered"] == doc["served"] + doc["shed"]
-        assert doc["tenants"][0]["tenant"] == "lenet"
-
-
 def _parity(csv_text, json_rows):
     """Assert CSV rows and JSON rows carry identical data field by field
     (CSV stringifies everything, so compare through float where possible)."""
@@ -138,18 +94,3 @@ class TestCsvJsonRoundTripParity:
     def test_computed_properties_survive_both_paths(self):
         result = ex.fig12_cloud_comparison(("lenet",))
         _parity(to_csv(result), json.loads(to_json(result))["rows"])
-
-    def test_serving_parity(self):
-        from repro.eval.export import (
-            serving_rows,
-            serving_to_csv,
-            serving_to_json,
-        )
-
-        report = _serving_report()
-        json_tenants = json.loads(serving_to_json(report))["tenants"]
-        # The JSON document drops the aggregate "*" row; compare the
-        # per-tenant prefix, then the aggregate against the full rows.
-        all_rows = serving_rows(report)
-        _parity(serving_to_csv(report), all_rows)
-        assert json_tenants == all_rows[:-1]

@@ -8,6 +8,7 @@ from repro.baselines import run_cpu_only, run_gpu_only
 from repro.eval import experiments as ex
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import benchmark_names, build
+from repro.obs.export import chrome_trace
 from repro.workloads import input_for
 
 
@@ -79,7 +80,7 @@ class TestCrossConfigConsistency:
         import json
         report = ex.edgenn_report("lenet")
         path = tmp_path / "trace.json"
-        path.write_text(report.trace.to_chrome_trace())
+        path.write_text(chrome_trace(kernel_trace=report.trace))
         doc = json.loads(path.read_text())
         assert len(doc["traceEvents"]) > 10
 

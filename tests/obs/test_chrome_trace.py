@@ -135,6 +135,32 @@ class TestMergedTrace:
                  if e["ph"] == "M" and e["name"] == "process_name"}
         assert names == {SIM_PID: "simulator", REQUEST_PID: "requests"}
 
+    def test_records_have_required_fields(self):
+        evs = self.events(kernel_trace=kernel_trace())
+        slices = [e for e in evs if e["ph"] == "X"]
+        assert len(slices) == 3
+        for record in slices:
+            assert {"name", "ts", "dur", "pid", "tid"} <= set(record)
+
+    def test_thread_names_metadata(self):
+        evs = self.events(kernel_trace=kernel_trace())
+        names = [e["args"]["name"] for e in evs
+                 if e["ph"] == "M" and e["name"] == "thread_name"]
+        assert sorted(names) == ["copy", "cpu", "gpu"]
+
+    def test_process_name_and_sort_index_metadata(self):
+        evs = self.events(kernel_trace=kernel_trace())
+        meta = [e for e in evs if e["ph"] == "M"]
+        assert {m["name"] for m in meta} == {
+            "process_name", "thread_name", "thread_sort_index",
+        }
+        for m in meta:
+            # A process record names the process, so it carries no tid.
+            assert ("tid" in m) == (m["name"] != "process_name")
+        sort_index = {m["tid"]: m["args"]["sort_index"] for m in meta
+                      if m["name"] == "thread_sort_index"}
+        assert sort_index == {1: 1, 2: 2, 3: 3}
+
 
 class TestEndToEndServingTrace:
     def test_simulated_run_exports_loadable_trace(self):

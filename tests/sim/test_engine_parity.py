@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
+from repro.obs.export import chrome_trace
 from repro.sim.engine import EventHeap
 
 from .engine_scenarios import BUILDERS, SCENARIOS, run_hermetic
@@ -60,11 +61,11 @@ def test_engine_parity(name, goldens):
 #: scenario -> (sha256 of the kernel trace's Chrome export, batch count)
 KERNEL_TRACE_GOLDENS = {
     "serving_multitenant": (
-        "ad8258ef1e6bb16ac05f50c7da691564d734a74bf373c265e2b200096a79d4b8",
+        "4d9eab18410ac464aec3b031fbf3c3c9fd1f826772d38b02a88c29341143a00d",
         152,
     ),
     "serving_faults": (
-        "7038f311549f3caf7abc31758110c7ca5c4ccd0911743622d5c980bc40e8bb33",
+        "cd12767c2a42212576f32e37401a0e04dfbd715a767a81eee4d8f2954edddf03",
         105,
     ),
 }
@@ -85,7 +86,7 @@ FAULT_TIMELINE_GOLDENS = {
 def test_serving_kernel_trace_golden(name):
     sim, report = run_hermetic(BUILDERS[name])
     chrome, batches = KERNEL_TRACE_GOLDENS[name]
-    exported = sim.trace.to_chrome_trace().encode()
+    exported = chrome_trace(sim.trace).encode()
     assert hashlib.sha256(exported).hexdigest() == chrome
     # One device slice per dispatched batch.
     assert len(sim.trace.events_for("device")) == batches

