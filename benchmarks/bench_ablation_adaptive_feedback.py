@@ -5,10 +5,7 @@ feedback rounds are what demote the analytically-attractive-but-measured-
 useless conv splits (the paper's justification for being adaptive).
 """
 
-import pytest
-
 from repro.core.executor import HybridExecutor
-from repro.core.plan import Assignment
 from repro.core.tuner import AdaptiveTuner, TunerConfig
 from repro.eval.formatting import render_table
 from repro.hardware.device import Device

@@ -2,9 +2,6 @@
 for the non-chain DAG parts of SqueezeNet.
 """
 
-import pytest
-
-from repro.baselines import run_gpu_only
 from repro.core.executor import HybridExecutor
 from repro.core.memory_manager import MemoryPolicy
 from repro.core.tuner import AdaptiveTuner, TunerConfig

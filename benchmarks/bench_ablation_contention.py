@@ -7,8 +7,6 @@ same split plan gets slower as the controller degrades.
 
 from dataclasses import replace
 
-import pytest
-
 from repro.core.executor import HybridExecutor
 from repro.core.memory_manager import MemoryPolicy, plan_allocations
 from repro.core.plan import ExecutionPlan, gpu_layer, split_layer

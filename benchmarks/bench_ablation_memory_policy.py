@@ -6,8 +6,6 @@ everywhere; choosing per buffer by data-processing semantics dominates
 both once layers are split across processors.
 """
 
-import pytest
-
 from repro.core.executor import HybridExecutor
 from repro.core.memory_manager import MemoryPolicy, plan_allocations
 from repro.core.plan import ExecutionPlan, gpu_layer, split_layer

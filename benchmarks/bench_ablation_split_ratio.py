@@ -6,8 +6,6 @@ near the tuner's chosen fraction — and that fixed 50/50 splitting (the
 obvious naive choice) is not optimal.
 """
 
-import pytest
-
 from repro.core.executor import HybridExecutor
 from repro.core.memory_manager import MemoryPolicy, plan_allocations
 from repro.core.plan import ExecutionPlan, gpu_layer, split_layer

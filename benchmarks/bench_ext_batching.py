@@ -8,8 +8,6 @@ the batch size and shows the two regimes the cost model predicts:
 * work-bound conv networks scale nearly linearly (no free lunch).
 """
 
-import pytest
-
 from repro.core.engine import EdgeNN, EdgeNNConfig
 from repro.eval.formatting import render_table
 

@@ -7,8 +7,6 @@ depthwise kernel is memory-bound, and a much larger share of the model is
 CPU-competitive.
 """
 
-import pytest
-
 from repro.baselines import run_cpu_only, run_gpu_only
 from repro.core.engine import EdgeNN
 from repro.eval.formatting import render_table

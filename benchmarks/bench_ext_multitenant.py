@@ -11,8 +11,6 @@ Two findings this bench documents:
    makespan, with the big tenant essentially undisturbed.
 """
 
-import pytest
-
 from repro.baselines import cpu_only_plan
 from repro.core.engine import EdgeNN
 from repro.core.multitenant import concurrent_edgenn, run_concurrent

@@ -5,8 +5,6 @@ Regenerates a latency/power/energy trade-off table across the three modes
 and checks the physical orderings.
 """
 
-import pytest
-
 from repro.core.engine import EdgeNN
 from repro.eval.formatting import render_table
 from repro.hardware.variants import jetson_power_mode

@@ -6,8 +6,6 @@ networks and records the achieved speedups (never the ideal 2x/4x — launch
 overheads and transfer latencies don't shrink with the data).
 """
 
-import pytest
-
 from repro.core.engine import EdgeNN, EdgeNNConfig
 from repro.eval.formatting import render_table
 from repro.nn.precision import Precision

@@ -2,8 +2,6 @@
 hardware parameters (DESIGN.md calibration uncertainty).
 """
 
-import pytest
-
 from repro.eval.formatting import render_table
 from repro.eval.sensitivity import sweep
 

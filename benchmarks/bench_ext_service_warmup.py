@@ -5,8 +5,6 @@ deployed service keeps weights resident; this bench quantifies how much of
 the zero-copy benefit is a cold-start effect.
 """
 
-import pytest
-
 from repro.core.engine import EdgeNNConfig
 from repro.core.service import profile_service
 from repro.eval.formatting import render_table

@@ -14,7 +14,6 @@ import pytest
 from conftest import write_bench_json
 from repro.baselines import run_gpu_only
 from repro.core.engine import EdgeNN
-from repro.core.executor import HybridExecutor
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import build

@@ -22,7 +22,7 @@ signals, so the same seed and config replays the same scaling history.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..errors import ReproError
 from ..obs import Observability, ScalingRecord

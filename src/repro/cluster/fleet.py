@@ -6,7 +6,9 @@ into per-model :class:`Pool` s.  Every replica wraps a per-device-spec
 :class:`~repro.serving.simulator.ServiceTimeModel` (shared across all
 replicas on the same spec, so each (network, device, batch) tunes
 exactly once per process through the global plan cache) and a bounded
-FIFO queue driven by the cluster event loop.
+FIFO queue driven by the cluster event loop.  The model tunes EdgeNN
+plans on integrated CPU-GPU devices and runs the paper's fixed
+baseline plans (all-CPU, or the original GPU program) on the rest.
 
 Device diversity is the point: DeepEdgeBench-style fleets mix Jetson,
 Raspberry Pi, phone SoCs, and cloud hosts whose service times for the
@@ -26,22 +28,16 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..core.engine import EdgeNNConfig
 from ..errors import ReproError
 from ..faults import FaultInjector, FaultScenario
 from ..hardware.specs import DeviceSpec
 from ..hardware.throttle import ThrottleFactors, apply_throttle
 from ..hardware.variants import full_catalog
-from ..nn.precision import Precision
 from ..obs import NOOP_OBS, Observability
 from ..serving.batcher import BatchPolicy
 from ..serving.simulator import ServiceTimeModel
-from .baselines import BaselineServiceTimeModel
-
-#: Any per-spec batched service-time provider (EdgeNN-tuned or baseline).
-AnyServiceModel = Union[ServiceTimeModel, BaselineServiceTimeModel]
 
 
 def stable_hash(*parts: object) -> int:
@@ -197,7 +193,7 @@ class Replica:
         spec: DeviceSpec,
         pool_name: str,
         network: str,
-        model: AnyServiceModel,
+        model: ServiceTimeModel,
         *,
         idx: int = 0,
         max_batch: int,
@@ -310,8 +306,6 @@ class Fleet:
         pools: Sequence[Tuple[str, int]],
         *,
         policy: Optional[BatchPolicy] = None,
-        precision: Precision = Precision.FP32,
-        engine: Optional[EdgeNNConfig] = None,
         seed: int = 0,
         faults: Optional[FaultScenario] = None,
         fault_share: float = 0.25,
@@ -330,10 +324,8 @@ class Fleet:
         self.faults = faults
         self.fault_share = fault_share
         self.fault_stagger_s = fault_stagger_s
-        self._precision = precision
-        self._engine = engine
         self._obs = obs if obs is not None else NOOP_OBS
-        self._models: Dict[str, AnyServiceModel] = {}
+        self._models: Dict[str, ServiceTimeModel] = {}
         #: per-pool count of replicas ever created (names + mix cycle).
         self._counters: Dict[str, int] = {}
         #: fleet-wide creation count (deterministic replica indices).
@@ -356,21 +348,15 @@ class Fleet:
                 self.add_replica(pool, now=0.0)
             pool.replicas_start = len(pool.replicas)
 
-    def model_for(self, spec: DeviceSpec) -> AnyServiceModel:
+    def model_for(self, spec: DeviceSpec) -> ServiceTimeModel:
         """Shared per-spec service model: EdgeNN-tuned plans for
         integrated devices, the paper's baseline paths (all-CPU /
         GPU-only) for everything else."""
         model = self._models.get(spec.name)
         if model is None:
-            if spec.is_integrated:
-                model = ServiceTimeModel(
-                    spec, self._precision, self._engine, obs=self._obs
-                )
-            else:
-                model = BaselineServiceTimeModel(
-                    spec, self._precision, obs=self._obs
-                )
-            self._models[spec.name] = model
+            model = self._models[spec.name] = ServiceTimeModel(
+                spec, obs=self._obs
+            )
         return model
 
     def _fault_copy(self, name: str) -> Optional[FaultScenario]:

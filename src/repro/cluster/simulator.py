@@ -9,7 +9,9 @@ the configured :class:`~repro.cluster.router.Router`, and each replica
 runs continuous batching — whenever its device is free and its queue
 non-empty it dispatches up to ``max_batch_size`` requests as one batch
 whose service time (and energy) comes from the replica's compiled
-plan via the shared :class:`~repro.serving.simulator.ServiceTimeModel`.
+plan via the shared :class:`~repro.serving.simulator.ServiceTimeModel`:
+an EdgeNN-tuned plan on integrated devices, the paper's fixed baseline
+plan on CPU-only boards and discrete-GPU hosts.
 
 Scale decisions, all in service of ≥10^6 requests × ≥500 replicas in
 one process:
@@ -36,7 +38,8 @@ deterministic ``fault_share`` subset of replicas, each with its own
 seeded :class:`~repro.faults.FaultInjector` stream and its own window
 phase (``fault_stagger_s``), so thermal throttling rolls across the
 fleet instead of hitting every device at once — exactly the situation
-where device-aware routing pays off.
+where device-aware routing pays off.  Kernel failures are hybrid-kernel
+launch failures, so they hit integrated replicas only.
 
 Determinism: same (tenants, mix, config, seed) reproduces a
 bit-identical :class:`~repro.cluster.report.ClusterReport` digest in
@@ -51,11 +54,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.engine import EdgeNNConfig
 from ..core.plan_cache import default_plan_cache
 from ..errors import ReproError
 from ..faults import FaultScenario
-from ..nn.precision import Precision
 from ..obs import NOOP_OBS, Observability
 from ..obs.timeline import BatchSpans, TimelineArtifact, TimelineRecorder
 from ..serving.batcher import BatchPolicy
@@ -117,8 +118,6 @@ class ClusterConfig:
     policy: BatchPolicy = field(
         default_factory=lambda: BatchPolicy(max_wait_s=0.0)
     )
-    precision: Precision = Precision.FP32
-    engine: Optional[EdgeNNConfig] = None
     seed: int = 0
     #: plan_cost objective: "latency" or "energy".
     objective: str = LATENCY
@@ -340,8 +339,6 @@ class ClusterSimulator:
             mix,
             [(network, replicas_per_pool) for network in networks],
             policy=cfg.policy,
-            precision=cfg.precision,
-            engine=cfg.engine,
             seed=cfg.seed,
             faults=cfg.faults,
             fault_share=cfg.fault_share,
@@ -392,7 +389,8 @@ class ClusterSimulator:
         around the slow replica, not re-tuning it); memory pressure
         demotes to the no-zero-copy plan variant; kernel failures lose
         the batch after its device time is consumed, mirroring serving.
-        Returns (service, failed).
+        Only integrated replicas launch hybrid kernels, so only they
+        draw kernel failures.  Returns (service, failed).
         """
         injector = replica.injector
         if injector is None:
@@ -403,9 +401,10 @@ class ClusterSimulator:
             replica.network, size, kind=kind, factors=factors
         )
         failed = False
-        base_cfg = getattr(replica.model, "base_config", None)
-        hybrid = base_cfg.use_hybrid_execution if base_cfg else True
-        if hybrid and injector.scenario.kernel_failure_p > 0.0:
+        if (
+            injector.scenario.kernel_failure_p > 0.0
+            and replica.spec.is_integrated
+        ):
             failed = injector.kernel_fails(
                 now, detail=f"{replica.name}#{replica.batches}"
             )

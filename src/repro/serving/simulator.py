@@ -19,7 +19,10 @@ for that batch size* (memoized in the shared
 (:data:`SERVICE_TIMES`).  Dynamic batching therefore
 helps exactly as much as the cost model says weight-traffic
 amortization is worth — fc-heavy networks batch nearly for free,
-conv-heavy ones almost linearly.
+conv-heavy ones almost linearly.  The same :class:`ServiceTimeModel`
+prices the cluster fleet's non-integrated devices on the paper's fixed
+baseline plans; the serving simulator itself accepts integrated devices
+only.
 
 A :class:`~repro.faults.FaultScenario` on the config turns the
 well-behaved device into a hostile one — thermal-throttle windows,
@@ -38,12 +41,12 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..compile.pipeline import CompiledPlan
+from ..compile.pipeline import CompiledPlan, compile_fixed
 from ..core.engine import EdgeNN, EdgeNNConfig
 from ..core.plan_cache import default_plan_cache
 from ..errors import ReproError
@@ -63,7 +66,6 @@ from ..obs import NOOP_OBS, Observability
 from ..obs.metrics import DEFAULT_BUCKETS, SIZE_BUCKETS
 from ..obs.timeline import (
     BatchSpans,
-    BurnRateRule,
     SloMonitor,
     SloObjective,
     SloReport,
@@ -145,8 +147,6 @@ class ServingConfig:
 
     policy: BatchPolicy = field(default_factory=BatchPolicy)
     precision: Precision = Precision.FP32
-    #: engine feature flags for tuning (batch_size is set per dispatch).
-    engine: Optional[EdgeNNConfig] = None
     #: charge the cold-start premium (parameter staging) to each
     #: tenant's first batch instead of assuming a pre-warmed service.
     cold_start: bool = False
@@ -163,8 +163,6 @@ class ServingConfig:
     timeline_window_s: float = 0.0
     #: declarative SLO objectives evaluated over the recorded timeline.
     slos: Tuple[SloObjective, ...] = ()
-    #: burn-rate alert rule for ``slos`` (None: single/5-window default).
-    burn: Optional[BurnRateRule] = None
 
 
 @dataclass(frozen=True)
@@ -188,11 +186,12 @@ class ServiceTimeMemo:
     """Warm batch service times, computed once per process.
 
     A warm service time is a pure function of the plan and the device
-    spec it runs on, so both service-time models share one instance,
-    :data:`SERVICE_TIMES`, across simulators.  :meth:`tuned` keys by
-    the :class:`~repro.core.tuner.TuningResult` the plan cache returned,
-    by identity, and holds it weakly: an entry lives as long as its
-    plan, and a plan re-tuned after an invalidation executes again.
+    spec it runs on, so every :class:`ServiceTimeModel` shares one
+    instance, :data:`SERVICE_TIMES`, across simulators.  :meth:`tuned`
+    keys by the :class:`~repro.core.tuner.TuningResult` the plan cache
+    returned, by identity, and holds it weakly: an entry lives as long
+    as its plan, and a plan re-tuned after an invalidation executes
+    again.
     :meth:`fixed` keys plans no cache holds by what compiles them.
     Racing threads at worst execute a plan twice and store equal values.
     """
@@ -240,7 +239,7 @@ class ServiceTimeMemo:
         self._fixed.clear()
 
 
-#: The process-wide memo both service-time models share.
+#: The process-wide memo every service-time model shares.
 SERVICE_TIMES = ServiceTimeMemo()
 
 
@@ -260,19 +259,24 @@ def warm_service_time(
 class ServiceTimeModel:
     """Warm (and cold) batched service times, memoized per variant.
 
-    Each distinct (network, batch, kind, throttle, retuned) combination
-    is tuned through the shared plan cache, so across sweeps and
-    tenants every (network, device, batch, precision, flags) pair tunes
-    exactly once per process.  ``kind`` selects degraded plan variants
-    (hybrid off, zero-copy off) and ``factors``/``retuned`` the
-    thermal-throttle execution mode: ``retuned=False`` runs the *stale*
-    nominal plan on the throttled device (what a naive service
-    suffers), ``retuned=True`` re-tunes against the throttled spec.
+    On an integrated CPU-GPU spec each distinct (network, batch, kind,
+    throttle, retuned) combination is tuned through the shared plan
+    cache, so across sweeps and tenants every (network, device, batch,
+    precision, flags) pair tunes exactly once per process.  ``kind``
+    selects degraded plan variants (hybrid off, zero-copy off) and
+    ``factors``/``retuned`` the thermal-throttle execution mode:
+    ``retuned=False`` runs the *stale* nominal plan on the throttled
+    device (what a naive service suffers), ``retuned=True`` re-tunes
+    against the throttled spec.  Any other spec runs the paper's fixed
+    baseline plan for every ``kind`` and ``retuned`` (no hybrid
+    execution or zero-copy to turn off, nothing to re-tune), at the
+    throttled rates under ``factors``.
 
-    Each model looks a combination's plan up in the plan cache once
-    (the serving report counts those hits and misses) and takes its time
-    from :data:`SERVICE_TIMES`, keyed by (plan, spec fingerprint,
-    throttle factors): a plan executes once per process, and a memo hit
+    Each model looks a tuned combination's plan up in the plan cache
+    once (the serving report counts those hits and misses) and takes
+    its time from :data:`SERVICE_TIMES`, keyed by (plan, spec
+    fingerprint, throttle factors), or for a baseline plan by what
+    compiles it: a plan executes once per process, and a memo hit
     builds no graph and records no executor spans.
     """
 
@@ -280,21 +284,15 @@ class ServiceTimeModel:
         self,
         spec: DeviceSpec,
         precision: Precision = Precision.FP32,
-        engine: Optional[EdgeNNConfig] = None,
         *,
         obs: Optional[Observability] = None,
     ) -> None:
         self._spec = spec
         self._fingerprint = device_fingerprint(spec)
-        self._base = engine or EdgeNNConfig()
         self._precision = precision
         self._obs = obs if obs is not None else NOOP_OBS
         self._warm: Dict[Tuple, BatchServiceTime] = {}
         self._cold: Dict[Tuple[str, int], BatchServiceTime] = {}
-
-    @property
-    def base_config(self) -> EdgeNNConfig:
-        return self._base
 
     @property
     def spec(self) -> DeviceSpec:
@@ -308,14 +306,8 @@ class ServiceTimeModel:
                 f"unknown service kind {kind!r}; "
                 f"expected one of {sorted(_KIND_FLAGS)}"
             ) from None
-        return replace(
-            self._base, batch_size=batch, precision=self._precision, **flags
-        )
-
-    def _engine_for(self, network: str, batch: int) -> EdgeNN:
-        return EdgeNN(
-            network, self._spec, self._config_for(batch, "normal"),
-            obs=self._obs,
+        return EdgeNNConfig(
+            batch_size=batch, precision=self._precision, **flags
         )
 
     def plan_key(self, network: str, batch: int, kind: str = "normal"):
@@ -341,10 +333,12 @@ class ServiceTimeModel:
         cached = self._warm.get(key)
         if cached is not None:
             return cached
-        config = self._config_for(batch, kind)
         if factors is not None and factors.is_noop:
             factors = None
-        stale = factors is not None and not retuned
+        if not self._spec.is_integrated:
+            svc = self._warm[key] = self._baseline(network, batch, factors)
+            return svc
+        config = self._config_for(batch, kind)
         spec = self._spec
         if factors is not None and retuned:
             spec = apply_throttle(spec, factors)
@@ -352,15 +346,10 @@ class ServiceTimeModel:
 
         def execute() -> BatchServiceTime:
             compiled = engine.compiled()
-            if stale:
+            if not retuned:
                 # Stale plan on the throttled device: keep the placement
-                # the tuner chose for the *nominal* operating point, but
-                # execute it at the throttled rates.
-                compiled = CompiledPlan(
-                    graph=compiled.graph,
-                    device=Device(apply_throttle(self._spec, factors)),
-                    artifact=compiled.artifact,
-                )
+                # the tuner chose for the *nominal* operating point.
+                compiled = self._at_rates(compiled, factors)
             return warm_service_time(compiled, self._obs)
 
         svc = SERVICE_TIMES.tuned(
@@ -369,14 +358,62 @@ class ServiceTimeModel:
         self._warm[key] = svc
         return svc
 
+    def _at_rates(
+        self, compiled: CompiledPlan, factors: Optional[ThrottleFactors]
+    ) -> CompiledPlan:
+        """``compiled``, planned for the nominal device, executed at the
+        rates ``factors`` throttle it to (None: as it is)."""
+        if factors is None:
+            return compiled
+        return CompiledPlan(
+            graph=compiled.graph,
+            device=Device(apply_throttle(self._spec, factors)),
+            artifact=compiled.artifact,
+        )
+
+    def _baseline(
+        self,
+        network: str,
+        batch: int,
+        factors: Optional[ThrottleFactors],
+    ) -> BatchServiceTime:
+        """The fixed baseline plan: all-CPU, or on a GPU the original
+        program, which stages layer outputs through the host
+        (single-stream copy/kernel/copy)."""
+        placement = "gpu" if self._spec.has_gpu else "cpu"
+
+        def execute() -> BatchServiceTime:
+            compiled = compile_fixed(
+                network,
+                self._spec,
+                placement=placement,
+                precision=self._precision,
+                batch_size=batch,
+                serialize=placement == "gpu",
+                host_staging=placement == "gpu",
+                obs=self._obs,
+            )
+            return warm_service_time(
+                self._at_rates(compiled, factors), self._obs
+            )
+
+        return SERVICE_TIMES.fixed(
+            (self._fingerprint, self._precision, network, batch, factors),
+            execute,
+        )
+
     def warm(self, network: str, batch: int) -> BatchServiceTime:
         return self.service(network, batch)
 
     def cold(self, network: str, batch: int) -> BatchServiceTime:
-        """First-batch cost: weights still have to reach the GPU."""
+        """First-batch cost on an integrated device: weights still have
+        to reach the GPU."""
         key = (network, batch)
         if key not in self._cold:
-            engine = self._engine_for(network, batch)
+            engine = EdgeNN(
+                network, self._spec, self._config_for(batch, "normal"),
+                obs=self._obs,
+            )
             report = engine.run()
             self._cold[key] = BatchServiceTime(
                 total_s=report.total_s,
@@ -404,6 +441,13 @@ class ServingSimulator:
         if device is None:
             device = JETSON_AGX_XAVIER
         self._spec = device.spec if isinstance(device, Device) else device
+        if not self._spec.is_integrated:
+            # The fault path's degraded plan kinds, re-tuning and
+            # hybrid-kernel failures all assume EdgeNN's device.
+            raise ReproError(
+                f"serving requires a CPU-GPU integrated device; "
+                f"{self._spec.name!r} is not (serve it in a cluster fleet)"
+            )
         self._config = config or ServingConfig()
         self._obs = obs if obs is not None else NOOP_OBS
         self._tenants = tuple(tenants)
@@ -411,8 +455,7 @@ class ServingSimulator:
         if len(set(names)) != len(names):
             raise ReproError(f"duplicate tenant names: {names}")
         self._model = service_model or ServiceTimeModel(
-            self._spec, self._config.precision, self._config.engine,
-            obs=self._obs,
+            self._spec, self._config.precision, obs=self._obs
         )
         self._names = names
         self._table: Optional[RequestTable] = None
@@ -525,7 +568,7 @@ class ServingSimulator:
                 capacity={"cpu": 1.0, "gpu": 1.0},
             )
             if cfg.slos:
-                monitor = SloMonitor(cfg.slos, cfg.burn)
+                monitor = SloMonitor(cfg.slos)
                 self.slo_report = monitor.evaluate(self.timeline)
                 monitor.record(self.slo_report, self._obs)
                 # SLO firings reach the same degradation stream the
@@ -661,7 +704,7 @@ class _ServingRun:
     def __init__(self, sim: ServingSimulator) -> None:
         cfg = self.cfg = sim._config
         obs = self.obs = sim._obs
-        model = self.model = sim._model
+        self.model = sim._model
         tenants = sim._tenants
         names = sim._names
         self.arrivals = [t.arrival for t in tenants]
@@ -710,14 +753,6 @@ class _ServingRun:
                 failure_threshold=3, reset_timeout_s=0.25
             )
             self.degradation = DegradationManager(None, obs=obs)
-        # Duck-typed service models (tests) may not expose base_config.
-        base_cfg = getattr(model, "base_config", None)
-        self.hybrid_base = (
-            base_cfg.use_hybrid_execution if base_cfg is not None else True
-        )
-        self.memory_base = (
-            base_cfg.use_memory_management if base_cfg is not None else True
-        )
         self.noted_thermal: Optional[float] = None  # active window start
         self.noted_pressure: Optional[float] = None
         self.next_edge = -math.inf  # windows cannot change before this
@@ -833,7 +868,7 @@ class _ServingRun:
 
         # Memory pressure, naive service: zero-copy allocation
         # fails outright — fail fast, batch lost before any work.
-        if pressure and self.memory_base and not resilient:
+        if pressure and not resilient:
             return BatchServiceTime(0.0, 0.0, 0.0), 0.0, True
 
         # Execution-mode selection (degraded plan variants).
@@ -841,7 +876,7 @@ class _ServingRun:
             resilient
             and degradation.mode(tenant) == MODE_NO_HYBRID
         )
-        demote = pressure and self.memory_base and resilient
+        demote = pressure and resilient
         if demote:
             window = faults.memory_pressure_at(now)
             wkey = (tenant, window.start_s)
@@ -888,8 +923,7 @@ class _ServingRun:
 
         # Transient hybrid-kernel launch failures.
         hybrid_active = (
-            self.hybrid_base
-            and kind in ("normal", "no_zerocopy")
+            kind in ("normal", "no_zerocopy")
             and faults.kernel_failure_p > 0.0
         )
         if not hybrid_active:

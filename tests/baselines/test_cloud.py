@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import CloudModel, CloudResult, run_cloud
+from repro.baselines import CloudModel, run_cloud
 from repro.errors import SpecError
 from repro.hardware.specs import RTX_2080TI_HOST
 

@@ -10,8 +10,6 @@ from repro.hardware.specs import (
     RASPBERRY_PI_4,
 )
 
-from ..conftest import make_chain_net
-
 
 class TestCpuOnly:
     @pytest.mark.parametrize(

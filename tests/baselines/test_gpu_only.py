@@ -1,13 +1,9 @@
 """GPU-only baseline ("the original programs")."""
 
-import pytest
-
 from repro.baselines import run_gpu_only
 from repro.core.memory_manager import MemoryPolicy
 from repro.core.plan import Assignment
 from repro.hardware.specs import JETSON_AGX_XAVIER, RTX_2080TI_HOST
-
-from ..conftest import make_chain_net
 
 
 class TestGpuOnly:

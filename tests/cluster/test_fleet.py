@@ -4,11 +4,14 @@ import pytest
 
 from repro.cluster import DeviceMix, Fleet
 from repro.cluster.fleet import base_device_name, stable_hash, unit_fraction
+from repro.compile.pipeline import compile_fixed
 from repro.errors import ReproError
 from repro.faults import load_scenario
+from repro.hardware.specs import RASPBERRY_PI_4
 from repro.hardware.throttle import ThrottleFactors
+from repro.obs import NOOP_OBS
 from repro.serving.batcher import BatchPolicy
-from repro.serving.simulator import ServiceTimeModel
+from repro.serving.simulator import warm_service_time
 
 
 class TestDeviceMix:
@@ -128,13 +131,11 @@ class TestFleet:
     def test_non_integrated_devices_get_baseline_model(self):
         fleet = self._fleet()
         by_device = {r.spec.name: r for r in fleet.pools[0].replicas}
-        assert isinstance(
-            by_device["jetson-agx-xavier"].model, ServiceTimeModel
-        )
         # The Pi is CPU-only: EdgeNN's integrated engine cannot run
-        # there, so it gets the paper's baseline path.
-        assert not isinstance(
-            by_device["raspberry-pi-4"].model, ServiceTimeModel
+        # there, so it gets the paper's all-CPU baseline plan.
+        cpu_only = compile_fixed("lenet", RASPBERRY_PI_4, placement="cpu")
+        assert by_device["raspberry-pi-4"].svc1_s == (
+            warm_service_time(cpu_only, NOOP_OBS).total_s
         )
 
     def test_plan_costs_precomputed(self):

@@ -162,6 +162,19 @@ class TestFaults:
         )
         assert report.failed > 0
 
+    @pytest.mark.parametrize("mix", ["raspberry-pi-4", "rtx-2080ti-host"])
+    def test_baseline_replicas_draw_no_kernel_failures(self, mix):
+        # Kernel failures are hybrid-kernel launch failures; a CPU-only
+        # board or a discrete GPU on its original program launches none.
+        report = run(
+            mix=mix,
+            faults=scale_to_horizon(load_scenario("flaky-kernels"), 2.0),
+            fault_share=1.0,
+            rate=200.0,
+        )
+        assert report.offered > 0
+        assert report.failed == 0
+
     def test_thermal_soak_slows_faulted_fleet(self):
         healthy = run(rate=150.0)
         soaked = run(

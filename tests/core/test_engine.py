@@ -12,8 +12,6 @@ from repro.nn.graph import NetworkGraph
 from repro.nn.models import MODEL_BUILDERS
 from repro.workloads import input_for
 
-from ..conftest import make_chain_net
-
 
 class TestConstruction:
     def test_accepts_network_name(self):

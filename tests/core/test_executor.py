@@ -15,13 +15,10 @@ from repro.core.plan import (
     split_layer,
 )
 from repro.errors import PlanError, ReproError
-from repro.hardware.device import Device
-from repro.hardware.specs import JETSON_AGX_XAVIER, RASPBERRY_PI_4
+from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn import tensor
 from repro.nn.layer import Layer
 from repro.nn.models import build
-
-from ..conftest import make_branch_net, make_chain_net
 
 
 def build_plan(net, device_spec, policy=MemoryPolicy.SEMANTIC, overrides=None):

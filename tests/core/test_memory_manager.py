@@ -7,8 +7,6 @@ from repro.core.plan import ExecutionPlan, gpu_layer, split_layer
 from repro.hardware.memory import AllocKind
 from repro.hardware.specs import JETSON_AGX_XAVIER, RASPBERRY_PI_4, RTX_2080TI_HOST
 
-from ..conftest import make_chain_net
-
 
 def plan_for(net, split=None):
     plan = ExecutionPlan(net.name)

@@ -9,7 +9,6 @@ from repro.core.multitenant import (
     run_concurrent,
 )
 from repro.errors import ReproError
-from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 
 from ..conftest import make_branch_net, make_chain_net

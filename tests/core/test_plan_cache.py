@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.engine import EdgeNN, EdgeNNConfig
 from repro.core.plan_cache import PlanCache, PlanKey
-from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import build as build_model
 from repro.nn.precision import Precision
 

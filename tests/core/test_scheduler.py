@@ -14,7 +14,6 @@ from repro.errors import PlanError
 from repro.hardware.specs import ProcessorKind
 from repro.nn.graph import BranchSegment
 
-from ..conftest import make_branch_net, make_residual_net
 
 CPU = ProcessorKind.CPU
 GPU = ProcessorKind.GPU

@@ -1,6 +1,5 @@
 """Buffer role classification by data-processing semantics (§IV-B)."""
 
-from repro.core.memory_manager import MemoryPolicy, plan_allocations
 from repro.core.plan import ExecutionPlan, gpu_layer, split_layer
 from repro.core.semantics import (
     BufferRole,
@@ -9,8 +8,6 @@ from repro.core.semantics import (
     output_buffer,
     weights_buffer,
 )
-
-from ..conftest import make_chain_net
 
 
 def all_gpu_plan(net):

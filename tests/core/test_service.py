@@ -1,10 +1,7 @@
 """Inference-service (cold/warm) simulation."""
 
-import pytest
-
 from repro.core.engine import EdgeNNConfig
 from repro.core.service import profile_service
-from repro.core.memory_manager import MemoryPolicy
 
 from ..conftest import make_chain_net
 

@@ -7,10 +7,6 @@ from repro.core.memory_manager import MemoryPolicy
 from repro.core.plan import Assignment
 from repro.core.tuner import AdaptiveTuner, TunerConfig, TuningResult
 from repro.errors import TuningError
-from repro.hardware.device import Device
-from repro.hardware.specs import JETSON_AGX_XAVIER, RASPBERRY_PI_4
-
-from ..conftest import make_branch_net, make_chain_net
 
 
 class TestConstruction:

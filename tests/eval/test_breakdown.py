@@ -1,7 +1,5 @@
 """Roofline and time breakdown analysis."""
 
-import pytest
-
 from repro.eval.breakdown import (
     format_breakdown,
     roofline_breakdown,
@@ -9,7 +7,6 @@ from repro.eval.breakdown import (
     time_breakdown,
 )
 from repro.eval.experiments import edgenn_report
-from repro.hardware.specs import JETSON_AGX_XAVIER
 
 
 class TestRooflineBreakdown:

@@ -1,7 +1,5 @@
 """Evaluation metrics (Eqs. 5-6 and aggregation)."""
 
-import math
-
 import pytest
 
 from repro.errors import ReproError

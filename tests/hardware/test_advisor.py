@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ReproError
 from repro.hardware.advisor import (
     ModeProfile,
-    Recommendation,
     choose_power_mode,
     profile_power_modes,
 )

@@ -4,15 +4,9 @@ import pytest
 
 from repro.errors import SpecError
 from repro.hardware import calibration as cal
-from repro.hardware.device import Device
 from repro.hardware.memory import AllocKind
 from repro.hardware.roofline import KernelWork
-from repro.hardware.specs import (
-    JETSON_AGX_XAVIER,
-    RASPBERRY_PI_4,
-    RTX_2080TI_HOST,
-    ProcessorKind,
-)
+from repro.hardware.specs import ProcessorKind
 
 
 def work(kernel_class="conv", flops=1e9, nbytes=1e7, out_elements=1e6):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SpecError
 from repro.hardware.roofline import KernelCost, KernelWork, kernel_cost, occupancy_factor
-from repro.hardware.specs import JETSON_AGX_XAVIER, ProcessorKind
+from repro.hardware.specs import JETSON_AGX_XAVIER
 
 SPEC = JETSON_AGX_XAVIER
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import EdgeNN, EdgeNNConfig
-from repro.baselines import run_cpu_only, run_gpu_only
+from repro import EdgeNN
 from repro.eval import experiments as ex
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import benchmark_names, build

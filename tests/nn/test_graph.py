@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import GraphError, ShapeError
 from repro.nn.graph import INPUT, ChainSegment, NetworkGraph
-from repro.nn.layers import Concat, Conv2D, Dense, Flatten, ReLU, Softmax
+from repro.nn.layers import Dense
 
 from ..conftest import make_branch_net, make_chain_net
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import GraphError
 from repro.nn.graph import BranchSegment, ChainSegment, NetworkGraph
-from repro.nn.layers import Add, Concat, Conv2D, Dense, Flatten, ReLU, Softmax
+from repro.nn.layers import Concat, Conv2D, Dense
 from repro.nn.models import build
 
 from ..conftest import make_branch_net, make_chain_net, make_residual_net

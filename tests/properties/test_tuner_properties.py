@@ -5,13 +5,12 @@ tuned plan never loses to the GPU-only plan it starts from.
 """
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.engine import EdgeNN, EdgeNNConfig
 from repro.core.executor import HybridExecutor
 from repro.core.memory_manager import MemoryPolicy, plan_allocations
 from repro.core.plan import Assignment, ExecutionPlan, gpu_layer
-from repro.core.tuner import AdaptiveTuner, TunerConfig
+from repro.core.tuner import AdaptiveTuner
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 

@@ -10,7 +10,6 @@ never serve the time of a plan the cache has since replaced.
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulator, ClusterTenant, DeviceMix
-from repro.cluster import baselines
 from repro.compile import pipeline
 from repro.compile.artifact import PlanArtifact
 from repro.compile.pipeline import CompiledPlan, compile_fixed
@@ -22,6 +21,7 @@ from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.hardware.throttle import ThrottleFactors
 from repro.nn.models import MODEL_BUILDERS, build
 from repro.obs import NOOP_OBS
+from repro.serving import simulator as serving_simulator
 from repro.serving.batcher import BatchPolicy
 from repro.serving.simulator import (
     SERVICE_TIMES,
@@ -99,7 +99,7 @@ class TestClusterSimulators:
 
     def test_second_fleet_compiles_and_executes_nothing(self, monkeypatch):
         SERVICE_TIMES.clear()
-        fixed = count_calls(monkeypatch, baselines, "compile_fixed")
+        fixed = count_calls(monkeypatch, serving_simulator, "compile_fixed")
         count_calls(monkeypatch, pipeline, "compile_fixed")
         runs = count_calls(monkeypatch, HybridExecutor, "run")
         first_sim = self.fleet()

@@ -11,11 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.specs import JETSON_AGX_XAVIER
+from repro.compile.pipeline import compile_fixed
+from repro.hardware.specs import (
+    JETSON_AGX_XAVIER,
+    RASPBERRY_PI_4,
+    RTX_2080TI_HOST,
+)
+from repro.hardware.throttle import ThrottleFactors
+from repro.obs import NOOP_OBS
 from repro.serving.batcher import BatchPolicy
 from repro.serving.report import ServingReport
 from repro.serving.simulator import (
     BatchServiceTime,
+    ServiceTimeModel,
     ServingConfig,
     ServingSimulator,
     TenantSpec,
@@ -23,6 +31,7 @@ from repro.serving.simulator import (
     poisson_tenant,
     simulate,
     simulate_poisson,
+    warm_service_time,
 )
 from repro.workloads.arrivals import (
     ClosedLoopArrivals,
@@ -77,6 +86,17 @@ class TestValidation:
         tenants = [uniform_tenant(10, 1.0), uniform_tenant(10, 1.0)]
         with pytest.raises(ReproError):
             ServingSimulator(JETSON_AGX_XAVIER, tenants, ServingConfig())
+
+    @pytest.mark.parametrize(
+        "spec", [RASPBERRY_PI_4, RTX_2080TI_HOST], ids=lambda s: s.name
+    )
+    def test_rejects_non_integrated_device(self, spec):
+        # Refused before any run, whatever model prices the batches.
+        with pytest.raises(ReproError, match="integrated"):
+            ServingSimulator(
+                spec, [uniform_tenant(50, 0.2)], ServingConfig(),
+                service_model=FixedServiceModel(),
+            )
 
 
 class TestBeforeRun:
@@ -323,3 +343,30 @@ class TestRealEngineIntegration:
         report = simulate(tenants)
         assert {t.name for t in report.tenants} == {"cam-a", "cam-b"}
         assert report.served + report.shed == report.offered
+
+
+class TestBaselineServiceTimes:
+    """Non-integrated devices run the paper's fixed baseline plan."""
+
+    @pytest.mark.parametrize(
+        "spec, placement",
+        [(RASPBERRY_PI_4, "cpu"), (RTX_2080TI_HOST, "gpu")],
+        ids=["raspberry-pi-4", "rtx-2080ti-host"],
+    )
+    def test_one_fixed_plan_for_every_variant(self, spec, placement):
+        model = ServiceTimeModel(spec)
+        nominal = model.service("lenet", 2)
+        variants = [
+            model.service("lenet", 2, kind=kind)
+            for kind in ("normal", "no_hybrid", "no_zerocopy", "safe")
+        ]
+        variants.append(model.service("lenet", 2, retuned=True))
+        assert variants == [nominal] * 5
+        fixed = compile_fixed(
+            "lenet", spec, placement=placement, batch_size=2,
+            serialize=placement == "gpu", host_staging=placement == "gpu",
+        )
+        assert nominal == warm_service_time(fixed, NOOP_OBS)
+        factors = ThrottleFactors(cpu=0.5, gpu=0.5, bandwidth=0.5)
+        throttled = model.service("lenet", 2, factors=factors)
+        assert throttled.total_s > nominal.total_s

@@ -151,8 +151,8 @@ STORM_COUNTS = {
 
 #: cluster_storm: (report digest, timeline digest).
 CLUSTER_STORM_DIGESTS = (
-    "7d616130ae3188e5707a04742c165fa4107f56e8c3bcb64f1554f30697514c6d",
-    "0b0d8668625ecffcd19cd55928ea3266541bbad495604554ace5e798143362c5",
+    "a4e2f80f02ef561bd410c26d6c8b41d724bfa08c8b7d67e29035063e7203d6a7",
+    "d933e95f3f5ed3ef510d43d3470013d9e8b03f4ef4ce86262a2cae6eba53962c",
 )
 
 #: sha256 of cluster_storm's Chrome trace, run with observability on.
@@ -164,7 +164,7 @@ CLUSTER_STORM_TRACE = (
 CLUSTER_STORM_REPLICAS = {
     "lenet#0": (2514, 0, 1680),
     "lenet#1": (1987, 358, 1763),
-    "lenet#2": (38, 6, 44),
+    "lenet#2": (44, 0, 44),
     "lenet#3": (1656, 0, 1386),
     "fcnn#0": (0, 12, 66),
     "fcnn#1": (0, 28, 67),
@@ -176,7 +176,7 @@ CLUSTER_STORM_REPLICAS = {
 
 #: cluster_storm: (offered, served, shed, timed_out, late, failed,
 #: scaling events).
-CLUSTER_STORM_COUNTS = (8152, 6195, 594, 937, 288, 426, 4)
+CLUSTER_STORM_COUNTS = (8152, 6201, 594, 937, 288, 420, 4)
 
 
 def _sha(text: str) -> str:

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.stats import (
-    ResourceStats,
-    corun_share,
-    resource_stats,
-    utilization_profile,
-)
+from repro.sim.stats import corun_share, resource_stats, utilization_profile
 from repro.sim.trace import Trace, TraceEvent
 
 

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.compile.pipeline import compile_fixed
-from repro.core.plan_cache import PlanKey
 from repro.errors import ReproError
 from repro.fsutil import sha256_text
 from repro.hardware.variants import spec_by_name

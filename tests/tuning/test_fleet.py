@@ -1,7 +1,5 @@
 """TuneFleet: fault-tolerant drain of a catalog into a plan store."""
 
-import pytest
-
 from repro.faults import FLAKY_FLEET, FaultScenario
 from repro.store.plan_store import PlanStore
 from repro.tuning import fleet_catalog, run_fleet
