@@ -4,8 +4,9 @@ PR 9's crash-safety story (torn-write chaos tests, killed-coordinator
 restarts) only holds if **every durable artifact goes through
 :func:`repro.fsutil.atomic_write_text`** — tmp sibling, ``fsync``, then
 ``os.replace``.  A single raw ``write_text`` in the store or the tuning
-queue re-opens the torn-file window those tests closed.  This pass
-makes the discipline structural:
+workers re-opens the torn-file window those tests closed (the tuning
+queue itself writes no file: the store is the fleet's only durable
+record).  This pass makes the discipline structural:
 
 * **REPRO230** — a raw write sink in durability scope:
   ``open(..., "w"/"a")``, ``<path>.write_text(...)`` /

@@ -123,7 +123,7 @@ def _model_keys() -> Dict[str, Tuple[int, Any]]:
 
 
 def _build_queue(cls: Type, state: State) -> Any:
-    """A fresh, un-persisted queue materializing a canonical state.
+    """A fresh queue materializing a canonical state.
 
     Zero-delay retry policy: ``not_before`` gates collapse to 0, so
     pending jobs are always claimable and the state space is finite.
@@ -132,7 +132,6 @@ def _build_queue(cls: Type, state: State) -> Any:
     from ..tuning.queue import LEASED, TuneJob
 
     queue = cls(
-        None,
         retry_policy=RetryPolicy(
             max_attempts=MAX_ATTEMPTS,
             base_delay_s=0.0,

@@ -2,14 +2,13 @@
 
 from .cloud import CloudModel, CloudResult, run_cloud
 from .cpu_only import cpu_only_plan, run_cpu_only
-from .gpu_only import gpu_only_plan, run_gpu_only
+from .gpu_only import run_gpu_only
 from .interkernel import run_interkernel_only
 
 __all__ = [
     "CloudModel",
     "CloudResult",
     "cpu_only_plan",
-    "gpu_only_plan",
     "run_cloud",
     "run_cpu_only",
     "run_gpu_only",

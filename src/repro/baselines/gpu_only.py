@@ -13,17 +13,10 @@ from typing import Union
 
 from ..compile import compile_fixed
 from ..core.memory_manager import MemoryPolicy
-from ..core.plan import ExecutionPlan
 from ..core.report import InferenceReport
 from ..hardware.device import Device
 from ..hardware.specs import DeviceSpec
 from ..nn.graph import NetworkGraph
-
-
-def gpu_only_plan(graph: NetworkGraph, device: DeviceSpec,
-                  policy: MemoryPolicy = MemoryPolicy.ALL_REGULAR) -> ExecutionPlan:
-    """All layers on the GPU under the requested memory policy."""
-    return compile_fixed(graph, device, placement="gpu", policy=policy).plan
 
 
 def run_gpu_only(
@@ -31,7 +24,6 @@ def run_gpu_only(
     device: Union[Device, DeviceSpec],
     *,
     policy: MemoryPolicy = MemoryPolicy.ALL_REGULAR,
-    serialize: bool = True,
 ) -> InferenceReport:
     """Simulate the original program: GPU kernels, regular memory,
     single-stream execution.
@@ -44,7 +36,7 @@ def run_gpu_only(
         network, device,
         placement="gpu",
         policy=policy,
-        serialize=serialize,
+        serialize=True,
         # The original programs stage every layer output through the host
         # (self-contained memcpy-in / kernel / memcpy-out layer functions);
         # managed allocations make staging moot.

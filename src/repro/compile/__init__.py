@@ -10,6 +10,8 @@ Public surface:
 
 * :func:`compile_plan` / :func:`compile_fixed` — build a
   :class:`CompiledPlan` (tuned, or fixed single-processor);
+* :func:`compile_baseline` — the fixed plan a non-integrated device
+  runs;
 * :class:`CompilerPipeline` — the stage driver (used by
   :meth:`repro.core.tuner.AdaptiveTuner.tune` under the hood);
 * :class:`PlanArtifact` — save/load compiled plans across processes;
@@ -28,6 +30,7 @@ from .artifact import (
 from .pipeline import (
     CompiledPlan,
     CompilerPipeline,
+    compile_baseline,
     compile_fixed,
     compile_plan,
 )
@@ -41,6 +44,7 @@ __all__ = [
     "Lowering",
     "PlanArtifact",
     "TunerProvenance",
+    "compile_baseline",
     "compile_fixed",
     "compile_plan",
     "payload_checksum",

@@ -327,9 +327,38 @@ def compile_fixed(
     return CompiledPlan(graph=graph, device=dev, artifact=artifact)
 
 
+def compile_baseline(
+    network: Union[str, NetworkGraph],
+    device: DeviceSpec,
+    *,
+    precision: Precision = Precision.FP32,
+    batch_size: int = 1,
+    obs: Optional[Observability] = None,
+) -> CompiledPlan:
+    """The paper's fixed baseline plan for a non-integrated device.
+
+    All-CPU on a CPU-only device; on a GPU the original program, which
+    runs single-stream and stages every layer output through the host
+    (copy/kernel/copy).  The one statement of what such a device runs,
+    for the simulators and the tuning fleet alike.
+    """
+    gpu = device.has_gpu
+    return compile_fixed(
+        network,
+        device,
+        placement="gpu" if gpu else "cpu",
+        serialize=gpu,
+        host_staging=gpu,
+        precision=precision,
+        batch_size=batch_size,
+        obs=obs,
+    )
+
+
 __all__ = [
     "CompiledPlan",
     "CompilerPipeline",
+    "compile_baseline",
     "compile_fixed",
     "compile_plan",
 ]

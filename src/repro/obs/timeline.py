@@ -68,12 +68,6 @@ SKETCH_BOUNDS_S: Tuple[float, ...] = (
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
-#: Count series accumulated per window (artifact ``series`` keys).
-_COUNT_KEYS = (
-    "offered", "served", "shed", "timed_out", "late", "failed",
-    "rejected", "batches",
-)
-
 
 def _bucket_quantile(
     bounds: Sequence[float],

@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..compile.pipeline import CompiledPlan, compile_fixed
+from ..compile.pipeline import CompiledPlan, compile_baseline
 from ..core.engine import EdgeNN, EdgeNNConfig
 from ..core.plan_cache import default_plan_cache
 from ..errors import ReproError
@@ -377,20 +377,14 @@ class ServiceTimeModel:
         batch: int,
         factors: Optional[ThrottleFactors],
     ) -> BatchServiceTime:
-        """The fixed baseline plan: all-CPU, or on a GPU the original
-        program, which stages layer outputs through the host
-        (single-stream copy/kernel/copy)."""
-        placement = "gpu" if self._spec.has_gpu else "cpu"
+        """The device's fixed baseline plan (:func:`compile_baseline`)."""
 
         def execute() -> BatchServiceTime:
-            compiled = compile_fixed(
+            compiled = compile_baseline(
                 network,
                 self._spec,
-                placement=placement,
                 precision=self._precision,
                 batch_size=batch,
-                serialize=placement == "gpu",
-                host_staging=placement == "gpu",
                 obs=self._obs,
             )
             return warm_service_time(

@@ -12,7 +12,7 @@ same seed, same catalog → byte-identical store manifest.
 See ``docs/tuning_fleet.md`` and ``repro tune-fleet --help``.
 """
 
-from .catalog import DEFAULT_BATCH_SIZES, fleet_catalog, key_for, mode_for
+from .catalog import DEFAULT_BATCH_SIZES, fleet_catalog, key_for
 from .fleet import FleetReport, TuneFleet, WorkerCrashError, run_fleet
 from .queue import (
     DONE,
@@ -20,8 +20,6 @@ from .queue import (
     LEASED,
     PENDING,
     POISONED,
-    QUEUE_SCHEMA,
-    QUEUE_VERSION,
     TuneJob,
 )
 
@@ -33,13 +31,10 @@ __all__ = [
     "LEASED",
     "PENDING",
     "POISONED",
-    "QUEUE_SCHEMA",
-    "QUEUE_VERSION",
     "TuneFleet",
     "TuneJob",
     "WorkerCrashError",
     "fleet_catalog",
     "key_for",
-    "mode_for",
     "run_fleet",
 ]

@@ -3,16 +3,12 @@
 A serving deployment's plan demand is enumerable up front: every
 (network, device, batch size) it may dispatch.  :func:`fleet_catalog`
 expands that cross product into :class:`~repro.tuning.queue.TuneJob`
-records, choosing per device how the key compiles:
-
-* integrated CPU-GPU devices get the **adaptive** five-stage pipeline
-  (the paper's EdgeNN path, default ablation flags all on);
-* CPU-only devices (raspberry-pi-4) get ``fixed:cpu``;
-* discrete-GPU hosts (rtx-2080ti-host) get ``fixed:gpu``
-
-— exactly the plans :class:`repro.cluster.fleet.Fleet` compiles lazily
-today, so a warmed store covers serving and cluster runs with zero
-tuner rounds.
+records.  The key's device fixes how it compiles: integrated CPU-GPU
+devices run the **adaptive** five-stage pipeline (the paper's EdgeNN
+path, default ablation flags all on), and every other device its fixed
+baseline plan (:func:`~repro.compile.pipeline.compile_baseline`: all-CPU
+on raspberry-pi-4, the original GPU program on rtx-2080ti-host) —
+exactly the plans the serving and cluster simulators run.
 
 Priorities: batch-1 keys (interactive traffic) and any ``hot``
 networks claim first (priority 0); everything else is backfill
@@ -34,22 +30,13 @@ from .queue import TuneJob
 DEFAULT_BATCH_SIZES: Sequence[int] = (1, 2, 4, 8)
 
 
-def mode_for(spec: DeviceSpec) -> str:
-    """How plans for this device are compiled (see module docstring)."""
-    if spec.is_integrated:
-        return "adaptive"
-    if spec.has_gpu:
-        return "fixed:gpu"
-    return "fixed:cpu"
-
-
 def key_for(network: str, spec: DeviceSpec, batch_size: int) -> PlanKey:
     """The plan key the fleet compiles for one catalog cell.
 
-    Adaptive devices use the default engine flags (all optimizations
+    Integrated devices use the default engine flags (all optimizations
     on — the keys :class:`~repro.core.engine.EdgeNNConfig` defaults
-    produce at serve time); fixed devices use the all-off flags
-    :func:`~repro.compile.pipeline.compile_fixed` stamps.
+    produce at serve time); other devices use the all-off flags
+    :func:`~repro.compile.pipeline.compile_baseline` stamps.
     """
     adaptive = spec.is_integrated
     return PlanKey(
@@ -111,17 +98,15 @@ def fleet_catalog(
     jobs: List[TuneJob] = []
     for device_name in chosen_devices:
         spec = catalog[device_name]
-        mode = mode_for(spec)
         for network in chosen_networks:
             for batch in batch_sizes:
                 priority = 0 if (batch == 1 or network in hot_set) else 1
                 jobs.append(TuneJob(
                     key=key_for(network, spec, batch),
-                    mode=mode,
                     priority=priority,
                 ))
     jobs.sort(key=lambda job: (job.priority, job.job_id))
     return jobs
 
 
-__all__ = ["DEFAULT_BATCH_SIZES", "fleet_catalog", "key_for", "mode_for"]
+__all__ = ["DEFAULT_BATCH_SIZES", "fleet_catalog", "key_for"]

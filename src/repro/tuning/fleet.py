@@ -12,7 +12,10 @@ labor is what makes crashes cheap:
 * a worker whose write lands corrupted is caught at **ingest**: the
   coordinator re-hashes the object before touching the manifest, and a
   mismatch quarantines the bytes and retries the job;
-* a worker that hangs is bounded by the queue's lease deadline.
+* a worker that hangs is bounded by the queue's lease deadline;
+* a coordinator that dies loses only its in-memory queue: the store is
+  the only durable record, and a re-run over it (:func:`run_fleet`)
+  compiles just the keys the store lacks.
 
 Failures are injected deterministically through the
 :class:`~repro.faults.FaultInjector` keyed draws — the outcome of
@@ -54,16 +57,17 @@ class WorkerCrashError(ReproError):
     """
 
 
-def _compile_artifact(key: PlanKey, mode: str):
-    """Compile one plan key the way its catalog mode prescribes."""
-    from ..compile.pipeline import compile_fixed, compile_plan
+def _compile_artifact(key: PlanKey):
+    """Compile one plan key: the adaptive pipeline on an integrated
+    device, the device's fixed baseline plan on any other."""
+    from ..compile.pipeline import compile_baseline, compile_plan
     from ..core.engine import EdgeNNConfig
     from ..core.tuner import TuningObjective
     from ..hardware.variants import spec_by_name
     from ..nn.precision import Precision
 
     spec = spec_by_name(key.device)
-    if mode == "adaptive":
+    if spec.is_integrated:
         config = EdgeNNConfig(
             use_memory_management=key.use_memory_management,
             use_hybrid_execution=key.use_hybrid_execution,
@@ -74,16 +78,13 @@ def _compile_artifact(key: PlanKey, mode: str):
             objective=TuningObjective(key.objective),
         )
         compiled = compile_plan(key.network, spec, config, key=key)
-    elif mode in ("fixed:cpu", "fixed:gpu"):
-        compiled = compile_fixed(
+    else:
+        compiled = compile_baseline(
             key.network,
             spec,
-            placement=mode.split(":", 1)[1],
             precision=Precision(key.precision),
             batch_size=key.batch_size,
         )
-    else:
-        raise ReproError(f"unknown compile mode {mode!r}")
     artifact = compiled.artifact
     if artifact.key != key:
         raise ReproError(
@@ -96,7 +97,6 @@ def _compile_artifact(key: PlanKey, mode: str):
 def _run_worker_job(
     store_root: str,
     key_data: Dict[str, object],
-    mode: str,
     attempt: int,
     scenario_data: Optional[Dict[str, object]],
     seed: int,
@@ -114,7 +114,7 @@ def _run_worker_job(
         injector = FaultInjector(
             FaultScenario.from_dict(scenario_data), seed=seed
         )
-    artifact = _compile_artifact(key, mode)
+    artifact = _compile_artifact(key)
     text = PlanStore.artifact_text(artifact)
     sha = sha256_text(text)
     store = PlanStore(store_root, check_fingerprints=False)
@@ -219,7 +219,6 @@ class TuneFleet:
         workers: int = 4,
         seed: int = 0,
         scenario: Optional[FaultScenario] = None,
-        obs=None,
         progress: Optional[Callable[[str], None]] = None,
     ) -> None:
         if workers < 1:
@@ -229,7 +228,6 @@ class TuneFleet:
         self.workers = workers
         self.seed = seed
         self.scenario = scenario if scenario is not None else _QUIET
-        self._obs = obs
         self._progress = progress or (lambda message: None)
 
     def run(self) -> FleetReport:
@@ -267,7 +265,6 @@ class TuneFleet:
                         _run_worker_job,
                         str(self.store.root),
                         job.key.to_dict(),
-                        job.mode,
                         job.attempts,
                         scenario_data,
                         self.seed,
@@ -348,24 +345,21 @@ def run_fleet(
     scenario: Optional[FaultScenario] = None,
     retry_policy: Optional[RetryPolicy] = None,
     lease_timeout_s: float = 60.0,
-    queue_path: Optional[Union[str, Path]] = None,
     obs=None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> FleetReport:
     """One-call fleet run: build the store + queue, drain the jobs.
 
-    ``queue_path`` defaults to ``<store_root>/queue.json`` so a killed
-    run leaves its full queue state next to the store it was filling.
+    The store is the run's only durable record, so a re-run over the
+    same store resumes a killed or failed one: it enqueues only the
+    keys the store lacks, and a worker whose object a dead run already
+    wrote hands it back for the coordinator to re-hash and register.
     """
-    store_root = Path(store_root)
     store = PlanStore(store_root, obs=obs)
-    if queue_path is None:
-        queue_path = store_root / "queue.json"
     policy = retry_policy or RetryPolicy(
         max_attempts=4, base_delay_s=0.01, max_delay_s=0.25, seed=seed
     )
     queue = JobQueue(
-        queue_path,
         retry_policy=policy,
         lease_timeout_s=lease_timeout_s,
         obs=obs,
@@ -382,7 +376,6 @@ def run_fleet(
         workers=workers,
         seed=seed,
         scenario=scenario,
-        obs=obs,
         progress=progress,
     )
     report = fleet.run()

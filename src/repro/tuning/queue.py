@@ -16,29 +16,23 @@ never *hands over* a job — it **leases** it:
   e.g. batch-1 interactive plans) compile before the long tail, and the
   job-id tiebreak keeps claim order deterministic.
 
-The queue is *coordinator-owned*: exactly one process mutates it (the
-fleet's scheduler thread; workers are pool tasks that report back), so
-there is no cross-process locking — just crash safety.  Every
-transition persists the whole queue as one atomic JSON write, so a
-killed coordinator restarts from its last transition: leased jobs are
-simply left to expire and re-run.
+The queue is *coordinator-owned* and lives in its memory: exactly one
+process mutates it (the fleet's scheduler thread; workers are pool
+tasks that report back), so there is no cross-process locking.  The
+plan store is the fleet's only durable record: a killed coordinator
+restarts by enqueueing the keys its store still lacks
+(:func:`~repro.tuning.fleet.run_fleet`).
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..core.plan_cache import PlanKey
 from ..errors import ReproError
 from ..faults.resilience import RetryPolicy
-from ..fsutil import atomic_write_text
-
-QUEUE_SCHEMA = "repro.tune-queue"
-QUEUE_VERSION = 1
 
 #: Job lifecycle states.
 PENDING = "pending"
@@ -48,18 +42,13 @@ POISONED = "poisoned"
 
 _STATES = (PENDING, LEASED, DONE, POISONED)
 
-#: How a plan key is compiled: the adaptive five-stage pipeline or a
-#: degenerate fixed placement (the baselines' path for CPU-only /
-#: discrete-GPU devices).
-MODES = ("adaptive", "fixed:cpu", "fixed:gpu")
-
 
 @dataclass(frozen=True)
 class TuneJob:
-    """One unit of fleet work: compile one plan key, one way."""
+    """One unit of fleet work: compile one plan key (its device fixes
+    how)."""
 
     key: PlanKey
-    mode: str = "adaptive"
     #: claim order: lower claims first (0 = hot key).
     priority: int = 1
     #: attempts already consumed (failures + expired leases).
@@ -77,10 +66,6 @@ class TuneJob:
     sha256: str = ""
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ReproError(
-                f"job mode must be one of {MODES}, got {self.mode!r}"
-            )
         if self.state not in _STATES:
             raise ReproError(
                 f"job state must be one of {_STATES}, got {self.state!r}"
@@ -91,52 +76,9 @@ class TuneJob:
         """The key's slug — unique per catalog entry."""
         return self.key.slug()
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "key": self.key.to_dict(),
-            "mode": self.mode,
-            "priority": self.priority,
-            "attempts": self.attempts,
-            "state": self.state,
-            "not_before_s": self.not_before_s,
-            "lease_deadline_s": self.lease_deadline_s,
-            "worker": self.worker,
-            "failures": list(self.failures),
-            "sha256": self.sha256,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "TuneJob":
-        try:
-            key_data = data["key"]
-            if not isinstance(key_data, Mapping):
-                raise ReproError(
-                    f"job key must be an object, got {key_data!r}"
-                )
-            return cls(
-                key=PlanKey.from_dict(key_data),
-                mode=str(data.get("mode", "adaptive")),
-                priority=int(data.get("priority", 1)),  # type: ignore[arg-type]
-                attempts=int(data.get("attempts", 0)),  # type: ignore[arg-type]
-                state=str(data.get("state", PENDING)),
-                not_before_s=float(
-                    data.get("not_before_s", 0.0)  # type: ignore[arg-type]
-                ),
-                lease_deadline_s=float(
-                    data.get("lease_deadline_s", 0.0)  # type: ignore[arg-type]
-                ),
-                worker=str(data.get("worker", "")),
-                failures=tuple(
-                    str(f) for f in data.get("failures", ())  # type: ignore[union-attr]
-                ),
-                sha256=str(data.get("sha256", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReproError(f"malformed tune job record: {exc}") from exc
-
 
 class JobQueue:
-    """Lease-based, file-backed queue of :class:`TuneJob` records.
+    """Lease-based, in-memory queue of :class:`TuneJob` records.
 
     The clock is explicit: every time-dependent operation takes ``now``
     (seconds on whatever monotone clock the coordinator uses), so lease
@@ -145,7 +87,6 @@ class JobQueue:
 
     def __init__(
         self,
-        path: Optional[Union[str, Path]] = None,
         *,
         retry_policy: Optional[RetryPolicy] = None,
         lease_timeout_s: float = 60.0,
@@ -155,7 +96,6 @@ class JobQueue:
             raise ReproError(
                 f"lease_timeout_s must be > 0, got {lease_timeout_s}"
             )
-        self._path = Path(path) if path is not None else None
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=4, base_delay_s=0.01, max_delay_s=0.25
         )
@@ -168,71 +108,6 @@ class JobQueue:
         #: leases that expired without a report (worker presumed dead).
         self.lease_expirations = 0
 
-    # -- persistence ----------------------------------------------------------
-
-    @property
-    def path(self) -> Optional[Path]:
-        return self._path
-
-    def _persist(self) -> None:
-        if self._path is None:
-            return
-        doc = {
-            "schema": QUEUE_SCHEMA,
-            "version": QUEUE_VERSION,
-            "jobs": [
-                self._jobs[job_id].to_dict()
-                for job_id in sorted(self._jobs)
-            ],
-        }
-        atomic_write_text(
-            self._path, json.dumps(doc, indent=1, sort_keys=True) + "\n"
-        )
-
-    @classmethod
-    def load(
-        cls,
-        path: Union[str, Path],
-        *,
-        retry_policy: Optional[RetryPolicy] = None,
-        lease_timeout_s: float = 60.0,
-        obs=None,
-    ) -> "JobQueue":
-        """Resume a queue from its file (crashed-coordinator restart).
-
-        Leased jobs are loaded as-is; their leases date from the dead
-        coordinator's clock, so callers typically follow up with
-        :meth:`expire_leases` to requeue them.
-        """
-        queue = cls(
-            path,
-            retry_policy=retry_policy,
-            lease_timeout_s=lease_timeout_s,
-            obs=obs,
-        )
-        try:
-            data = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ReproError(f"cannot read job queue {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ReproError(
-                f"job queue {path} is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(data, dict) or data.get("schema") != QUEUE_SCHEMA:
-            raise ReproError(
-                f"{path} is not a tune-queue file "
-                f"(expected schema {QUEUE_SCHEMA!r})"
-            )
-        if data.get("version") != QUEUE_VERSION:
-            raise ReproError(
-                f"unsupported tune-queue version {data.get('version')!r} "
-                f"(this build reads {QUEUE_VERSION})"
-            )
-        for record in data.get("jobs", ()):
-            job = TuneJob.from_dict(record)
-            queue._jobs[job.job_id] = job
-        return queue
-
     # -- enqueue --------------------------------------------------------------
 
     def add(self, job: TuneJob) -> bool:
@@ -241,12 +116,11 @@ class JobQueue:
             if job.job_id in self._jobs:
                 return False
             self._jobs[job.job_id] = job
-            self._persist()
             self._gauge_depth()
             return True
 
     def add_all(self, jobs: List[TuneJob]) -> int:
-        """Enqueue many jobs in one persist; returns how many were new."""
+        """Enqueue many jobs; returns how many were new."""
         with self._lock:
             added = 0
             for job in jobs:
@@ -254,7 +128,6 @@ class JobQueue:
                     self._jobs[job.job_id] = job
                     added += 1
             if added:
-                self._persist()
                 self._gauge_depth()
             return added
 
@@ -279,7 +152,6 @@ class JobQueue:
                         job, f"lease expired (worker {job.worker!r})", now
                     )
             if expired:
-                self._persist()
                 self._gauge_depth()
             return expired
 
@@ -310,7 +182,6 @@ class JobQueue:
                 lease_deadline_s=now + self.lease_timeout_s,
             )
             self._jobs[leased.job_id] = leased
-            self._persist()
             return leased
 
     def complete(self, job_id: str, sha256: str, now: float) -> TuneJob:
@@ -325,7 +196,6 @@ class JobQueue:
                 job, state=DONE, sha256=sha256, lease_deadline_s=0.0
             )
             self._jobs[job_id] = done
-            self._persist()
             self._gauge_depth()
             return done
 
@@ -338,7 +208,6 @@ class JobQueue:
                     f"cannot fail job {job_id!r} in state {job.state!r}"
                 )
             failed = self._fail_locked(job, reason, now)
-            self._persist()
             self._gauge_depth()
             return failed
 
@@ -455,10 +324,7 @@ __all__ = [
     "DONE",
     "JobQueue",
     "LEASED",
-    "MODES",
     "PENDING",
     "POISONED",
-    "QUEUE_SCHEMA",
-    "QUEUE_VERSION",
     "TuneJob",
 ]

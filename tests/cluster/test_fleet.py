@@ -154,7 +154,14 @@ class TestFleet:
         flags_a = [r.injector is not None for r in a.pools[0].replicas]
         flags_b = [r.injector is not None for r in b.pools[0].replicas]
         assert flags_a == flags_b
-        assert any(flags_a) or True  # share is probabilistic per name
+        # A half share faults some, but not all, of a larger pool.
+        large = Fleet(
+            DeviceMix.parse("jetson-agx-xavier"), [("lenet", 32)],
+            policy=BatchPolicy(max_wait_s=0.0), seed=3, faults=scenario,
+            fault_share=0.5,
+        )
+        faulted = sum(r.injector is not None for r in large.pools[0].replicas)
+        assert 0 < faulted < 32
         # fault_share=0 means nobody is faulted.
         clean = self._fleet(seed=3, faults=scenario, fault_share=0.0)
         assert all(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.cpu_only import cpu_only_plan
-from repro.baselines.gpu_only import gpu_only_plan
 from repro.compile import (
     STAGE_NAMES,
     CompiledPlan,
@@ -13,11 +12,10 @@ from repro.compile import (
     compile_plan,
 )
 from repro.core.engine import EdgeNN, EdgeNNConfig
-from repro.core.memory_manager import MemoryPolicy
 from repro.core.plan_cache import PlanCache
 from repro.core.tuner import TunerConfig
 from repro.errors import ReproError
-from repro.hardware.specs import JETSON_AGX_XAVIER, RTX_2080TI_HOST
+from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import build as build_model
 from repro.obs import Observability
 
@@ -63,15 +61,6 @@ class TestCompileFixed:
         graph = build_model("lenet")
         a = compile_fixed(graph, JETSON_AGX_XAVIER, placement="cpu").plan
         b = cpu_only_plan(graph, JETSON_AGX_XAVIER)
-        assert a.to_dict() == b.to_dict()
-
-    def test_gpu_plan_matches_baseline_helper(self):
-        graph = build_model("lenet")
-        a = compile_fixed(
-            graph, RTX_2080TI_HOST, placement="gpu",
-            policy=MemoryPolicy.SEMANTIC,
-        ).plan
-        b = gpu_only_plan(graph, RTX_2080TI_HOST, MemoryPolicy.SEMANTIC)
         assert a.to_dict() == b.to_dict()
 
     def test_lowering_records_execution_semantics(self):

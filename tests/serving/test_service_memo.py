@@ -99,7 +99,9 @@ class TestClusterSimulators:
 
     def test_second_fleet_compiles_and_executes_nothing(self, monkeypatch):
         SERVICE_TIMES.clear()
-        fixed = count_calls(monkeypatch, serving_simulator, "compile_fixed")
+        fixed = count_calls(
+            monkeypatch, serving_simulator, "compile_baseline"
+        )
         count_calls(monkeypatch, pipeline, "compile_fixed")
         runs = count_calls(monkeypatch, HybridExecutor, "run")
         first_sim = self.fleet()

@@ -1,11 +1,21 @@
-"""fleet_catalog: coverage, modes, priorities, validation."""
+"""fleet_catalog: coverage, device flags, priorities, validation."""
 
 import pytest
 
+from repro.compile import compile_baseline
 from repro.errors import ReproError
-from repro.hardware.variants import full_catalog
+from repro.hardware.variants import full_catalog, spec_by_name
 from repro.nn.models import MODEL_BUILDERS
-from repro.tuning import DEFAULT_BATCH_SIZES, fleet_catalog, key_for, mode_for
+from repro.tuning import DEFAULT_BATCH_SIZES, fleet_catalog, key_for
+
+
+def key_flags(key):
+    return (
+        key.use_memory_management,
+        key.use_hybrid_execution,
+        key.use_inter_kernel,
+        key.use_intra_kernel,
+    )
 
 
 class TestDefaultCatalog:
@@ -19,23 +29,17 @@ class TestDefaultCatalog:
         assert len({j.job_id for j in jobs}) == len(jobs)
 
     def test_modes_follow_device_shape(self):
-        jobs = fleet_catalog()
-        by_mode = {}
-        for job in jobs:
-            by_mode.setdefault(job.mode, set()).add(job.key.device)
-        assert "raspberry-pi-4" in by_mode["fixed:cpu"]
-        assert "rtx-2080ti-host" in by_mode["fixed:gpu"]
-        assert "jetson-agx-xavier" in by_mode["adaptive"]
+        flags = {}
+        for job in fleet_catalog():
+            flags.setdefault(job.key.device, set()).add(key_flags(job.key))
+        assert flags["raspberry-pi-4"] == {(False,) * 4}
+        assert flags["rtx-2080ti-host"] == {(False,) * 4}
+        assert flags["jetson-agx-xavier"] == {(True,) * 4}
 
     def test_adaptive_keys_enable_all_flags(self):
         for job in fleet_catalog():
-            flags = (
-                job.key.use_memory_management,
-                job.key.use_hybrid_execution,
-                job.key.use_inter_kernel,
-                job.key.use_intra_kernel,
-            )
-            if job.mode == "adaptive":
+            flags = key_flags(job.key)
+            if spec_by_name(job.key.device).is_integrated:
                 assert all(flags)
             else:
                 assert not any(flags)
@@ -59,7 +63,7 @@ class TestFilters:
             networks=["lenet"], devices=["raspberry-pi-4"], batch_sizes=(1, 2)
         )
         assert len(jobs) == 2
-        assert all(j.mode == "fixed:cpu" for j in jobs)
+        assert all(not any(key_flags(j.key)) for j in jobs)
 
     def test_hot_networks_promoted(self):
         jobs = fleet_catalog(
@@ -87,10 +91,13 @@ class TestFilters:
 class TestKeyFor:
     def test_mode_for_matches_key_flags(self):
         for name, spec in full_catalog().items():
-            mode = mode_for(spec)
             key = key_for("lenet", spec, 1)
             assert key.device == name
-            if mode == "adaptive":
-                assert key.use_hybrid_execution
-            else:
-                assert not key.use_hybrid_execution
+            assert key.use_hybrid_execution == spec.is_integrated
+
+    def test_baseline_plans_compile_to_their_keys(self):
+        for spec in full_catalog().values():
+            if spec.is_integrated:
+                continue
+            compiled = compile_baseline("lenet", spec, batch_size=2)
+            assert compiled.key == key_for("lenet", spec, 2)

@@ -1,8 +1,14 @@
 """TuneFleet: fault-tolerant drain of a catalog into a plan store."""
 
+import pytest
+
+from repro.compile import CompiledPlan
 from repro.faults import FLAKY_FLEET, FaultScenario
+from repro.hardware.variants import spec_by_name
+from repro.obs import NOOP_OBS
+from repro.serving.simulator import ServiceTimeModel, warm_service_time
 from repro.store.plan_store import PlanStore
-from repro.tuning import fleet_catalog, run_fleet
+from repro.tuning import TuneFleet, fleet_catalog, run_fleet
 
 JETSON_SUBSET = dict(
     networks=["lenet", "squeezenet"],
@@ -45,6 +51,56 @@ class TestQuietFleet:
             result = artifact.to_tuning_result()
             assert result.source == "artifact"
             assert result.rounds == []  # zero tuner rounds on reload
+
+    def test_stored_plans_replay_to_fleet_service_times(self, tmp_path):
+        jobs = fleet_catalog(
+            networks=["lenet", "alexnet"],
+            devices=["raspberry-pi-4", "dimensity-8100", "rtx-2080ti-host"],
+            batch_sizes=(1, 8),
+        )
+        run_fleet(tmp_path / "store", jobs, workers=2, seed=0)
+        store = PlanStore(tmp_path / "store")
+        for job in jobs:
+            key = job.key
+            replayed = warm_service_time(
+                CompiledPlan.from_artifact(store.get(key)), NOOP_OBS
+            )
+            model = ServiceTimeModel(spec_by_name(key.device))
+            assert replayed == model.warm(key.network, key.batch_size), (
+                job.job_id
+            )
+
+
+class Interrupted(Exception):
+    """Stands in for a coordinator killed mid-run."""
+
+
+class TestResume:
+    def test_rerun_resumes_from_the_store(self, tmp_path, monkeypatch):
+        jobs = subset_jobs()
+        cold = run_fleet(tmp_path / "cold", jobs, workers=2, seed=0)
+        settle = TuneFleet._settle
+        settled = []
+
+        def dies_after_three(self, *args):
+            settle(self, *args)
+            settled.append(args[1].job_id)
+            if len(settled) == 3:
+                raise Interrupted
+
+        monkeypatch.setattr(TuneFleet, "_settle", dies_after_three)
+        with pytest.raises(Interrupted):
+            run_fleet(tmp_path / "store", jobs, workers=2, seed=0)
+        monkeypatch.undo()
+
+        resumed = run_fleet(tmp_path / "store", jobs, workers=2, seed=0)
+        assert resumed.completed == len(jobs)
+        assert resumed.attempts == len(jobs) - 3
+        assert resumed.manifest_digest == cold.manifest_digest
+        assert (tmp_path / "store" / "manifest.json").read_bytes() == (
+            tmp_path / "cold" / "manifest.json"
+        ).read_bytes()
+        assert not (tmp_path / "store" / "queue.json").exists()
 
 
 class TestFlakyFleet:

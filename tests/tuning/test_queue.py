@@ -1,4 +1,4 @@
-"""JobQueue: lease protocol, retries, poison, persistence.
+"""JobQueue: lease protocol, retries, poison, introspection.
 
 Everything runs against an explicit clock (``now`` parameters) — no
 wall time — so lease expiry and backoff windows are exact.
@@ -37,9 +37,8 @@ SHA = "0" * 64
 
 
 @pytest.fixture
-def queue(tmp_path):
+def queue():
     return JobQueue(
-        tmp_path / "queue.json",
         retry_policy=RetryPolicy(
             max_attempts=3, base_delay_s=0.01, max_delay_s=0.25
         ),
@@ -110,11 +109,10 @@ class TestRetriesAndPoison:
         assert queue.claim("w0", now=1e9) is None
         assert queue.outstanding() == 0
 
-    def test_backoff_is_deterministic_per_job(self, tmp_path):
+    def test_backoff_is_deterministic_per_job(self):
         delays = []
-        for run in range(2):
+        for _ in range(2):
             queue = JobQueue(
-                tmp_path / f"q{run}.json",
                 retry_policy=RetryPolicy(
                     max_attempts=4, base_delay_s=0.01, max_delay_s=0.25
                 ),
@@ -144,25 +142,6 @@ class TestRetriesAndPoison:
 
 
 class TestPersistence:
-    def test_reload_round_trip(self, tmp_path):
-        path = tmp_path / "queue.json"
-        queue = JobQueue(path)
-        queue.add_all([make_job(), make_job("alexnet", priority=0)])
-        claimed = queue.claim("w0", now=0.0)
-        queue.complete(claimed.job_id, SHA, now=1.0)
-
-        reloaded = JobQueue.load(path)
-        assert reloaded.counts() == queue.counts()
-        by_id = {j.job_id: j for j in reloaded.jobs()}
-        assert by_id[claimed.job_id].state == DONE
-        assert by_id[claimed.job_id].sha256 == SHA
-
-    def test_reload_rejects_garbage(self, tmp_path):
-        path = tmp_path / "queue.json"
-        path.write_text('{"schema": "nope"}')
-        with pytest.raises(ReproError):
-            JobQueue.load(path)
-
     def test_counts_shape(self, queue):
         queue.add(make_job())
         counts = queue.counts()
