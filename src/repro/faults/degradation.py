@@ -82,7 +82,10 @@ class DegradationManager:
         self.records: list = []
 
     def _state(self, tenant: str) -> _TenantState:
-        return self._tenants.setdefault(tenant, _TenantState())
+        state = self._tenants.get(tenant)
+        if state is None:
+            state = self._tenants[tenant] = _TenantState()
+        return state
 
     def _emit(self, record: DegradationRecord) -> None:
         self.records.append(record)

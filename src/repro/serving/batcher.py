@@ -3,7 +3,7 @@
 :class:`BatchPolicy` holds the knobs.  In the serving simulator the
 queue that applies them is :class:`~repro.sim.engine.queue.IndexQueue`
 over a :class:`~repro.sim.engine.table.RequestTable`; the cluster
-simulator applies them to a per-replica ``deque``, which is about 15x
+simulator applies them to a per-replica ``deque``, which is about 7x
 cheaper per arrival (measured in :mod:`repro.sim.engine.queue`).  The
 policy is the classic *max-batch-size / max-wait-time* rule used by
 production inference servers (Triton, TF-Serving):

@@ -726,6 +726,13 @@ class _ServingRun:
             type(t.arrival).next_after is not ArrivalProcess.next_after
             for t in tenants
         ]
+        # Fully open loop, the static epoch is every arrival and row i
+        # is its i-th: the rows are written here, and the callbacks
+        # walk them with a cursor instead of appending.
+        self.open_loop = not any(self.has_followup)
+        self.row = 0
+        if self.open_loop:
+            table.append_bulk(self.schedule.times, self.schedule.owners)
         # The depth gauge's high-water mark needs every live value, so
         # it is the one metric set in the loop.
         self.depth_gauge = None
@@ -747,8 +754,12 @@ class _ServingRun:
                 failure_threshold=3, reset_timeout_s=0.25
             )
             self.degradation = DegradationManager(None, obs=obs)
-        self.noted_thermal: Optional[float] = None  # active window start
-        self.noted_pressure: Optional[float] = None
+        #: a malformed payload was offered to a queue (naive service);
+        #: until then no batch can hold one
+        self.corrupt_queued = False
+        #: the active windows, read at each edge by note_windows
+        self.thermal = None
+        self.pressure = None
         self.next_edge = -math.inf  # windows cannot change before this
         self.demoted_windows: set = set()
         self.retries = 0
@@ -757,8 +768,9 @@ class _ServingRun:
         # -- device state ------------------------------------------------------
         self.batch_log: List[BatchLogEntry] = []
         self.tenant_hist: Dict[str, Dict[int, int]] = {n: {} for n in names}
-        #: the single batch on the device: (owner, rows, batch_failed).
-        self.in_flight: Optional[Tuple[int, np.ndarray, bool]] = None
+        #: the single batch on the device: (owner, rows, batch_failed,
+        #: expiry key of its first row).
+        self.in_flight: Optional[Tuple[int, np.ndarray, bool, float]] = None
         self.warmed = {n: not cfg.cold_start for n in names}
         self.armed_timers: Dict[str, float] = {}
         self.dispatch_seq = 0
@@ -767,13 +779,12 @@ class _ServingRun:
     def run(self) -> None:
         """Drive the engine until every event has been processed."""
         # The bulk path is only sound when busy-span arrivals are
-        # unobservable one-by-one: no fault injection (per-arrival RNG
-        # draws), no per-request metrics, and fully open-loop tenants
-        # (no completion-driven follow-up arrivals).
+        # unobservable one-by-one: no fault injection (fault events and
+        # window edges are recorded at arrival instants), no
+        # per-request metrics, and fully open-loop tenants (no
+        # completion-driven follow-up arrivals).
         use_bulk = (
-            self.faults is None
-            and not self.obs.enabled
-            and not any(self.has_followup)
+            self.faults is None and not self.obs.enabled and self.open_loop
         )
         EventEngine(self.schedule, self.heap).run(
             on_arrival=self.on_arrival,
@@ -796,37 +807,38 @@ class _ServingRun:
                 self.schedule.push(follow, owner)
 
     def note_windows(self, now: float) -> None:
-        """Record thermal / memory-pressure window edges once.
+        """Read the active thermal / memory-pressure windows at a window
+        edge, and record the edges crossed.
 
         The active windows change only at a window edge, and event
-        time never goes back, so below the next edge there is
-        nothing to record.
+        time never goes back, so callers skip this below
+        ``next_edge``.
         """
-        if now < self.next_edge:
-            return
         faults = self.faults
         injector = self.injector
         self.next_edge = faults.next_edge_after(now)
         thermal = faults.thermal_at(now)
         start = thermal.start_s if thermal is not None else None
-        if start != self.noted_thermal:
-            if self.noted_thermal is not None:
+        noted = self.thermal.start_s if self.thermal is not None else None
+        if start != noted:
+            if noted is not None:
                 for w in faults.thermal:
-                    if w.start_s == self.noted_thermal:
+                    if w.start_s == noted:
                         injector.note_thermal_exit(now, w)
             if thermal is not None:
                 injector.note_thermal_enter(now, thermal)
-            self.noted_thermal = start
+        self.thermal = thermal
         pressure = faults.memory_pressure_at(now)
-        pstart = pressure.start_s if pressure is not None else None
-        if pstart != self.noted_pressure:
-            if self.noted_pressure is not None:
+        start = pressure.start_s if pressure is not None else None
+        noted = self.pressure.start_s if self.pressure is not None else None
+        if start != noted:
+            if noted is not None:
                 for w in faults.memory_pressure:
-                    if w.start_s == self.noted_pressure:
+                    if w.start_s == noted:
                         injector.note_memory_pressure_exit(now, w)
             if pressure is not None:
                 injector.note_memory_pressure_enter(now, pressure)
-            self.noted_pressure = pstart
+        self.pressure = pressure
 
     def expire_queues(self, now: float) -> None:
         """Abandon every queued request past its deadline."""
@@ -856,13 +868,15 @@ class _ServingRun:
             return model.warm(network, size), 0.0, False
         injector = self.injector
         degradation = self.degradation
-        factors = injector.throttle_at(now)
-        pressure = injector.memory_pressure_at(now)
+        # note_windows read the active windows at this instant's edge.
+        thermal = self.thermal
+        factors = thermal.factors if thermal is not None else None
+        pressure = self.pressure
         resilient = self.cfg.resilience
 
         # Memory pressure, naive service: zero-copy allocation
         # fails outright — fail fast, batch lost before any work.
-        if pressure and not resilient:
+        if pressure is not None and not resilient:
             return BatchServiceTime(0.0, 0.0, 0.0), 0.0, True
 
         # Execution-mode selection (degraded plan variants).
@@ -870,10 +884,9 @@ class _ServingRun:
             resilient
             and degradation.mode(tenant) == MODE_NO_HYBRID
         )
-        demote = pressure and resilient
+        demote = pressure is not None and resilient
         if demote:
-            window = faults.memory_pressure_at(now)
-            wkey = (tenant, window.start_s)
+            wkey = (tenant, pressure.start_s)
             if wkey not in self.demoted_windows:
                 self.demoted_windows.add(wkey)
                 degradation.note_memory_demotion(tenant, network, now=now)
@@ -989,7 +1002,9 @@ class _ServingRun:
                     self.heap.push(max(deadline, now), _TIMER, queue.name)
                 return
             owner = self.index_of[chosen]
-            rows = queues[owner].take_batch(now)
+            queue = queues[owner]
+            first_key = queue.head_key_s
+            rows = queue.take_batch(now)
             size = len(rows)
             tracker.remove(size)
             self.dispatch_seq += 1
@@ -1002,7 +1017,7 @@ class _ServingRun:
                 self.warmed[chosen] = True
             hist = self.tenant_hist[chosen]
             hist[size] = hist.get(size, 0) + 1
-            if table.corrupt[rows].any():
+            if self.corrupt_queued and table.corrupt[rows].any():
                 # A malformed payload in the batch kills the whole
                 # launch (the naive service admitted it unchecked);
                 # the device time is still consumed.
@@ -1030,7 +1045,7 @@ class _ServingRun:
                     mode="warm" if warm else "cold",
                 )
                 self.depth_gauge.set(tracker.depth)
-            self.in_flight = (owner, rows, failed)
+            self.in_flight = (owner, rows, failed, first_key)
             self.heap.push(end, _COMPLETION, chosen)
             return
 
@@ -1039,14 +1054,21 @@ class _ServingRun:
         tracker = self.tracker
         tracker.advance(now)
         faults = self.faults
-        if faults is not None:
+        if faults is not None and now >= self.next_edge:
             self.note_windows(now)
         queue = self.queues[owner]
         table = self.table
-        idx = table.append(now, owner)
+        if self.open_loop:
+            idx = self.row
+            self.row = idx + 1
+        else:
+            idx = table.append(now, owner)
+        # Each row draws once, in row order: its draw index in the
+        # payload stream is its row index.
         corrupt = faults is not None and self.injector.payload_corrupt(
             now, request_id=idx
         )
+        head_moved = False
         if corrupt and self.cfg.resilience:
             # Request validation catches the malformed payload at the
             # door: reject, don't queue.
@@ -1055,14 +1077,23 @@ class _ServingRun:
         else:
             if corrupt:
                 table.corrupt[idx] = True
+                self.corrupt_queued = True
             if queue.offer(idx, now):
                 tracker.admit()
                 if self.depth_gauge is not None:
                     self.depth_gauge.set(tracker.depth)
+                head_moved = len(queue) == 1
             else:
                 # Shed: the client sees an immediate rejection; a
                 # closed-loop client thinks, then retries.
                 self.followup(owner, now)
+        if self.device_busy:
+            return
+        # The last poll found nothing to dispatch and armed a timer for
+        # every head.  Unless this arrival gave its queue a new head,
+        # polling again acts only if some queue has come due.
+        if not head_moved and not any(q.due(now) for q in self.queues):
+            return
         self.maybe_dispatch(now)
 
     def on_arrivals(self, times: np.ndarray, owners: np.ndarray) -> None:
@@ -1074,8 +1105,9 @@ class _ServingRun:
         to admit-or-shed plus depth accounting, all vectorizable.
         """
         table = self.table
-        start = table.append_bulk(times, owners)
+        start = self.row
         total = len(times)
+        self.row = start + total
         queues = self.queues
         if len(queues) == 1:
             # Single tenant: the span is one FIFO fill — slice
@@ -1112,7 +1144,7 @@ class _ServingRun:
     def on_event(self, now: float, kind: int, payload: object) -> None:
         """A batch completion or a wait-expiry timer."""
         self.tracker.advance(now)
-        if self.faults is not None:
+        if self.faults is not None and now >= self.next_edge:
             self.note_windows(now)
         if kind == _COMPLETION:
             self.complete(now)
@@ -1123,7 +1155,7 @@ class _ServingRun:
     def complete(self, now: float) -> None:
         """Settle the batch on the device: failed, or each request
         served or late."""
-        owner, rows, batch_failed = self.in_flight
+        owner, rows, batch_failed, first_key = self.in_flight
         self.in_flight = None
         self.device_busy = False
         table = self.table
@@ -1132,7 +1164,9 @@ class _ServingRun:
             table.status[rows] = _ST_FAILED
         else:
             table.status[rows] = _ST_SERVED
-            if self.queues[owner].policy.deadline_s is not None:
+            # Deadlines rise along the batch, so none has passed while
+            # its first row's has not (no deadlines: first_key is inf).
+            if now > first_key:
                 # Completed, but past deadline: the client already gave
                 # up — late, useless responses.
                 late = rows[now > table.deadline_s[rows] + EPS]

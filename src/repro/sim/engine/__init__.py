@@ -23,7 +23,7 @@ struct-of-arrays core:
   indices, with vectorized deadline expiry and the shared ``EPS``
   tolerance.  The cluster keeps a per-replica ``deque`` of arrival
   instants instead, because an arrival through the table and this
-  queue costs about 15x one through the deque (see its module
+  queue costs about 7x one through the deque (see its module
   docstring);
 * :class:`~repro.sim.engine.core.EventEngine` — the merge loop
   (arrivals vs. heap events vs. periodic ticks) with an optional bulk

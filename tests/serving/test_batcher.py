@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ReproError
 from repro.serving.batcher import BatchPolicy
 from repro.sim.engine import PENDING, RUNNING, SHED, IndexQueue, RequestTable
+from repro.sim.engine.queue import EPS
 
 
 def make_queue(policy=None):
@@ -45,11 +46,20 @@ class TestEmptyQueue:
     def test_not_ready(self):
         q = make_queue()
         assert not q.ready(now=100.0)
+        assert not q.due(now=100.0)
 
     def test_no_deadline(self):
         q = make_queue()
         assert q.wait_deadline_s() is None
-        assert q.oldest_arrival_s is None
+        assert q.head_wait_s == q.head_key_s == float("inf")
+
+    def test_drained_queue_heads_at_inf(self):
+        q = make_queue(BatchPolicy(max_wait_s=0.25, deadline_s=0.5))
+        offer(q, 1.0)
+        assert q.head_wait_s == 1.0 + 0.25
+        assert q.head_key_s == 1.0 + 0.5 + EPS
+        q.take_batch(now=1.0)
+        assert q.head_wait_s == q.head_key_s == float("inf")
 
     def test_take_batch_raises(self):
         q = make_queue()

@@ -33,7 +33,9 @@ from repro.serving.simulator import (
     simulate_poisson,
     warm_service_time,
 )
+from repro.sim.engine.queue import EPS
 from repro.workloads.arrivals import (
+    ArrivalProcess,
     ClosedLoopArrivals,
     PoissonArrivals,
     UniformArrivals,
@@ -303,6 +305,84 @@ class TestClosedLoop:
         assert report.queue_depth_max <= 4
         assert report.served == report.offered
         assert report.served > 50
+
+
+class ListedArrivals(ArrivalProcess):
+    """Open-loop arrivals at prescribed instants."""
+
+    def __init__(self, times, duration_s):
+        self.times = list(times)
+        self.duration_s = duration_s
+
+    def initial_arrivals(self):
+        return list(self.times)
+
+
+class TestIdleArrivalPolls:
+    """An arrival at the idle device skips the dispatch poll only when
+    the poll would change nothing; a head that came due since the last
+    poll must still be handled at that arrival."""
+
+    def _sim(self, times, policy, *others):
+        """Run tenant ``lenet`` arriving at ``times`` (and a tenant
+        ``other{i}`` per further list of instants); returns the table."""
+        tenants = [
+            TenantSpec(network="lenet", arrival=ListedArrivals(times, 2.0))
+        ] + [
+            TenantSpec(
+                network="lenet", name=f"other{i}",
+                arrival=ListedArrivals(other, 2.0),
+            )
+            for i, other in enumerate(others)
+        ]
+        sim = ServingSimulator(
+            JETSON_AGX_XAVIER, tenants, ServingConfig(policy=policy),
+            service_model=FixedServiceModel(base_s=0.1),
+        )
+        sim.run()
+        return sim.table
+
+    def test_wait_deadline_reached_at_an_arrival_dispatches_there(self):
+        # The head's wait ends at 0.25, the instant two more arrive:
+        # the first of them finds the queue ready and leaves with it.
+        table = self._sim(
+            [0.0, 0.25, 0.25],
+            BatchPolicy(max_batch_size=8, max_wait_s=0.25),
+        )
+        assert table.batch_size[:3].tolist() == [2, 2, 1]
+        assert table.dispatch_s[:2].tolist() == [0.25, 0.25]
+
+    def test_deadline_passed_at_an_arrival_expires_there(self):
+        # The head's deadline passes at 0.25 and its wait timer fires at
+        # 1.0; the arrival at 0.5 abandons it.
+        table = self._sim(
+            [0.0, 0.5],
+            BatchPolicy(max_batch_size=8, max_wait_s=1.0, deadline_s=0.25),
+        )
+        assert table.finish_s[:2].tolist() == [0.5, 1.0]
+
+    def test_another_queue_ready_at_an_arrival_dispatches_there(self):
+        # lenet's wait ends at 0.25; the other tenant's second arrival,
+        # EPS/2 earlier, leaves its own head in place but finds lenet
+        # ready (now + EPS >= 0.25), ahead of lenet's timer.
+        table = self._sim(
+            [0.0], BatchPolicy(max_batch_size=8, max_wait_s=0.25),
+            [0.1, 0.25 - EPS / 2],
+        )
+        assert table.tenant[0] == 0
+        assert table.dispatch_s[0] == 0.25 - EPS / 2
+
+    def test_another_queue_deadline_passed_at_an_arrival_expires_there(self):
+        # lenet's deadline passes at 0.25; the other tenant's second
+        # arrival at 0.3 leaves its own head in place but abandons
+        # lenet's request there, ahead of lenet's wait timer at 1.0.
+        table = self._sim(
+            [0.0],
+            BatchPolicy(max_batch_size=8, max_wait_s=1.0, deadline_s=0.25),
+            [0.1, 0.3],
+        )
+        assert table.tenant[0] == 0
+        assert table.finish_s[0] == 0.3
 
 
 class TestQueueDepthAccounting:

@@ -141,6 +141,36 @@ def serving_closed_loop() -> Simulator:
     return sim
 
 
+def serving_closed_loop_faults() -> Simulator:
+    """Closed-loop clients beside an open tenant in a 2 s edge-storm,
+    with tight deadlines and short queues: it serves, sheds, abandons,
+    completes late and rejects.  Follow-up rows interleave with the
+    static epoch, so this is the one fault run whose rows are appended
+    as they arrive.  Not an engine-parity scenario: the
+    outcome goldens pin it (``test_outcome_goldens.py``)."""
+    tenants = [
+        TenantSpec(
+            network="lenet",
+            arrival=ClosedLoopArrivals(
+                clients=12, think_s=0.001, duration_s=2.0
+            ),
+        ),
+        poisson_tenant("lenet", 300.0, 2.0, seed=3, name="open"),
+    ]
+    sim = ServingSimulator(
+        None,
+        tenants,
+        ServingConfig(
+            policy=BatchPolicy(
+                max_batch_size=4, deadline_s=0.005, max_queue_depth=8
+            ),
+            seed=5,
+            faults=scale_to_horizon(load_scenario("edge-storm"), 2.0),
+        ),
+    )
+    return sim
+
+
 def serving_obs() -> Simulator:
     """Observability on: per-request spans must not perturb the report."""
     from repro.obs import Observability
@@ -362,8 +392,9 @@ SCENARIOS: Dict[str, ScenarioFn] = {
     name: _digests(build) for name, build in BUILDERS.items()
 }
 
-#: every serving scenario: the engine-parity ones plus the two storm
-#: runs, which between them reach every request outcome.
+#: every serving scenario: the engine-parity ones, the two storm runs,
+#: which between them reach every request outcome, and the closed-loop
+#: storm.
 SERVING_BUILDERS: Dict[str, Callable[[], Simulator]] = {
     **{
         name: build for name, build in BUILDERS.items()
@@ -371,4 +402,5 @@ SERVING_BUILDERS: Dict[str, Callable[[], Simulator]] = {
     },
     "serving_storm_obs": serving_storm_obs,
     "serving_storm_obs_naive": serving_storm_obs_naive,
+    "serving_closed_loop_faults": serving_closed_loop_faults,
 }

@@ -36,6 +36,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.faults.resilience import _unit_draw
 from repro.obs import Observability
 from repro.obs.export import chrome_trace, metrics_to_dict, prometheus_text
 from repro.sim.engine import (
@@ -58,6 +59,9 @@ COLUMNS = (
 TABLE_GOLDENS = {
     "serving_closed_loop": (
         "ace38a0543708906d8ae56a3b9a12101c1eb3e2116ce54182cb95cf052f1a083"
+    ),
+    "serving_closed_loop_faults": (
+        "ce15abbf04e99345aee6a54d132a7b0c54658bb91625bca3d898fef326790f57"
     ),
     "serving_cold_start": (
         "59bad26bfda5ecfd545521d3c197441eab17188d392691838353d78cd1a83be8"
@@ -147,6 +151,24 @@ STORM_COUNTS = {
     "serving_storm_obs": (1527, 114, 620, 727, 76, 0, 66),
     "serving_storm_obs_naive": (1527, 75, 516, 617, 50, 319, 0),
 }
+
+
+#: serving_closed_loop_faults: (report digest, fault-timeline digest).
+CLOSED_LOOP_FAULTS_DIGESTS = (
+    "f2a7c2b2516439b08a233be14dd8446d59e3de895521b611d4c7fc696f58924d",
+    "3dfe1e7682d0cb59a8f33fb029f5ad1843dc9898c0675c0aca5d916b02d529ab",
+)
+
+#: serving_closed_loop_faults: (offered, served, shed, timed_out, late,
+#: failed, rejected).
+CLOSED_LOOP_FAULTS_COUNTS = (6553, 4153, 785, 1302, 1070, 0, 313)
+
+#: the serving scenarios that draw malformed payloads (serving_faults'
+#: 115 draws all land above p).
+PAYLOAD_FAULT_SCENARIOS = (
+    "serving_closed_loop_faults", "serving_storm_obs",
+    "serving_storm_obs_naive",
+)
 
 
 #: cluster_storm: (report digest, timeline digest).
@@ -251,6 +273,48 @@ def test_storm_runs_reach_every_outcome(name, runs):
         report.offered, report.served, report.shed, report.timed_out,
         report.late, report.failed, report.rejected,
     ) == STORM_COUNTS[name]
+
+
+def test_closed_loop_faults_golden(runs):
+    """Closed-loop follow-ups interleave with the static epoch, so this
+    run draws each payload flag as its row is appended."""
+    sim, report = runs["serving_closed_loop_faults"]
+    assert (
+        report.digest(), sim.injector.timeline_digest()
+    ) == CLOSED_LOOP_FAULTS_DIGESTS
+    assert (
+        report.offered, report.served, report.shed, report.timed_out,
+        report.late, report.failed, report.rejected,
+    ) == CLOSED_LOOP_FAULTS_COUNTS
+
+
+@pytest.mark.parametrize("name", PAYLOAD_FAULT_SCENARIOS)
+def test_payload_flags_follow_row_draws(name, runs):
+    """A row's payload draw index is its row index, whether its row was
+    written before the loop (open loop) or appended at its arrival
+    (closed loop): the malformed rows are exactly those whose draw falls
+    below p, and each is recorded once, at its arrival."""
+    sim, _ = runs[name]
+    table = sim._table
+    n = len(table)
+    injector = sim.injector
+    p = injector.scenario.payload_corrupt_p
+    flags = np.array(
+        [_unit_draw(injector.seed, "payload", row) < p for row in range(n)]
+    )
+    assert flags.any()
+    if sim._config.resilience:
+        caught = table.status[:n] == REJECTED
+    else:
+        caught = table.corrupt[:n]
+    assert caught.tolist() == flags.tolist()
+    events = [e for e in injector.events if e["kind"] == "payload_corrupt"]
+    rows = np.flatnonzero(flags)
+    assert [e["index"] for e in events] == rows.tolist()
+    assert [e["request_id"] for e in events] == rows.tolist()
+    assert [e["t"] for e in events] == [
+        round(t, 9) for t in table.arrival_s[rows].tolist()
+    ]
 
 
 @pytest.fixture(scope="module")
