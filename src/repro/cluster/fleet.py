@@ -37,7 +37,7 @@ from ..hardware.throttle import ThrottleFactors, apply_throttle
 from ..hardware.variants import full_catalog
 from ..obs import NOOP_OBS, Observability
 from ..serving.batcher import BatchPolicy
-from ..serving.simulator import ServiceTimeModel
+from ..serving.simulator import BatchServiceTime, ServiceTimeModel
 
 
 def stable_hash(*parts: object) -> int:
@@ -177,14 +177,15 @@ class Replica:
     busy time and energy are not counted here: the simulator derives
     them from its logs after the run.  ``version`` increments on every
     routing-relevant state change so the routers' lazy heaps can discard
-    stale entries in O(1).
+    stale entries in O(1).  ``warm_s[size]`` is the nominal warm service
+    time of a batch of ``size``, looked up in the model on first use.
     """
 
     __slots__ = (
         "name", "idx", "spec", "pool_name", "network", "model",
         "queue", "busy_until", "version", "active", "draining",
         "created_s", "retired_s", "batches",
-        "svc1_s", "unit_s", "unit_energy_j", "faults", "injector",
+        "svc1_s", "unit_s", "unit_energy_j", "warm_s", "faults", "injector",
     )
 
     def __init__(
@@ -226,6 +227,9 @@ class Replica:
         self.svc1_s = svc1.total_s
         self.unit_s = svc_b.total_s / max_batch
         self.unit_energy_j = svc_b.energy_j / max_batch
+        self.warm_s: List[Optional[BatchServiceTime]] = [None] * (
+            max_batch + 1
+        )
         self.faults = faults
         # Per-replica deterministic fault draws: each faulted replica
         # gets its own injector stream keyed by (run seed, replica

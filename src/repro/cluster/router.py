@@ -123,6 +123,8 @@ class LeastQueueRouter(Router):
         return None
 
 
+_INF = float("inf")
+
 #: Routing objective: minimize predicted latency or predicted energy.
 Objective = str
 LATENCY: Objective = "latency"
@@ -195,8 +197,9 @@ class PlanCostRouter(Router):
 
     # -- heap maintenance -------------------------------------------------
 
-    def _file(self, replica: Replica, now: float) -> None:
-        """Push ``replica`` into the heap its current state belongs to.
+    def note(self, replica: Replica, now: float) -> None:
+        """File a routable ``replica`` in the heap its current state
+        belongs to.
 
         The idle heap takes replicas with no pending work *as of now* —
         their cost stays ``svc1_s`` until the next state change because
@@ -206,34 +209,32 @@ class PlanCostRouter(Router):
         at ``busy_until`` re-files it), so within that heap cost is
         ``key - now`` and the top is the exact argmin.
         """
+        if not replica.active or replica.draining:
+            return
         if self.objective == ENERGY:
             heapq.heappush(
                 self._idle,
                 (replica.unit_energy_j, replica.version, replica.idx, replica),
             )
             return
-        if replica.depth == 0 and replica.busy_until <= now:
+        depth = len(replica.queue)
+        if depth == 0 and replica.busy_until <= now:
             heapq.heappush(
                 self._idle,
                 (replica.svc1_s, replica.version, replica.idx, replica),
             )
         else:
-            completion = (
-                replica.busy_until
-                + replica.depth * replica.unit_s
-                + replica.svc1_s
-            )
             heapq.heappush(
                 self._busy,
-                (completion, replica.version, replica.idx, replica),
+                (
+                    replica.busy_until + depth * replica.unit_s
+                    + replica.svc1_s,
+                    replica.version, replica.idx, replica,
+                ),
             )
 
     def on_replica_added(self, replica: Replica) -> None:
-        self._file(replica, replica.created_s)
-
-    def note(self, replica: Replica, now: float) -> None:
-        if replica.routable:
-            self._file(replica, now)
+        self.note(replica, replica.created_s)
 
     # -- cost evaluation --------------------------------------------------
 
@@ -242,30 +243,38 @@ class PlanCostRouter(Router):
             return replica.unit_energy_j
         return replica.predicted_latency_s(now)
 
-    def _peek(
-        self, heap: List[Tuple[float, int, int, Replica]]
-    ) -> Optional[Tuple[float, Replica]]:
-        while heap:
-            key, version, _, replica = heap[0]
-            if version != replica.version or not replica.routable:
-                heapq.heappop(heap)
-                continue
-            return key, replica
-        return None
-
     def choose(self, now: float, tenant: str) -> Optional[Replica]:
+        """The routable replica of least cost at ``now``.
+
+        Each heap's top is validated in place (stale or unroutable
+        entries are dropped) and costed with the float expression of
+        :meth:`Replica.predicted_latency_s` (``wait if wait > 0.0 else
+        0.0`` is ``max(0.0, wait)``), so ties resolve exactly as that
+        method orders them; the idle top wins a tie.
+        """
         best: Optional[Replica] = None
-        best_cost = float("inf")
-        idle = self._peek(self._idle)
-        if idle is not None:
-            cost = self._cost(idle[1], now)
-            if cost < best_cost:
-                best, best_cost = idle[1], cost
-        busy = self._peek(self._busy)
-        if busy is not None:
-            cost = self._cost(busy[1], now)
-            if cost < best_cost:
-                best, best_cost = busy[1], cost
+        best_cost = _INF
+        energy = self.objective == ENERGY
+        for heap in (self._idle, self._busy):
+            while heap:
+                _, version, _, replica = heap[0]
+                if (
+                    version != replica.version
+                    or not replica.active or replica.draining
+                ):
+                    heapq.heappop(heap)
+                    continue
+                if energy:
+                    cost = replica.unit_energy_j
+                else:
+                    wait = replica.busy_until - now
+                    cost = (
+                        (wait if wait > 0.0 else 0.0)
+                        + len(replica.queue) * replica.unit_s
+                    ) + replica.svc1_s
+                if cost < best_cost:
+                    best, best_cost = replica, cost
+                break
         if best is None:
             return None
         if self.affinity_slack > 0.0:

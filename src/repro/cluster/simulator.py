@@ -24,6 +24,13 @@ one process:
   device frees up (``max_wait_s`` is treated as 0 — at fleet arrival
   rates queues are never starved long enough for wait timers to matter),
   which removes timer events entirely;
+- the loop works only where state changes: an arrival step, with each
+  tenant's pool, router, queue bound and name resolved before the loop,
+  routes and queues the request and dispatches only on a free device;
+  a completion step dispatches only from a non-empty queue and checks
+  retirement only on a draining replica.  A replica prices its nominal
+  batches from its own table of warm service times (``warm_s``), and a
+  faulted replica reads its fault windows once per window edge;
 - deadline bookkeeping mirrors serving's semantics: requests whose
   deadline passed while queued are abandoned at dispatch (``timed_out``),
   and completions past deadline count as ``timed_out`` + ``late``;
@@ -57,6 +64,7 @@ import numpy as np
 from ..core.plan_cache import default_plan_cache
 from ..errors import ReproError
 from ..faults import FaultScenario
+from ..hardware.throttle import ThrottleFactors
 from ..obs import NOOP_OBS, Observability
 from ..obs.timeline import BatchSpans, TimelineArtifact, TimelineRecorder
 from ..serving.batcher import BatchPolicy
@@ -142,9 +150,9 @@ class _FleetLog:
     from it after the run.
 
     The loop logs one replica index per arrival (-1 when shed) and one
-    record per :meth:`ClusterSimulator._try_dispatch` call that pops
-    anything: replica, instant, service total, energy and batch size (0
-    when the call only abandoned requests).  Abandoned counts and failed
+    record per :meth:`ClusterSimulator._dispatch` call: replica,
+    instant, service total, energy and batch size (0 when the call only
+    abandoned requests).  Abandoned counts and failed
     dispatches are rare, so they are side records keyed by dispatch
     index.  Typed arrays keep a record at 32 bytes.
     """
@@ -372,6 +380,11 @@ class ClusterSimulator:
         self._rows: Optional[RequestRows] = None
         # The log the loop writes during run(), rebuilt into rows after.
         self._log = _FleetLog()
+        #: per faulted replica index, the windows read at its last edge:
+        #: (next edge, throttle factors, plan kind).
+        self._windows: Dict[
+            int, Tuple[float, Optional[ThrottleFactors], str]
+        ] = {}
 
     def _horizon_s(self) -> float:
         return max(
@@ -382,7 +395,7 @@ class ClusterSimulator:
     # -- service selection under faults ----------------------------------
 
     def _batch_service(self, replica: Replica, size: int, now: float):
-        """Service time for one batch, with this replica's faults applied.
+        """Service time for one batch on a faulted replica.
 
         Thermal windows run the *stale* nominal plan at throttled rates
         (the naive-device behavior — fleet-level resilience is routing
@@ -391,12 +404,21 @@ class ClusterSimulator:
         the batch after its device time is consumed, mirroring serving.
         Only integrated replicas launch hybrid kernels, so only they
         draw kernel failures.  Returns (service, failed).
+
+        The active windows change only at a window edge, so each
+        replica's throttle factors and plan kind are read once per edge
+        and kept until :meth:`~repro.faults.FaultScenario.next_edge_after`.
         """
         injector = replica.injector
-        if injector is None:
-            return replica.model.warm(replica.network, size), False
-        factors = injector.throttle_at(now)
-        kind = "no_zerocopy" if injector.memory_pressure_at(now) else "normal"
+        window = self._windows.get(replica.idx)
+        if window is None or now >= window[0]:
+            window = self._windows[replica.idx] = (
+                injector.scenario.next_edge_after(now),
+                injector.throttle_at(now),
+                "no_zerocopy" if injector.memory_pressure_at(now)
+                else "normal",
+            )
+        _, factors, kind = window
         svc = replica.model.service(
             replica.network, size, kind=kind, factors=factors
         )
@@ -412,20 +434,20 @@ class ClusterSimulator:
 
     # -- replica state transitions ----------------------------------------
 
-    def _try_dispatch(
+    def _dispatch(
         self,
         replica: Replica,
         pool: Pool,
         now: float,
         heap: EventHeap,
     ) -> None:
-        """Dispatch one batch if the device is free."""
+        """Dispatch one batch: the device is free and the queue is not
+        empty, which the callers check."""
         queue = replica.queue
-        if replica.busy_until > now + EPS or not queue:
-            return
         log = self._log
         scaler = self.autoscaler
-        deadline = pool.policy.deadline_s
+        policy = pool.policy
+        deadline = policy.deadline_s
         if deadline is not None and now > (queue[0] + deadline) + EPS:
             # Abandoned in queue: the client gave up before we got to
             # it — device time is not spent on it.  Arrivals are FIFO
@@ -440,7 +462,9 @@ class ClusterSimulator:
                 for _ in range(abandoned):
                     scaler.observe_miss(pool)
         replica.version += 1
-        size = min(len(queue), pool.policy.max_batch_size)
+        waiting = len(queue)
+        cap = policy.max_batch_size
+        size = waiting if waiting < cap else cap
         log.replica.append(replica.idx)
         log.start_s.append(now)
         log.size.append(size)
@@ -453,12 +477,20 @@ class ClusterSimulator:
         batch: Optional[Tuple[float, ...]] = None
         if scaler is not None:
             batch = tuple(queue.popleft() for _ in range(size))
-        elif size == len(queue):
+        elif size == waiting:
             queue.clear()
         else:
             for _ in range(size):
                 queue.popleft()
-        svc, failed = self._batch_service(replica, size, now)
+        failed = False
+        if replica.injector is None:
+            svc = replica.warm_s[size]
+            if svc is None:
+                svc = replica.warm_s[size] = replica.model.warm(
+                    replica.network, size
+                )
+        else:
+            svc, failed = self._batch_service(replica, size, now)
         log.total_s.append(svc.total_s)
         log.energy_j.append(svc.energy_j)
         if failed:
@@ -466,7 +498,7 @@ class ClusterSimulator:
         end = now + svc.total_s
         replica.busy_until = end
         replica.batches += 1
-        heap.push(end, _COMPLETION, (replica, batch, failed))
+        heap.push(end, _COMPLETION, (replica, pool, batch, failed))
 
     def _retire_if_drained(self, replica: Replica, now: float) -> None:
         if (
@@ -499,9 +531,20 @@ class ClusterSimulator:
         heap = EventHeap()
         engine = EventEngine(schedule, heap)
         served_by = log.arrival_replica
-        pools_of_tenant: List[Pool] = [
-            self._pools[t.network] for t in self._tenants
-        ]
+        route = served_by.append
+        dispatch = self._dispatch
+        self._windows = {}
+        # Everything an arrival needs of its tenant, resolved once: the
+        # pool, its router's choose and note, the queue bound, the name.
+        steps = []
+        for tenant in self._tenants:
+            pool = self._pools[tenant.network]
+            router = self.routers[pool.name]
+            steps.append((
+                pool, router.choose, router.note,
+                pool.policy.max_queue_depth, tenant.tenant_name,
+            ))
+        notes = {name: router.note for name, router in self.routers.items()}
         tenant_names: List[str] = [t.tenant_name for t in self._tenants]
         scaler = self.autoscaler
         tick_interval = (
@@ -538,40 +581,39 @@ class ClusterSimulator:
             next_tick_at += tick_interval
 
         def on_arrival(now: float, tenant_index: int) -> None:
-            pool = pools_of_tenant[tenant_index]
-            router = self.routers[pool.name]
-            replica = router.choose(now, tenant_names[tenant_index])
-            if (
-                replica is None
-                or replica.depth >= pool.policy.max_queue_depth
-            ):
+            pool, choose, note, bound, name = steps[tenant_index]
+            replica = choose(now, name)
+            if replica is None or len(replica.queue) >= bound:
                 # Admission control: the routing tier sheds what the
                 # chosen backend cannot queue — same accounting as
                 # the single-device service's bounded queues.
-                served_by.append(-1)
+                route(-1)
                 return
-            served_by.append(replica.idx)
+            route(replica.idx)
             replica.queue.append(now)
             replica.version += 1
             if scaler is not None:
-                scaler.observe_admit(pool, replica.depth)
-            self._try_dispatch(replica, pool, now, heap)
-            router.note(replica, now)
+                scaler.observe_admit(pool, len(replica.queue))
+            if replica.busy_until <= now + EPS:
+                dispatch(replica, pool, now, heap)
+            note(replica, now)
 
         def on_event(now: float, kind: int, payload: object) -> None:
-            replica, batch, failed = payload
-            pool = self._pools[replica.pool_name]
-            deadline = pool.policy.deadline_s
-            if batch is not None and not failed and deadline is not None:
+            replica, pool, batch, failed = payload
+            if batch is not None and not failed:
                 # Completed, but past deadline: a late response, which
                 # the autoscaler counts as a miss.
-                for arrival in batch:
-                    if now > (arrival + deadline) + EPS:
-                        scaler.observe_miss(pool)
+                deadline = pool.policy.deadline_s
+                if deadline is not None:
+                    for arrival in batch:
+                        if now > (arrival + deadline) + EPS:
+                            scaler.observe_miss(pool)
             replica.version += 1
-            self._try_dispatch(replica, pool, now, heap)
-            self._retire_if_drained(replica, now)
-            self.routers[pool.name].note(replica, now)
+            if replica.queue and replica.busy_until <= now + EPS:
+                dispatch(replica, pool, now, heap)
+            if replica.draining:
+                self._retire_if_drained(replica, now)
+            notes[pool.name](replica, now)
 
         engine.run(
             on_arrival=on_arrival,

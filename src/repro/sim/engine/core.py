@@ -161,11 +161,13 @@ class EventEngine:
         """
         schedule = self.schedule
         heap = self.heap
+        # The heap's list itself: its top instant is read without a call.
+        events = heap.entries
         bulk = on_arrivals is not None and bulk_ready is not None
         ticking = next_tick is not None
         while True:
-            t_arrival = schedule.peek_time()
-            t_event = heap.peek_time()
+            t_arrival = schedule.next_s
+            t_event = events[0][0] if events else _INF
             t_next = t_arrival if t_arrival <= t_event else t_event
             if t_next == _INF:
                 # No events left: pending ticks never fire (the clock

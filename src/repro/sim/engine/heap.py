@@ -25,35 +25,38 @@ _INF = float("inf")
 class EventHeap:
     """Min-heap of ``(time_s, kind, seq, payload)`` events."""
 
-    __slots__ = ("_heap", "_seq", "_last_pop_s")
+    __slots__ = ("entries", "_seq", "_last_pop_s")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, Any]] = []
+        #: the :mod:`heapq` list; ``entries[0][0]`` is the next instant.
+        #: Read it, never change it: pushes and pops go through the
+        #: methods, which keep the push order and the clock check.
+        self.entries: List[Tuple[float, int, int, Any]] = []
         self._seq = 0
         self._last_pop_s = -_INF
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.entries)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.entries)
 
     def push(self, time_s: float, kind: int, payload: Any = None) -> None:
         """Schedule one event; same-instant order is (kind, push order)."""
-        heapq.heappush(self._heap, (time_s, kind, self._seq, payload))
+        heapq.heappush(self.entries, (time_s, kind, self._seq, payload))
         self._seq += 1
 
     def peek_time(self) -> float:
         """Instant of the next event (``inf`` when empty)."""
-        return self._heap[0][0] if self._heap else _INF
+        return self.entries[0][0] if self.entries else _INF
 
     def peek_kind(self) -> Optional[int]:
         """Kind of the next event (None when empty)."""
-        return self._heap[0][1] if self._heap else None
+        return self.entries[0][1] if self.entries else None
 
     def pop(self) -> Tuple[float, int, int, Any]:
         """Pop the next event, enforcing monotone virtual time."""
-        time_s, kind, seq, payload = heapq.heappop(self._heap)
+        time_s, kind, seq, payload = heapq.heappop(self.entries)
         if time_s < self._last_pop_s:
             raise ReproError(
                 f"event heap popped t={time_s} after t={self._last_pop_s}: "

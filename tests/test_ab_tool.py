@@ -2,9 +2,11 @@
 wins at least 9 pairs in 10, ties counting for neither side, its median
 beats the base median by more than the base's interquartile range, in
 the metric's better direction, and it fails no larger share of its
-operations than the base."""
+operations than the base.  ``--record`` appends each comparison as one
+row to a JSON list."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,55 @@ def test_failed_share_pools_the_runs():
     ]
     assert ab.failed_share(runs) == 2 / 40
     assert ab.failed_share([{"attempted": 0, "failed": 0}]) == 0.0
+
+
+SPECS = [
+    {"name": "work_per_s", "unit": "1/s", "better": "higher"},
+    {"name": "setup_s", "unit": "s", "better": "lower"},
+]
+
+
+def runs_of(work, setup, failed=0):
+    return [
+        {
+            "attempted": 10, "failed": failed,
+            "metrics": {
+                "work_per_s": {"value": w, "unit": "1/s"},
+                "setup_s": {"value": s, "unit": "s"},
+            },
+        }
+        for w, s in zip(work, setup)
+    ]
+
+
+def test_summary_holds_quartiles_wins_and_rule_per_metric():
+    runs = {
+        "base": runs_of(BASE, [1.0] * 10),
+        "change": runs_of([b + 20.0 for b in BASE], [1.0] * 10, failed=1),
+    }
+    metrics = ab.summarize(SPECS, runs)
+    work = metrics["work_per_s"]
+    assert work["base"] == dict(zip(("q1", "median", "q3"), ab.quartiles(BASE)))
+    assert work["change"]["median"] == work["base"]["median"] + 20.0
+    # Ten wins past the spread, but the change failed more operations.
+    assert (work["wins"], work["holds"]) == (10, False)
+    assert (metrics["setup_s"]["wins"], metrics["setup_s"]["holds"]) == (0, False)
+    assert ab.operations(runs) == {
+        "base": {"attempted": 100, "failed": 0},
+        "change": {"attempted": 100, "failed": 10},
+    }
+
+
+def test_record_appends_one_row_per_line(tmp_path):
+    path = tmp_path / "BENCH_e2e.json"
+    first = {"workload": "cluster-fleet", "pairs": 10, "seed": None}
+    second = {"workload": "serve-mixed", "pairs": 3, "seed": 11}
+    ab.record(path, first)
+    ab.record(path, second)
+    assert json.loads(path.read_text()) == [first, second]
+    lines = path.read_text().splitlines()
+    assert lines[0] == "[" and lines[-1] == "]"
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == [
+        first, second,
+    ]
+    assert not list(tmp_path.glob("*.tmp"))

@@ -124,15 +124,11 @@ class TestClosedLoop:
         arrivals = ClosedLoopArrivals(clients=1, think_s=0.25, duration_s=10)
         assert arrivals.next_after(9.9) is None
 
-    def test_zero_think_time_allowed(self):
-        arrivals = ClosedLoopArrivals(clients=2, think_s=0.0, duration_s=1)
-        assert arrivals.initial_arrivals() == [0.0, 0.0]
-        assert arrivals.next_after(0.5) == 0.5
-
     @pytest.mark.parametrize("kwargs", [
         {"clients": 0, "think_s": 0.1, "duration_s": 1.0},
         {"clients": 2, "think_s": -0.1, "duration_s": 1.0},
         {"clients": 2, "think_s": 0.1, "duration_s": 0.0},
+        {"clients": 2, "think_s": 0.0, "duration_s": 1.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ReproError):

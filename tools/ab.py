@@ -2,7 +2,7 @@
 the working tree.
 
 Usage:
-    python tools/ab.py REV --workload W --pairs N [--seed S]
+    python tools/ab.py REV --workload W --pairs N [--seed S] [--record PATH]
 
 Checks REV out into a temporary git worktree and precompiles both
 trees' ``src`` with ``compileall``, so that neither side's ``setup_s``
@@ -17,6 +17,15 @@ beats REV's by more than REV's interquartile range, and it fails no
 larger share of its operations than REV.  The worktree is removed on
 exit.
 
+``--record PATH`` appends the comparison as one row to the JSON list in
+``PATH`` (created when missing), one row per line: both heads (REV's
+commit, and the working tree's ``HEAD`` with whether it had uncommitted
+edits), nproc, the Python and NumPy versions, the workload, the seed
+(null: ``run.py``'s default), the pair count, each side's attempted and
+failed operations, whether every run passed its checks and, per
+end-to-end metric, both sides' median and quartiles, the win count and
+whether the rule holds.
+
 Standard library only.  The exit code is 0 when every run passed its
 checks, 1 when one failed and 2 when a run produced no result.
 """
@@ -26,6 +35,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import shutil
 import signal
 import statistics
@@ -105,44 +116,95 @@ def compare(
     return wins, holds
 
 
-def report(
-    rev: str,
-    args: argparse.Namespace,
-    specs: Sequence[dict],
-    runs: Dict[str, List[dict]],
-) -> str:
-    seed = "run.py's seed" if args.seed is None else f"seed {args.seed}"
+def summarize(
+    specs: Sequence[dict], runs: Dict[str, List[dict]]
+) -> Dict[str, dict]:
+    """Per end-to-end metric: unit, direction, each side's quartiles,
+    the change's win count and whether the claim rule holds."""
     fails_more = failed_share(runs["change"]) > failed_share(runs["base"])
-    lines = [
-        f"{args.workload}, {seed}, {args.pairs} pairs: "
-        f"{args.rev} ({rev[:12]}) against the working tree",
-        "operations failed: " + ", ".join(
-            f"{side} {sum(s['failed'] for s in runs[side])} of "
-            f"{sum(s['attempted'] for s in runs[side])}"
-            for side in runs
-        ),
-        f"{'metric':<14} {'unit':<5} {'better':<7} "
-        f"{'base median [q1, q3]':>32} {'change median [q1, q3]':>32} "
-        f"{'wins':>7}  rule",
-    ]
+    metrics: Dict[str, dict] = {}
     for spec in specs:
         name = spec["name"]
         base, change = (
             [s["metrics"][name]["value"] for s in runs[side]]
             for side in ("base", "change")
         )
-        cells = []
-        for values in (base, change):
-            q1, median, q3 = quartiles(values)
-            cells.append(f"{median:.6g} [{q1:.6g}, {q3:.6g}]")
         wins, holds = compare(base, change, spec["better"], fails_more)
-        verdict = "holds" if holds else "does not hold"
+        row = metrics[name] = {
+            "unit": spec["unit"], "better": spec["better"],
+            "wins": wins, "holds": holds,
+        }
+        for side, values in (("base", base), ("change", change)):
+            q1, median, q3 = quartiles(values)
+            row[side] = {"q1": q1, "median": median, "q3": q3}
+    return metrics
+
+
+def operations(runs: Dict[str, List[dict]]) -> Dict[str, Dict[str, int]]:
+    """Each side's attempted and failed operations over its runs."""
+    return {
+        side: {
+            key: sum(s[key] for s in summaries)
+            for key in ("attempted", "failed")
+        }
+        for side, summaries in runs.items()
+    }
+
+
+def report(
+    rev: str,
+    args: argparse.Namespace,
+    metrics: Dict[str, dict],
+    runs: Dict[str, List[dict]],
+) -> str:
+    seed = "run.py's seed" if args.seed is None else f"seed {args.seed}"
+    lines = [
+        f"{args.workload}, {seed}, {args.pairs} pairs: "
+        f"{args.rev} ({rev[:12]}) against the working tree",
+        "operations failed: " + ", ".join(
+            f"{side} {ops['failed']} of {ops['attempted']}"
+            for side, ops in operations(runs).items()
+        ),
+        f"{'metric':<14} {'unit':<5} {'better':<7} "
+        f"{'base median [q1, q3]':>32} {'change median [q1, q3]':>32} "
+        f"{'wins':>7}  rule",
+    ]
+    for name, row in metrics.items():
+        cells = [
+            f"{row[side]['median']:.6g} "
+            f"[{row[side]['q1']:.6g}, {row[side]['q3']:.6g}]"
+            for side in ("base", "change")
+        ]
+        verdict = "holds" if row["holds"] else "does not hold"
         lines.append(
-            f"{name:<14} {spec['unit']:<5} {spec['better']:<7} "
+            f"{name:<14} {row['unit']:<5} {row['better']:<7} "
             f"{cells[0]:>32} {cells[1]:>32} "
-            f"{wins:>3}/{len(base):<3}  {verdict}"
+            f"{row['wins']:>3}/{args.pairs:<3}  {verdict}"
         )
     return "\n".join(lines)
+
+
+def host_facts() -> dict:
+    """nproc and the Python and NumPy versions the runs used."""
+    numpy = subprocess.run(
+        [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": numpy,
+    }
+
+
+def record(path: Path, row: dict) -> None:
+    """Append ``row`` to the JSON list in ``path``, one row per line."""
+    rows = json.loads(path.read_text()) if path.exists() else []
+    rows.append(row)
+    lines = ",\n".join(json.dumps(r, sort_keys=True) for r in rows)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(f"[\n{lines}\n]\n")
+    os.replace(tmp, path)
 
 
 def main(argv=None) -> int:
@@ -154,6 +216,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, help="default: run.py's")
+    parser.add_argument(
+        "--record", type=Path, metavar="PATH",
+        help="append the comparison as one row to this JSON list",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
@@ -186,8 +252,24 @@ def main(argv=None) -> int:
                 ),
                 flush=True,
             )
-        print(report(rev, args, specs, runs))
+        metrics = summarize(specs, runs)
+        print(report(rev, args, metrics, runs))
         correct = all(s["correct"] for side in runs.values() for s in side)
+        if args.record is not None:
+            record(args.record, {
+                "base": rev,
+                "change": git("rev-parse", "HEAD"),
+                "change_dirty": bool(
+                    git("status", "--porcelain", "--untracked-files=no")
+                ),
+                **host_facts(),
+                "workload": args.workload,
+                "seed": args.seed,
+                "pairs": args.pairs,
+                "operations": operations(runs),
+                "correct": correct,
+                "metrics": metrics,
+            })
         if not correct:
             print("error: a run failed its output checks", file=sys.stderr)
         return 0 if correct else 1
