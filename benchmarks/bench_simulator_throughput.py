@@ -14,6 +14,7 @@ import pytest
 from conftest import write_bench_json
 from repro.baselines import run_gpu_only
 from repro.core.engine import EdgeNN
+from repro.core.plan_cache import PlanCache
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn.models import build
@@ -100,7 +101,8 @@ def test_simulated_inference_speed(benchmark, network):
 @pytest.mark.parametrize("network", ["lenet", "squeezenet"])
 def test_tuning_cycle_speed(benchmark, network):
     def tune_fresh():
-        return EdgeNN(network).tune()
+        # A cache of its own per call: every round tunes from scratch.
+        return EdgeNN(network, plan_cache=PlanCache()).tune()
 
     result = benchmark(tune_fresh)
     assert result.final_report.total_s > 0

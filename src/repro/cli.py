@@ -418,6 +418,8 @@ def cmd_cluster(args) -> int:
     report = simulator.run()
     print(report.describe())
     print(f"report digest: {report.digest()}")
+    print(f"plan cache: {report.extra['plan_cache_hits']:.0f} hits, "
+          f"{report.extra['plan_cache_misses']:.0f} misses")
     if simulator.timeline is not None:
         path = simulator.timeline.save(args.timeline_out)
         print(f"timeline  : {path}")

@@ -338,6 +338,9 @@ class ClusterSimulator:
         self._tenants = tuple(tenants)
         self._config = config or ClusterConfig()
         self._obs = obs if obs is not None else NOOP_OBS
+        # The replicas look their plans up as they are built: the
+        # report counts the cache traffic from here to the run's end.
+        self._cache_before = default_plan_cache().stats()
         cfg = self._config
         networks: List[str] = []
         for tenant in tenants:
@@ -370,16 +373,17 @@ class ClusterSimulator:
             if cfg.autoscaler is not None
             else None
         )
-        #: windowed telemetry of the last run (None unless
+        #: windowed telemetry of the run (None unless
         #: ``config.timeline_window_s`` > 0).
         self.timeline: Optional[TimelineArtifact] = None
-        #: fleet batch-slice trace of the last run (None unless the
+        #: fleet batch-slice trace of the run (None unless the
         #: observability bundle is enabled) — feeds the Perfetto export.
         self.trace: Optional[Trace] = None
-        #: per-request rows of the last run (None before one).
+        #: per-request rows of the run (None before it).
         self._rows: Optional[RequestRows] = None
         # The log the loop writes during run(), rebuilt into rows after.
         self._log = _FleetLog()
+        self._ran = False
         #: per faulted replica index, the windows read at its last edge:
         #: (next edge, throttle factors, plan kind).
         self._windows: Dict[
@@ -514,13 +518,17 @@ class ClusterSimulator:
     # -- the event loop ---------------------------------------------------
 
     def run(self) -> ClusterReport:
+        """Run the simulation; returns the :class:`ClusterReport`.  The
+        fleet and router state belong to the run, so a simulator runs
+        once; build a new one for another run."""
+        if self._ran:
+            raise ReproError(
+                "this ClusterSimulator has already run; its fleet state "
+                "belongs to that run, so build a new simulator"
+            )
+        self._ran = True
         cfg = self._config
-        cache = default_plan_cache()
-        cache_before = cache.stats()
-        self.timeline = None
-        self.trace = None
-        self._rows = None
-        log = self._log = _FleetLog()
+        log = self._log
         # The shared event core merges all tenants' arrival epochs
         # (concatenate, then a stable argsort if out of order; the same
         # path serving uses) and drives the completion heap and
@@ -533,7 +541,6 @@ class ClusterSimulator:
         served_by = log.arrival_replica
         route = served_by.append
         dispatch = self._dispatch
-        self._windows = {}
         # Everything an arrival needs of its tenant, resolved once: the
         # pool, its router's choose and note, the queue bound, the name.
         steps = []
@@ -667,7 +674,7 @@ class ClusterSimulator:
         # Free the dispatch log before the report's temporaries.
         self._log = _FleetLog()
         del log
-        cache_delta = cache.stats().delta(cache_before)
+        cache_delta = default_plan_cache().stats().delta(self._cache_before)
         return self._build_report(
             rows, schedule.owners, np.frombuffer(served_by, dtype=np.int32),
             busy_s, energy_j, histograms,

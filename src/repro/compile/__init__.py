@@ -12,6 +12,9 @@ Public surface:
   :class:`CompiledPlan` (tuned, or fixed single-processor);
 * :func:`compile_baseline` — the fixed plan a non-integrated device
   runs;
+* :func:`compile_key` — the plan a :class:`~repro.core.plan_cache.PlanKey`
+  names, on any device (the one compile behind the plan cache and the
+  tuning fleet); :func:`fixed_key` writes a fixed plan's key;
 * :class:`CompilerPipeline` — the stage driver (used by
   :meth:`repro.core.tuner.AdaptiveTuner.tune` under the hood);
 * :class:`PlanArtifact` — save/load compiled plans across processes;
@@ -32,7 +35,9 @@ from .pipeline import (
     CompilerPipeline,
     compile_baseline,
     compile_fixed,
+    compile_key,
     compile_plan,
+    fixed_key,
 )
 
 __all__ = [
@@ -46,6 +51,8 @@ __all__ = [
     "TunerProvenance",
     "compile_baseline",
     "compile_fixed",
+    "compile_key",
     "compile_plan",
+    "fixed_key",
     "payload_checksum",
 ]

@@ -25,7 +25,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple, Union, TYPE_CHECKING
+from typing import Dict, Mapping, Tuple, Union, TYPE_CHECKING
 
 from ..errors import ReproError
 from ..core.plan import ExecutionPlan
@@ -144,16 +144,10 @@ class PlanArtifact:
 
     @classmethod
     def from_tuning(
-        cls,
-        key: PlanKey,
-        result: "TuningResult",
-        lowering: Optional[Lowering] = None,
+        cls, key: PlanKey, result: "TuningResult"
     ) -> "PlanArtifact":
-        """Package a tuning result (plus the key it was compiled under)."""
-        if lowering is None:
-            lowering = Lowering(
-                precision=key.precision, batch_size=key.batch_size
-            )
+        """Package a tuning result (plus the key it was compiled under):
+        the key's precision and batch size make the lowering."""
         from ..core.tuner import TuningObjective
 
         objective = TuningObjective(key.objective)
@@ -170,7 +164,10 @@ class PlanArtifact:
         )
         return cls(
             key=key, plan=result.plan,
-            lowering=lowering, provenance=provenance,
+            lowering=Lowering(
+                precision=key.precision, batch_size=key.batch_size
+            ),
+            provenance=provenance,
         )
 
     def to_tuning_result(self) -> "TuningResult":

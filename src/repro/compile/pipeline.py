@@ -176,7 +176,6 @@ class CompilerPipeline:
         tuner: "AdaptiveTuner",
         *,
         key: Optional[PlanKey] = None,
-        lowering: Optional[Lowering] = None,
     ) -> CompiledPlan:
         """Run profile → place → partition → schedule → lower.
 
@@ -190,11 +189,6 @@ class CompilerPipeline:
         tracer = obs.tracer
         if key is None:
             key = _key_for_tuner(graph, device, config)
-        if lowering is None:
-            lowering = Lowering(
-                precision=config.precision.value,
-                batch_size=config.batch_size,
-            )
         with tracer.span("tune", category="tuner",
                          network=graph.name,
                          objective=config.objective.value):
@@ -223,7 +217,7 @@ class CompilerPipeline:
                 result = tuner.stage_lower(
                     result, plan, best_plan, best_score
                 )
-                artifact = PlanArtifact.from_tuning(key, result, lowering)
+                artifact = PlanArtifact.from_tuning(key, result)
         return CompiledPlan(
             graph=graph, device=device, artifact=artifact, tuning=result,
         )
@@ -266,6 +260,30 @@ def compile_plan(
     return CompilerPipeline().compile_with_tuner(tuner, key=key)
 
 
+def fixed_key(
+    network: str,
+    device: str,
+    *,
+    policy: MemoryPolicy = MemoryPolicy.ALL_REGULAR,
+    precision: Precision = Precision.FP32,
+    batch_size: int = 1,
+) -> PlanKey:
+    """The key a fixed single-processor plan is compiled under: no
+    hybrid execution, the latency objective.  With the default policy it
+    is the key of a non-integrated device's baseline plan."""
+    return PlanKey(
+        network=network,
+        device=device,
+        batch_size=batch_size,
+        precision=precision.value,
+        use_memory_management=policy is not MemoryPolicy.ALL_REGULAR,
+        use_hybrid_execution=False,
+        use_inter_kernel=False,
+        use_intra_kernel=False,
+        objective="latency",
+    )
+
+
 def compile_fixed(
     network: Union[str, NetworkGraph],
     device: Union[Device, DeviceSpec],
@@ -301,16 +319,9 @@ def compile_fixed(
                          network=graph.name, policy=policy.value):
         plan_allocations(graph, plan, dev.spec, policy,
                          obs=obs, stage=f"fixed:{placement}")
-    key = PlanKey(
-        network=graph.name,
-        device=dev.name,
-        batch_size=batch_size,
-        precision=precision.value,
-        use_memory_management=policy is not MemoryPolicy.ALL_REGULAR,
-        use_hybrid_execution=False,
-        use_inter_kernel=False,
-        use_intra_kernel=False,
-        objective="latency",
+    key = fixed_key(
+        graph.name, dev.name,
+        policy=policy, precision=precision, batch_size=batch_size,
     )
     with obs.tracer.span("stage:lower", category="compile"):
         artifact = PlanArtifact(
@@ -355,10 +366,51 @@ def compile_baseline(
     )
 
 
+def compile_key(
+    key: PlanKey,
+    spec: DeviceSpec,
+    *,
+    obs: Optional[Observability] = None,
+) -> CompiledPlan:
+    """Compile the plan ``key`` names on ``spec`` (the device ``key``
+    names): the adaptive pipeline on an integrated device, its fixed
+    baseline plan on any other.  The one way from a key to a plan, for
+    the tuning fleet, the plan cache's misses and both simulators.  The
+    spec is an argument because throttled variants (``name@thr-…``)
+    are not in the device catalog."""
+    precision = Precision(key.precision)
+    if spec.is_integrated:
+        from ..core.engine import EdgeNNConfig
+        from ..core.tuner import TuningObjective
+
+        config = EdgeNNConfig(
+            use_memory_management=key.use_memory_management,
+            use_hybrid_execution=key.use_hybrid_execution,
+            use_inter_kernel=key.use_inter_kernel,
+            use_intra_kernel=key.use_intra_kernel,
+            objective=TuningObjective(key.objective),
+            precision=precision,
+            batch_size=key.batch_size,
+        )
+        return compile_plan(key.network, spec, config, key=key, obs=obs)
+    compiled = compile_baseline(
+        key.network, spec,
+        precision=precision, batch_size=key.batch_size, obs=obs,
+    )
+    if compiled.key != key:
+        raise ReproError(
+            f"{spec.name!r} runs its baseline plan "
+            f"{compiled.key.slug()!r}, not {key.slug()!r}"
+        )
+    return compiled
+
+
 __all__ = [
     "CompiledPlan",
     "CompilerPipeline",
     "compile_baseline",
     "compile_fixed",
+    "compile_key",
     "compile_plan",
+    "fixed_key",
 ]

@@ -47,7 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - circular at runtime, fine for types
 class EdgeNNConfig:
     """Feature flags and tuning knobs.
 
-    The three ablation points of Fig 8 map to:
+    Every field is a :class:`~repro.core.plan_cache.PlanKey` field of
+    the same name, so a plan key is the whole tuning job: the cache,
+    the store and :func:`~repro.compile.pipeline.compile_key` rebuild
+    the config from it.  The three ablation points of Fig 8 map to:
 
     * original program      — ``use_memory_management=False,
       use_hybrid_execution=False`` (equivalently, the gpu_only baseline);
@@ -60,8 +63,6 @@ class EdgeNNConfig:
     use_hybrid_execution: bool = True
     use_inter_kernel: bool = True   # sub-flag of hybrid execution
     use_intra_kernel: bool = True   # sub-flag of hybrid execution
-    max_feedback_rounds: int = 6
-    improvement_threshold: float = 0.01
     #: what to optimize: latency (the paper), energy, or energy-delay.
     objective: TuningObjective = TuningObjective.LATENCY
     #: inference datatype (performance model only; numerics stay float32).
@@ -79,8 +80,6 @@ class EdgeNNConfig:
             use_intra_kernel=self.use_hybrid_execution and self.use_intra_kernel,
             use_inter_kernel=self.use_hybrid_execution and self.use_inter_kernel,
             memory_policy=self.memory_policy(),
-            max_feedback_rounds=self.max_feedback_rounds,
-            improvement_threshold=self.improvement_threshold,
             objective=self.objective,
             precision=self.precision,
             batch_size=self.batch_size,
@@ -121,6 +120,7 @@ class EdgeNN:
             )
         self.config = config or EdgeNNConfig()
         self._tuning: Optional[TuningResult] = None
+        self._artifact: Optional["PlanArtifact"] = None
         self._compiled: Optional["CompiledPlan"] = None
         # Plans are only shareable when the network is a catalog model
         # named by string: a user-built NetworkGraph may reuse a name for
@@ -147,27 +147,16 @@ class EdgeNN:
     def tune(self, force: bool = False) -> TuningResult:
         """Run the adaptive tuning cycle (cached after the first call).
 
-        Results for catalog networks are also memoized in the shared
+        Plans for catalog networks are also memoized in the shared
         :class:`~repro.core.plan_cache.PlanCache` keyed by (network,
         device, batch size, precision, flags); ``force=True`` bypasses
-        both caches and re-tunes from scratch.
+        both caches and re-tunes from scratch.  A plan compiled here
+        returns its live result, with every measured round; a plan
+        served from the cache returns the artifact's round-free one.
         """
         if self._tuning is None or force:
-            from ..compile.pipeline import CompilerPipeline
-
             obs = self.obs
             self._compiled = None
-
-            def _tune_now() -> TuningResult:
-                tuner = AdaptiveTuner(
-                    self.graph, self.device, self.config.tuner_config(),
-                    obs=obs,
-                )
-                self._compiled = CompilerPipeline().compile_with_tuner(
-                    tuner, key=self._cache_key
-                )
-                return self._compiled.tuning
-
             if self._cache_key is not None and not force:
                 hits_before = self._plan_cache.hits
                 with obs.tracer.span(
@@ -175,8 +164,8 @@ class EdgeNN:
                     network=self._network, device=self.device.name,
                     batch=self.config.batch_size,
                 ) as span:
-                    self._tuning = self._plan_cache.get_or_tune(
-                        self._cache_key, _tune_now
+                    self._artifact = self._plan_cache.get_or_tune(
+                        self._cache_key, self._compile
                     )
                     hit = self._plan_cache.hits > hits_before
                     span.set_attribute("cache", "hit" if hit else "miss")
@@ -187,8 +176,33 @@ class EdgeNN:
             else:
                 with obs.tracer.span("plan:tune", category="plan",
                                      network=self._network):
-                    self._tuning = _tune_now()
+                    self._artifact = self._compile()
+            self._tuning = (
+                self._compiled.tuning if self._compiled is not None
+                else self._artifact.to_tuning_result()
+            )
         return self._tuning
+
+    def _compile(self) -> "PlanArtifact":
+        """Compile this engine's plan: a catalog network through
+        :func:`~repro.compile.pipeline.compile_key` (whose graph the
+        engine keeps), a custom graph through the pipeline directly."""
+        from ..compile.pipeline import CompilerPipeline, compile_key
+
+        if self._cache_key is not None:
+            compiled = compile_key(
+                self._cache_key, self.device.spec, obs=self.obs
+            )
+            if self._graph is None:
+                self._graph = compiled.graph
+        else:
+            tuner = AdaptiveTuner(
+                self.graph, self.device, self.config.tuner_config(),
+                obs=self.obs,
+            )
+            compiled = CompilerPipeline().compile_with_tuner(tuner)
+        self._compiled = compiled
+        return compiled.artifact
 
     @property
     def plan(self) -> ExecutionPlan:
@@ -196,33 +210,22 @@ class EdgeNN:
         return self.tune().plan
 
     def compiled(self) -> "CompiledPlan":
-        """The compiled plan (tunes on first use).
-
-        When the tuning came from a cache (memory or disk) rather than a
-        live pipeline run, the compiled plan is reassembled from the
-        cached result — the artifact then records the cached plan with
-        its round-free provenance.
-        """
-        tuning = self.tune()
+        """The compiled plan (tunes on first use).  A plan served from
+        the cache is bound to this engine's graph and device."""
+        artifact = self.artifact()
         if self._compiled is None:
-            from ..compile.artifact import PlanArtifact
-            from ..compile.pipeline import CompiledPlan, _key_for_tuner
+            from ..compile.pipeline import CompiledPlan
 
-            key = self._cache_key
-            if key is None:
-                tuner_cfg = self.config.tuner_config()
-                key = _key_for_tuner(self.graph, self.device, tuner_cfg)
             self._compiled = CompiledPlan(
-                graph=self.graph,
-                device=self.device,
-                artifact=PlanArtifact.from_tuning(key, tuning),
-                tuning=tuning,
+                graph=self.graph, device=self.device, artifact=artifact,
             )
         return self._compiled
 
     def artifact(self) -> "PlanArtifact":
-        """The serializable :class:`~repro.compile.artifact.PlanArtifact`."""
-        return self.compiled().artifact
+        """The serializable :class:`~repro.compile.artifact.PlanArtifact`
+        (tunes on first use; a cache hit builds no graph)."""
+        self.tune()
+        return self._artifact
 
     def run(self) -> InferenceReport:
         """Simulate one inference under the tuned plan."""
@@ -259,9 +262,9 @@ class EdgeNN:
             f"EdgeNN({self._network} on {self.device.name})",
             self.plan.describe(),
         ]
-        tuning = self.tune()
+        provenance = self.artifact().provenance
         lines.append(
-            f"tuned in {tuning.converged_after} feedback rounds; "
-            f"final latency {tuning.final_report.total_s * 1e3:.3f} ms"
+            f"tuned in {provenance.converged_after} feedback rounds; "
+            f"final latency {provenance.final_total_s * 1e3:.3f} ms"
         )
         return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Shared cache of tuned execution plans (in-memory LRU + optional store).
+"""Shared cache of compiled plans (in-memory LRU + optional store).
 
 Tuning is by far the most expensive operation in the system (two
 profiling passes plus up to ``max_feedback_rounds`` measured runs), yet
@@ -7,26 +7,24 @@ precision, ablation flags, objective)* — the simulator is deterministic.
 A serving system dispatching batches of varying sizes would otherwise
 re-tune the same (model, batch) pair on every dispatch.
 
-:class:`PlanCache` memoizes :class:`~repro.core.tuner.TuningResult`
-objects under exactly that key.  :class:`~repro.core.engine.EdgeNN`
+:class:`PlanCache` memoizes :class:`~repro.compile.artifact.PlanArtifact`
+objects under exactly that key: the same records the plan store holds,
+for every device kind (EdgeNN-tuned plans and the fixed baseline plans
+of non-integrated devices alike).  :class:`~repro.core.engine.EdgeNN`
 consults the process-wide default cache whenever the network was given
 by *name* (custom :class:`~repro.nn.graph.NetworkGraph` objects are
-never cached — two different user graphs may share a name).
+never cached — two different user graphs may share a name), and so do
+the simulators' service-time models.
 
-Two properties matter for serving:
-
-* **Thread safety** — the serving simulator and concurrent clients share
-  :func:`default_plan_cache`; every public operation (including the
-  hit/miss counters) runs under one lock, so a key is tuned exactly once
-  no matter how many threads race on it.
-* **Persistence** — attach a :class:`~repro.store.plan_store.PlanStore`
-  and the cache becomes its read-through client: every freshly tuned
-  result is ``put`` into the store, and a later process (or an
-  ahead-of-time ``repro tune-fleet`` run) warm-starts from it with
-  *zero* tuner rounds.  The store fingerprints each entry, so a plan
-  built under another device spec or cost model is a miss and is
-  re-tuned, never served.  Store loads count as hits and are
-  additionally reported in :attr:`PlanCache.disk_hits`.
+Every public operation (including the hit/miss counters) runs under one
+lock.  Attach a :class:`~repro.store.plan_store.PlanStore` and the cache
+becomes its read-through client: every freshly compiled artifact is
+``put`` into the store, and a later process (or an ahead-of-time
+``repro tune-fleet`` run) warm-starts from it with *zero* tuner rounds.
+The store fingerprints each entry, so a plan built under another device
+spec or cost model is a miss and is compiled again, never served.
+Store loads count as hits and are additionally reported in
+:attr:`PlanCache.disk_hits`.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ from typing import Callable, Dict, Mapping, Optional, Union, TYPE_CHECKING
 from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..compile.artifact import PlanArtifact
     from ..store.plan_store import PlanStore
-    from .tuner import TuningResult
 
 
 def _require(condition: bool, message: str) -> None:
@@ -186,12 +184,12 @@ class PlanCacheStats:
 
 
 class PlanCache:
-    """Thread-safe LRU cache of tuning results keyed by :class:`PlanKey`.
+    """LRU cache of plan artifacts keyed by :class:`PlanKey`.
 
     ``store`` adds the persistent tier: the cache becomes a thin
     read-through client of a content-addressed
     :class:`~repro.store.plan_store.PlanStore` (the fleet-tuned plan
-    database).  Store hits count as ``disk_hits``; fresh tunes are
+    database).  Store hits count as ``disk_hits``; fresh compiles are
     ``put`` back into the store, so tuning survives process restarts.
     """
 
@@ -203,7 +201,7 @@ class PlanCache:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
-        self._entries: "OrderedDict[PlanKey, TuningResult]" = OrderedDict()
+        self._entries: "OrderedDict[PlanKey, PlanArtifact]" = OrderedDict()
         self._lock = threading.RLock()
         self._plan_store = store
         self.hits = 0
@@ -238,14 +236,12 @@ class PlanCache:
             )
 
     def get_or_tune(
-        self, key: PlanKey, tune: Callable[[], "TuningResult"]
-    ) -> "TuningResult":
-        """Return the cached result for ``key``, tuning on first use.
+        self, key: PlanKey, tune: Callable[[], "PlanArtifact"]
+    ) -> "PlanArtifact":
+        """Return the artifact for ``key``, compiling it on first use.
 
         Lookup order: in-memory LRU, then the plan store (if attached),
-        then ``tune()``.  The whole operation holds the cache lock, so
-        concurrent callers of the same key tune once and the counters
-        stay consistent.
+        then ``tune()``, whose artifact is also put into the store.
         """
         with self._lock:
             cached = self._entries.get(key)
@@ -260,10 +256,11 @@ class PlanCache:
                 self._store(key, loaded)
                 return loaded
             self.misses += 1
-            result = tune()
-            self._store(key, result)
-            self._persist(key, result)
-            return result
+            artifact = tune()
+            self._store(key, artifact)
+            if self._plan_store is not None:
+                self._plan_store.put(artifact)
+            return artifact
 
     def invalidate(self, key: PlanKey) -> bool:
         """Drop ``key``'s in-memory entry (graceful degradation: a plan
@@ -290,12 +287,12 @@ class PlanCache:
 
     # -- internals (call with the lock held) ---------------------------------
 
-    def _store(self, key: PlanKey, result: "TuningResult") -> None:
-        self._entries[key] = result
+    def _store(self, key: PlanKey, artifact: "PlanArtifact") -> None:
+        self._entries[key] = artifact
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
 
-    def _load_from_store(self, key: PlanKey) -> Optional["TuningResult"]:
+    def _load_from_store(self, key: PlanKey) -> Optional["PlanArtifact"]:
         """Read-through to the attached plan store, if any.
 
         The store does its own integrity work (content-hash check,
@@ -308,23 +305,7 @@ class PlanCache:
         quarantined_before = self._plan_store.quarantined
         artifact = self._plan_store.get(key)
         self.corrupt_loads += self._plan_store.quarantined - quarantined_before
-        if artifact is None:
-            return None
-        return artifact.to_tuning_result()
-
-    def _persist(self, key: PlanKey, result: "TuningResult") -> None:
-        """Write the tuned result to the store (atomically: tmp sibling +
-        ``os.replace``, so a crash mid-persist never leaves a torn
-        object behind)."""
-        # Duck-typed guard: unit tests exercise the LRU with plain
-        # sentinel values; only real tuning results are persistable.
-        if self._plan_store is None or not (
-            hasattr(result, "plan") and hasattr(result, "rounds")
-        ):
-            return
-        from ..compile.artifact import PlanArtifact
-
-        self._plan_store.put(PlanArtifact.from_tuning(key, result))
+        return artifact
 
 
 _DEFAULT: Optional[PlanCache] = None

@@ -46,7 +46,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..compile.pipeline import CompiledPlan, compile_baseline
+from ..compile.artifact import PlanArtifact
+from ..compile.pipeline import CompiledPlan, compile_key, fixed_key
 from ..core.engine import EdgeNN, EdgeNNConfig
 from ..core.plan_cache import default_plan_cache
 from ..errors import ReproError
@@ -187,56 +188,45 @@ class ServiceTimeMemo:
 
     A warm service time is a pure function of the plan and the device
     spec it runs on, so every :class:`ServiceTimeModel` shares one
-    instance, :data:`SERVICE_TIMES`, across simulators.  :meth:`tuned`
-    keys by the :class:`~repro.core.tuner.TuningResult` the plan cache
-    returned, by identity, and holds it weakly: an entry lives as long
-    as its plan, and a plan re-tuned after an invalidation executes
-    again.
-    :meth:`fixed` keys plans no cache holds by what compiles them.
-    Racing threads at worst execute a plan twice and store equal values.
+    instance, :data:`SERVICE_TIMES`, across simulators.  It keys by the
+    :class:`~repro.compile.artifact.PlanArtifact` the plan cache
+    returned, by identity, for every device kind, and holds it weakly:
+    an entry lives as long as its plan, and a plan compiled again after
+    an invalidation or an eviction executes again.
     """
 
     def __init__(self) -> None:
-        #: id(plan) -> (weak reference to the plan, {key: service time})
-        self._tuned: Dict[
+        #: id(artifact) -> (weak reference to it, {key: service time})
+        self._times: Dict[
             int, Tuple["weakref.ref", Dict[Tuple, BatchServiceTime]]
         ] = {}
-        self._fixed: Dict[Tuple, BatchServiceTime] = {}
 
-    def tuned(
+    def get(
         self,
-        plan: object,
+        artifact: PlanArtifact,
         key: Tuple,
         execute: Callable[[], BatchServiceTime],
     ) -> BatchServiceTime:
-        """The time of ``plan`` under ``key``, executing on first use."""
-        ident = id(plan)
-        entry = self._tuned.get(ident)
+        """The time of ``artifact`` under ``key``, executing on first
+        use."""
+        ident = id(artifact)
+        entry = self._times.get(ident)
         if entry is None:
-            # The callback runs when the plan is collected, before its
-            # id can be reused, so an id never names a replaced plan.
-            ref = weakref.ref(plan, lambda _: self._tuned.pop(ident, None))
-            entry = self._tuned[ident] = (ref, {})
+            # The callback runs when the artifact is collected, before
+            # its id can be reused, so an id never names a replaced plan.
+            ref = weakref.ref(
+                artifact, lambda _: self._times.pop(ident, None)
+            )
+            entry = self._times[ident] = (ref, {})
         times = entry[1]
         svc = times.get(key)
         if svc is None:
             svc = times[key] = execute()
         return svc
 
-    def fixed(
-        self, key: Tuple, execute: Callable[[], BatchServiceTime]
-    ) -> BatchServiceTime:
-        """The time of the fixed plan ``key`` names, executing on first
-        use."""
-        svc = self._fixed.get(key)
-        if svc is None:
-            svc = self._fixed[key] = execute()
-        return svc
-
     def clear(self) -> None:
         """Forget every memoized time."""
-        self._tuned.clear()
-        self._fixed.clear()
+        self._times.clear()
 
 
 #: The process-wide memo every service-time model shares.
@@ -272,12 +262,11 @@ class ServiceTimeModel:
     execution or zero-copy to turn off, nothing to re-tune), at the
     throttled rates under ``factors``.
 
-    Each model looks a tuned combination's plan up in the plan cache
-    once (the serving report counts those hits and misses) and takes
-    its time from :data:`SERVICE_TIMES`, keyed by (plan, spec
-    fingerprint, throttle factors), or for a baseline plan by what
-    compiles it: a plan executes once per process, and a memo hit
-    builds no graph and records no executor spans.
+    Each model looks a combination's plan up in the plan cache once
+    (the reports count those hits and misses) and takes its time from
+    :data:`SERVICE_TIMES`, keyed by (plan, spec fingerprint, throttle
+    factors): a plan executes once per process, and a memo hit builds
+    no graph and records no executor spans.
     """
 
     def __init__(
@@ -335,28 +324,53 @@ class ServiceTimeModel:
             return cached
         if factors is not None and factors.is_noop:
             factors = None
-        if not self._spec.is_integrated:
-            svc = self._warm[key] = self._baseline(network, batch, factors)
-            return svc
-        config = self._config_for(batch, kind)
-        spec = self._spec
-        if factors is not None and retuned:
-            spec = apply_throttle(spec, factors)
-        engine = EdgeNN(network, spec, config, obs=self._obs)
+        if self._spec.is_integrated:
+            spec = self._spec
+            if factors is not None and retuned:
+                spec = apply_throttle(spec, factors)
+            engine = EdgeNN(
+                network, spec, self._config_for(batch, kind), obs=self._obs
+            )
+            artifact, compiled = engine.artifact(), engine.compiled
+        else:
+            # Stale or not, a baseline device runs its one fixed plan.
+            retuned = False
+            artifact, compiled = self._fixed_plan(network, batch)
 
         def execute() -> BatchServiceTime:
-            compiled = engine.compiled()
+            plan = compiled()
             if not retuned:
                 # Stale plan on the throttled device: keep the placement
-                # the tuner chose for the *nominal* operating point.
-                compiled = self._at_rates(compiled, factors)
-            return warm_service_time(compiled, self._obs)
+                # chosen for the *nominal* operating point.
+                plan = self._at_rates(plan, factors)
+            return warm_service_time(plan, self._obs)
 
-        svc = SERVICE_TIMES.tuned(
-            engine.tune(), (self._fingerprint, factors), execute
+        svc = self._warm[key] = SERVICE_TIMES.get(
+            artifact, (self._fingerprint, factors), execute
         )
-        self._warm[key] = svc
         return svc
+
+    def _fixed_plan(
+        self, network: str, batch: int
+    ) -> Tuple[PlanArtifact, Callable[[], CompiledPlan]]:
+        """The device's baseline plan through the plan cache (and so its
+        store), and a function that binds it for execution: the plan
+        compiled on a miss, so that a miss builds one graph."""
+        key = fixed_key(
+            network, self._spec.name,
+            precision=self._precision, batch_size=batch,
+        )
+        fresh: List[CompiledPlan] = []
+
+        def compile_fresh() -> PlanArtifact:
+            fresh.append(compile_key(key, self._spec, obs=self._obs))
+            return fresh[0].artifact
+
+        artifact = default_plan_cache().get_or_tune(key, compile_fresh)
+        return artifact, lambda: (
+            fresh[0] if fresh
+            else CompiledPlan.from_artifact(artifact, device=self._spec)
+        )
 
     def _at_rates(
         self, compiled: CompiledPlan, factors: Optional[ThrottleFactors]
@@ -369,31 +383,6 @@ class ServiceTimeModel:
             graph=compiled.graph,
             device=Device(apply_throttle(self._spec, factors)),
             artifact=compiled.artifact,
-        )
-
-    def _baseline(
-        self,
-        network: str,
-        batch: int,
-        factors: Optional[ThrottleFactors],
-    ) -> BatchServiceTime:
-        """The device's fixed baseline plan (:func:`compile_baseline`)."""
-
-        def execute() -> BatchServiceTime:
-            compiled = compile_baseline(
-                network,
-                self._spec,
-                precision=self._precision,
-                batch_size=batch,
-                obs=self._obs,
-            )
-            return warm_service_time(
-                self._at_rates(compiled, factors), self._obs
-            )
-
-        return SERVICE_TIMES.fixed(
-            (self._fingerprint, self._precision, network, batch, factors),
-            execute,
         )
 
     def warm(self, network: str, batch: int) -> BatchServiceTime:

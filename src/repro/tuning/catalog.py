@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
+from ..compile.pipeline import fixed_key
+from ..core.engine import EdgeNNConfig
 from ..core.plan_cache import PlanKey
 from ..errors import ReproError
 from ..hardware.specs import DeviceSpec
@@ -35,21 +37,14 @@ def key_for(network: str, spec: DeviceSpec, batch_size: int) -> PlanKey:
 
     Integrated devices use the default engine flags (all optimizations
     on — the keys :class:`~repro.core.engine.EdgeNNConfig` defaults
-    produce at serve time); other devices use the all-off flags
-    :func:`~repro.compile.pipeline.compile_baseline` stamps.
+    produce at serve time); other devices the key of their baseline
+    plan (:func:`~repro.compile.pipeline.fixed_key`).
     """
-    adaptive = spec.is_integrated
-    return PlanKey(
-        network=network,
-        device=spec.name,
-        batch_size=batch_size,
-        precision="fp32",
-        use_memory_management=adaptive,
-        use_hybrid_execution=adaptive,
-        use_inter_kernel=adaptive,
-        use_intra_kernel=adaptive,
-        objective="latency",
-    )
+    if spec.is_integrated:
+        return PlanKey.from_config(
+            network, spec.name, EdgeNNConfig(batch_size=batch_size)
+        )
+    return fixed_key(network, spec.name, batch_size=batch_size)
 
 
 def fleet_catalog(

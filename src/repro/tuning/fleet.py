@@ -33,12 +33,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
+from ..compile.pipeline import compile_key
 from ..core.plan_cache import PlanKey
 from ..errors import ReproError
 from ..faults.injector import FaultInjector
 from ..faults.resilience import RetryPolicy
 from ..faults.scenario import FaultScenario
 from ..fsutil import atomic_write_text, sha256_text
+from ..hardware.variants import spec_by_name
 from ..store.plan_store import PlanStore
 from .queue import DONE, JobQueue, POISONED, TuneJob
 
@@ -55,43 +57,6 @@ class WorkerCrashError(ReproError):
     recovery path sees exactly what a killed process leaves behind.
     Module-level so it pickles across the process-pool boundary.
     """
-
-
-def _compile_artifact(key: PlanKey):
-    """Compile one plan key: the adaptive pipeline on an integrated
-    device, the device's fixed baseline plan on any other."""
-    from ..compile.pipeline import compile_baseline, compile_plan
-    from ..core.engine import EdgeNNConfig
-    from ..core.tuner import TuningObjective
-    from ..hardware.variants import spec_by_name
-    from ..nn.precision import Precision
-
-    spec = spec_by_name(key.device)
-    if spec.is_integrated:
-        config = EdgeNNConfig(
-            use_memory_management=key.use_memory_management,
-            use_hybrid_execution=key.use_hybrid_execution,
-            use_inter_kernel=key.use_inter_kernel,
-            use_intra_kernel=key.use_intra_kernel,
-            precision=Precision(key.precision),
-            batch_size=key.batch_size,
-            objective=TuningObjective(key.objective),
-        )
-        compiled = compile_plan(key.network, spec, config, key=key)
-    else:
-        compiled = compile_baseline(
-            key.network,
-            spec,
-            precision=Precision(key.precision),
-            batch_size=key.batch_size,
-        )
-    artifact = compiled.artifact
-    if artifact.key != key:
-        raise ReproError(
-            f"compiled artifact key {artifact.key.slug()!r} does not match "
-            f"requested job key {key.slug()!r}"
-        )
-    return artifact
 
 
 def _run_worker_job(
@@ -114,7 +79,7 @@ def _run_worker_job(
         injector = FaultInjector(
             FaultScenario.from_dict(scenario_data), seed=seed
         )
-    artifact = _compile_artifact(key)
+    artifact = compile_key(key, spec_by_name(key.device)).artifact
     text = PlanStore.artifact_text(artifact)
     sha = sha256_text(text)
     store = PlanStore(store_root, check_fingerprints=False)

@@ -263,6 +263,30 @@ class TestDeterminism:
         assert digests[0] == digests[1]
         assert len(digests[0]) == 64
 
+    def test_second_run_is_refused_before_touching_state(self):
+        sim = ClusterSimulator(
+            [ClusterTenant("lenet", PoissonArrivals(300.0, 2.0, seed=3))],
+            DeviceMix.parse(MIX),
+            3,
+            ClusterConfig(policy=BatchPolicy(
+                max_wait_s=0.0, max_batch_size=4, deadline_s=1.0,
+            )),
+        )
+        report = sim.run()
+        assert report.offered > 0
+
+        def state():
+            return [
+                (r.busy_until, r.version, r.batches, list(r.queue))
+                for pool in sim.fleet.pools for r in pool.replicas
+            ]
+
+        before = state()
+        with pytest.raises(ReproError, match="already run"):
+            sim.run()
+        assert state() == before
+        assert sim._rows is not None
+
     def test_report_extra_records_plan_cache_traffic(self):
         report = run()
         assert "plan_cache_hits" in report.extra

@@ -1,9 +1,12 @@
 """Plan cache: LRU semantics and EdgeNN integration."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.core.engine import EdgeNN, EdgeNNConfig
 from repro.core.plan_cache import PlanCache, PlanKey
+from repro.core.tuner import TuningObjective
 from repro.nn.models import build as build_model
 from repro.nn.precision import Precision
 
@@ -72,7 +75,10 @@ class TestEngineIntegration:
         second = EdgeNN("lenet", plan_cache=cache)
         result = second.tune()
         assert (cache.hits, cache.misses) == (1, 1)
-        assert result is first.tune()  # identical object, not a re-tune
+        # The cache holds the artifact: one object, not a re-tune.
+        assert second.artifact() is first.artifact()
+        assert result.plan is first.tune().plan
+        assert result.rounds == []  # a hit runs no tuner rounds
 
     def test_engine_level_memoization_still_works(self):
         cache = PlanCache()
@@ -119,6 +125,28 @@ class TestKey:
         assert built.network == "alexnet"
         assert built == PlanKey.from_config(
             "alexnet", "jetson-agx-xavier", config)
+
+    def test_every_config_field_is_a_key_field(self):
+        # A key is the whole tuning job: configs that differ in any
+        # field never share a cache entry or a store object.
+        names = [f.name for f in fields(EdgeNNConfig)]
+        assert set(names) <= {f.name for f in fields(PlanKey)}
+        changed = {
+            "use_memory_management": False,
+            "use_hybrid_execution": False,
+            "use_inter_kernel": False,
+            "use_intra_kernel": False,
+            "objective": TuningObjective.ENERGY,
+            "precision": Precision.FP16,
+            "batch_size": 2,
+        }
+        assert sorted(changed) == sorted(names)
+        base = PlanKey.from_config("lenet", "jetson-agx-xavier", EdgeNNConfig())
+        for name, value in changed.items():
+            config = replace(EdgeNNConfig(), **{name: value})
+            key = PlanKey.from_config("lenet", "jetson-agx-xavier", config)
+            assert key != base, name
+            assert getattr(key, name) == getattr(value, "value", value)
 
     def test_key_is_hashable_and_comparable(self):
         assert key(batch=1) != key(batch=2)

@@ -15,12 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.compile.pipeline import compile_key
 from repro.core.plan_cache import PlanCache, PlanKey
-from repro.core.tuner import AdaptiveTuner
 from repro.fsutil import TMP_SUFFIX, atomic_write_text, sweep_tmp_files
-from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
-from repro.nn.models import build as build_model
 from repro.store.plan_store import PlanStore
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -48,8 +46,7 @@ def make_key(**overrides) -> PlanKey:
 
 
 def tune_lenet():
-    tuner = AdaptiveTuner(build_model("lenet"), Device(JETSON_AGX_XAVIER))
-    return tuner.tune()
+    return compile_key(make_key(), JETSON_AGX_XAVIER).artifact
 
 
 def run_killed_writer(body: str) -> subprocess.CompletedProcess:
@@ -69,11 +66,9 @@ class TestKilledCachePersist:
     def test_no_torn_artifact_and_clean_recovery(self, tmp_path):
         root = tmp_path / "store"
         run_killed_writer(f"""
+from repro.compile.pipeline import compile_key
 from repro.core.plan_cache import PlanCache, PlanKey
-from repro.core.tuner import AdaptiveTuner
-from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
-from repro.nn.models import build
 from repro.store.plan_store import PlanStore
 key = PlanKey(network="lenet", device="jetson-agx-xavier", batch_size=1,
               precision="fp32", use_memory_management=True,
@@ -81,9 +76,7 @@ key = PlanKey(network="lenet", device="jetson-agx-xavier", batch_size=1,
               use_intra_kernel=True, objective="latency")
 cache = PlanCache(store=PlanStore({str(root)!r}))
 cache.get_or_tune(
-    key,
-    lambda: AdaptiveTuner(build("lenet"),
-                          Device(JETSON_AGX_XAVIER)).tune(),
+    key, lambda: compile_key(key, JETSON_AGX_XAVIER).artifact
 )
 print("UNREACHABLE")
 """)
@@ -108,7 +101,7 @@ print("UNREACHABLE")
         result = warm.get_or_tune(
             key, lambda: (_ for _ in ()).throw(AssertionError("re-tuned"))
         )
-        assert result.source == "artifact"
+        assert result.key == key
 
     def test_killed_overwrite_keeps_old_bytes(self, tmp_path):
         target = tmp_path / "artifact.json"

@@ -7,13 +7,11 @@ import logging
 import pytest
 
 from repro.compile.artifact import PlanArtifact
+from repro.compile.pipeline import compile_key
 from repro.core.plan_cache import PlanCache, PlanKey
-from repro.core.tuner import AdaptiveTuner
 from repro.errors import ReproError
 from repro.fsutil import atomic_write_text, sha256_text
-from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
-from repro.nn.models import build as build_model
 from repro.store.plan_store import MANIFEST_NAME, PlanStore
 
 
@@ -29,8 +27,7 @@ def make_key(**overrides) -> PlanKey:
 
 
 def tune_lenet():
-    tuner = AdaptiveTuner(build_model("lenet"), Device(JETSON_AGX_XAVIER))
-    return tuner.tune()
+    return compile_key(make_key(), JETSON_AGX_XAVIER).artifact
 
 
 def store_cache(root) -> PlanCache:
@@ -50,10 +47,7 @@ def populated(tmp_path):
 @pytest.fixture
 def artifact_file(tmp_path):
     """One lenet plan saved as a standalone artifact file."""
-    key = make_key()
-    return PlanArtifact.from_tuning(key, tune_lenet()).save(
-        tmp_path / f"{key.slug()}.json"
-    )
+    return tune_lenet().save(tmp_path / f"{make_key().slug()}.json")
 
 
 class TestCorruptLoads:
@@ -124,11 +118,12 @@ class TestCorruptLoads:
         )
         manifest.write_text(json.dumps(doc))
         cache = store_cache(tmp_path)
-        sentinel = object()
-        assert cache.get_or_tune(other, lambda: sentinel) is sentinel
+        fresh = compile_key(other, JETSON_AGX_XAVIER).artifact
+        assert cache.get_or_tune(other, lambda: fresh) is fresh
         assert cache.corrupt_loads == 1
         assert cache.misses == 1
-        assert not cache.store.contains(other)
+        # The wrong-key entry is gone; the recompiled plan replaced it.
+        assert cache.store.get(other).to_json() == fresh.to_json()
 
     def test_clear_resets_corrupt_counter(self, populated, tmp_path):
         key, path = populated

@@ -4,13 +4,11 @@ import threading
 
 import pytest
 
+from repro.compile.pipeline import compile_key
 from repro.core.engine import EdgeNN, EdgeNNConfig
 from repro.core.plan_cache import PlanCache, PlanKey
-from repro.core.tuner import AdaptiveTuner
 from repro.errors import ReproError
-from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
-from repro.nn.models import build as build_model
 from repro.obs import Observability
 from repro.store.plan_store import PlanStore
 
@@ -26,9 +24,8 @@ def make_key(**overrides) -> PlanKey:
     return PlanKey(**fields)
 
 
-def tune_lenet() -> "object":
-    tuner = AdaptiveTuner(build_model("lenet"), Device(JETSON_AGX_XAVIER))
-    return tuner.tune()
+def tune_lenet():
+    return compile_key(make_key(), JETSON_AGX_XAVIER).artifact
 
 
 def store_cache(root) -> PlanCache:
@@ -58,8 +55,7 @@ class TestDiskPersistence:
         assert fresh.hits == 1
         assert fresh.disk_hits == 1
         assert fresh.misses == 0
-        assert reloaded.source == "artifact"
-        assert reloaded.plan.to_dict() == original.plan.to_dict()
+        assert reloaded.to_json() == original.to_json()
 
     def test_disk_hit_promotes_to_memory(self, tmp_path):
         key = make_key()
@@ -95,10 +91,15 @@ class TestDiskPersistence:
         cache.get_or_tune(key, tune_lenet)
         assert cache.disk_hits == 1
 
-    def test_sentinel_values_not_persisted(self, tmp_path):
+    def test_miss_persists_the_artifact_it_was_given(self, tmp_path):
+        artifact = tune_lenet()
         cache = store_cache(tmp_path)
-        cache.get_or_tune(make_key(), lambda: "sentinel")
-        assert list(tmp_path.iterdir()) == []
+        assert cache.get_or_tune(make_key(), lambda: artifact) is artifact
+        store = PlanStore(tmp_path)
+        entry = store.entries()[make_key().slug()]
+        assert store.object_path(entry.sha256).read_text() == (
+            PlanStore.artifact_text(artifact)
+        )
 
 
 class TestThreadSafety:

@@ -2,16 +2,14 @@
 
 import pytest
 
+from repro.compile.pipeline import compile_key
 from repro.core.plan_cache import (
     PlanCache,
     PlanKey,
     configure_default_plan_cache,
     default_plan_cache,
 )
-from repro.core.tuner import AdaptiveTuner
-from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
-from repro.nn.models import build as build_model
 from repro.obs import Observability
 from repro.serving.simulator import simulate_poisson
 from repro.store import plan_store
@@ -30,8 +28,7 @@ def make_key(**overrides) -> PlanKey:
 
 
 def tune_lenet():
-    tuner = AdaptiveTuner(build_model("lenet"), Device(JETSON_AGX_XAVIER))
-    return tuner.tune()
+    return compile_key(make_key(), JETSON_AGX_XAVIER).artifact
 
 
 def fail_tune():
@@ -47,13 +44,13 @@ class TestReadThrough:
     def test_store_hit_skips_tuning(self, store):
         key = make_key()
         writer = PlanCache(store=store)
-        writer.get_or_tune(key, tune_lenet)
+        written = writer.get_or_tune(key, tune_lenet)
         assert store.contains(key)
 
         reader = PlanCache(store=store)
         result = reader.get_or_tune(key, fail_tune)
-        assert result.source == "artifact"
-        assert result.rounds == []
+        # A store hit returns the stored artifact, provenance and all.
+        assert result.to_json() == written.to_json()
         assert reader.disk_hits == 1
         assert reader.misses == 0
 
@@ -105,7 +102,7 @@ class TestReadThrough:
         assert reader.store.entries()[key.slug()].cost_model_fingerprint \
             == "e" * 64
         warm = PlanCache(store=PlanStore(root))
-        assert warm.get_or_tune(key, fail_tune).source == "artifact"
+        assert warm.get_or_tune(key, fail_tune).key == key
         assert warm.disk_hits == 1
 
 
@@ -117,7 +114,7 @@ class TestInvalidate:
         assert cache.invalidate(key) is True
         assert store.contains(key)
         # The dropped memory entry is refilled from the store, not re-tuned.
-        assert cache.get_or_tune(key, fail_tune).source == "artifact"
+        assert cache.get_or_tune(key, fail_tune).key == key
         assert cache.disk_hits == 1
 
     def test_empty_invalidate_is_falsy(self, store):

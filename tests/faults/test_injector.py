@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compile.artifact import PlanArtifact
+from repro.compile.pipeline import compile_key
 from repro.core.plan_cache import PlanCache, PlanKey
 from repro.core.engine import EdgeNN, EdgeNNConfig
 from repro.faults import (
@@ -179,9 +180,9 @@ class TestCorruptArtifacts:
         assert torn
         # ...and the hardened cache treats it as a miss, not a crash.
         cache = PlanCache(store=PlanStore(tmp_path))
-        sentinel = object()
-        out = cache.get_or_tune(key, lambda: sentinel)
-        assert out is sentinel
+        fresh = compile_key(key, JETSON_AGX_XAVIER).artifact
+        out = cache.get_or_tune(key, lambda: fresh)
+        assert out is fresh
         assert cache.corrupt_loads == 1
         assert cache.misses == 1
 

@@ -11,17 +11,15 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulator, ClusterTenant, DeviceMix
 from repro.compile import pipeline
-from repro.compile.artifact import PlanArtifact
+from repro.compile.artifact import Lowering, PlanArtifact
 from repro.compile.pipeline import CompiledPlan, compile_fixed
 from repro.core.executor import HybridExecutor
 from repro.core.plan_cache import clear_plan_cache, default_plan_cache
-from repro.core.tuner import TuningResult
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.hardware.throttle import ThrottleFactors
 from repro.nn.models import MODEL_BUILDERS, build
 from repro.obs import NOOP_OBS
-from repro.serving import simulator as serving_simulator
 from repro.serving.batcher import BatchPolicy
 from repro.serving.simulator import (
     SERVICE_TIMES,
@@ -99,10 +97,7 @@ class TestClusterSimulators:
 
     def test_second_fleet_compiles_and_executes_nothing(self, monkeypatch):
         SERVICE_TIMES.clear()
-        fixed = count_calls(
-            monkeypatch, serving_simulator, "compile_baseline"
-        )
-        count_calls(monkeypatch, pipeline, "compile_fixed")
+        fixed = count_calls(monkeypatch, pipeline, "compile_fixed")
         runs = count_calls(monkeypatch, HybridExecutor, "run")
         first_sim = self.fleet()
         assert first_sim.fleet.device_counts() == {
@@ -123,12 +118,13 @@ class TestReplacedPlans:
         model = ServiceTimeModel(JETSON_AGX_XAVIER)
         key = model.plan_key("lenet", 2)
         assert default_plan_cache().invalidate(key)
-        # A stub tuner returns a different plan: all-CPU, no split.
-        cpu_only = TuningResult(
+        # A stub compile returns a different plan: all-CPU, no split.
+        cpu_only = PlanArtifact(
+            key=key,
             plan=compile_fixed(
                 "lenet", JETSON_AGX_XAVIER, placement="cpu", batch_size=2
             ).plan,
-            source="artifact",
+            lowering=Lowering(batch_size=2),
         )
         assert default_plan_cache().get_or_tune(key, lambda: cpu_only) is (
             cpu_only
@@ -137,7 +133,7 @@ class TestReplacedPlans:
             CompiledPlan(
                 graph=build("lenet"),
                 device=Device(JETSON_AGX_XAVIER),
-                artifact=PlanArtifact.from_tuning(key, cpu_only),
+                artifact=cpu_only,
             ),
             NOOP_OBS,
         )
