@@ -151,15 +151,19 @@ class ExecutionPlan:
 
     def counts(self) -> Mapping[str, int]:
         """How many layers run on each assignment kind."""
-        out = {a.value: 0 for a in Assignment}
+        gpu = cpu = 0
         for lp in self.layers.values():
-            out[lp.assignment.value] += 1
-        return out
+            if lp.assignment is Assignment.GPU:
+                gpu += 1
+            elif lp.assignment is Assignment.CPU:
+                cpu += 1
+        split = len(self.layers) - gpu - cpu
+        return {"gpu": gpu, "cpu": cpu, "split": split}
 
     def describe(self) -> str:
         """One-line summary for logs."""
         c = self.counts()
-        managed = sum(1 for k in self.alloc.values() if k is AllocKind.MANAGED)
+        managed = list(self.alloc.values()).count(AllocKind.MANAGED)
         return (
             f"plan[{self.network}]: gpu={c['gpu']} cpu={c['cpu']} "
             f"split={c['split']} managed_buffers={managed}/{len(self.alloc)}"

@@ -16,9 +16,12 @@ from ..sim.trace import Trace
 from .plan import Assignment
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LayerResult:
-    """Measured execution of one layer within a run."""
+    """Measured execution of one layer within a run.
+
+    A value, like :class:`~repro.sim.trace.TraceEvent`, and unfrozen for
+    the same reason: an executor run builds one per layer."""
 
     name: str
     kernel_class: str

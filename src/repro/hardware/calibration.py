@@ -189,6 +189,15 @@ DISCRETE_SATURATION_SCALE = 2.0
 # ---------------------------------------------------------------------------
 # Launch / dispatch overheads
 # ---------------------------------------------------------------------------
+#
+# Device-independent terms: PARTITION_OVERHEAD_S, JOIN_SYNC_OVERHEAD_S,
+# MANAGED_COWRITE_PENALTY_S_PER_BYTE and MANAGED_FIRST_TOUCH_S_PER_BYTE
+# are charged as they stand on every device, while every other time the
+# executor simulates comes from the spec (launch overheads, copy
+# latencies, and work over clock, stream or copy rates).  So scaling a
+# spec's throughputs scales a run's times only with these four set to
+# zero, which is what the executor's throughput-scaling oracle in
+# tests/core/test_executor.py does.
 
 # [fit] CUDA kernel launch on Jetson (nvgpu channel submission).
 GPU_LAUNCH_OVERHEAD_S = units.microseconds(30.0)

@@ -26,7 +26,7 @@ scheduling of the returned transfers/penalties is the executor's job.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import AllocationError, MemoryModelError
@@ -55,9 +55,10 @@ class Buffer:
     device_valid: bool = False
     # MANAGED state: whether the GPU has touched the pages yet.
     gpu_touched: bool = False
-    # Processors that wrote this buffer during the current step (for
+    # Which processors wrote this buffer during the current step (for
     # detecting managed co-writes).
-    writers_this_step: set = field(default_factory=set)
+    cpu_wrote: bool = False
+    gpu_wrote: bool = False
 
     def __post_init__(self) -> None:
         if self.nbytes < 0:
@@ -79,11 +80,27 @@ class AccessCost:
     bw_factor: float
 
 
+#: Shared quotes for the accesses that move nothing and pay no first
+#: touch, which are most of them: a quote is a value, so one per
+#: bandwidth factor serves every buffer.
+_FREE = AccessCost((), 0.0, 1.0)
+_MANAGED_CPU = AccessCost((), 0.0, cal.MANAGED_CPU_BW_FACTOR)
+#: Managed GPU-path factor of a kernel class the calibration does not list.
+_MANAGED_GPU_DEFAULT_FACTOR = 0.85
+_MANAGED_GPU = {
+    kernel_class: AccessCost((), 0.0, factor)
+    for kernel_class, factor in cal.MANAGED_GPU_BW_FACTORS.items()
+}
+_MANAGED_GPU_DEFAULT = AccessCost((), 0.0, _MANAGED_GPU_DEFAULT_FACTOR)
+
+
 class MemoryModel:
     """Tracks every buffer of an inference run on one device."""
 
     def __init__(self, device: DeviceSpec) -> None:
         self._device = device
+        self._capacity = device.memory.capacity_bytes
+        self._integrated = device.is_integrated
         self._buffers: Dict[str, Buffer] = {}
         self._allocated_bytes = 0.0
 
@@ -95,13 +112,13 @@ class MemoryModel:
         if name in self._buffers:
             raise AllocationError(f"buffer {name!r} already allocated")
         footprint = nbytes * (2.0 if kind is AllocKind.REGULAR else 1.0)
-        capacity = self._device.memory.capacity_bytes
+        capacity = self._capacity
         if self._allocated_bytes + footprint > capacity:
             raise AllocationError(
                 f"allocating {name!r} ({footprint:.0f} B) exceeds device "
                 f"capacity {capacity:.0f} B"
             )
-        if kind is AllocKind.MANAGED and not self._device.is_integrated:
+        if kind is AllocKind.MANAGED and not self._integrated:
             # Managed memory exists on discrete platforms too, but this
             # library only ever *chooses* it on integrated devices (the
             # paper: "usage of CUDA unified memory brings no benefit for the
@@ -141,58 +158,68 @@ class MemoryModel:
         SMMU path hurts scattered access patterns (pooling) more than
         sequential streams (see calibration.MANAGED_GPU_BW_FACTORS)."""
         if buf.kind is AllocKind.REGULAR:
-            transfers: List[Transfer] = []
-            if proc is ProcessorKind.GPU and not buf.device_valid:
-                transfers.append(Transfer(buf.name, buf.nbytes, CopyDirection.H2D))
+            if proc is ProcessorKind.GPU:
+                if buf.device_valid:
+                    return _FREE
                 buf.device_valid = True
-            elif proc is ProcessorKind.CPU and not buf.host_valid:
-                transfers.append(Transfer(buf.name, buf.nbytes, CopyDirection.D2H))
+                direction = CopyDirection.H2D
+            else:
+                if buf.host_valid:
+                    return _FREE
                 buf.host_valid = True
-            return AccessCost(tuple(transfers), 0.0, 1.0)
+                direction = CopyDirection.D2H
+            return AccessCost(
+                (Transfer(buf.name, buf.nbytes, direction),), 0.0, 1.0
+            )
         # MANAGED
-        overhead = 0.0
-        factor = cal.MANAGED_CPU_BW_FACTOR
-        if proc is ProcessorKind.GPU:
-            factor = cal.MANAGED_GPU_BW_FACTORS.get(kernel_class, 0.85)
-            if not buf.gpu_touched:
-                overhead = buf.nbytes * cal.MANAGED_FIRST_TOUCH_S_PER_BYTE
-                buf.gpu_touched = True
-        return AccessCost((), overhead, factor)
+        if proc is not ProcessorKind.GPU:
+            return _MANAGED_CPU
+        if buf.gpu_touched:
+            return _MANAGED_GPU.get(kernel_class, _MANAGED_GPU_DEFAULT)
+        return self._first_touch(buf, kernel_class)
 
     def write_cost(
         self, buf: Buffer, proc: ProcessorKind, kernel_class: str = "shape"
     ) -> AccessCost:
         """Cost of ``proc`` producing (part of) ``buf``; updates validity."""
-        buf.writers_this_step.add(proc)
-        if buf.kind is AllocKind.REGULAR:
-            if proc is ProcessorKind.GPU:
+        if proc is ProcessorKind.GPU:
+            buf.gpu_wrote = True
+            if buf.kind is AllocKind.REGULAR:
                 buf.device_valid = True
                 # The host copy is stale unless the CPU also writes its own
                 # partition this step (merge handles reconciliation).
-                if ProcessorKind.CPU not in buf.writers_this_step:
+                if not buf.cpu_wrote:
                     buf.host_valid = False
-            else:
-                buf.host_valid = True
-                if ProcessorKind.GPU not in buf.writers_this_step:
-                    buf.device_valid = False
-            return AccessCost((), 0.0, 1.0)
-        # MANAGED
-        if proc is ProcessorKind.GPU:
-            factor = cal.MANAGED_GPU_BW_FACTORS.get(kernel_class, 0.85)
-        else:
-            factor = cal.MANAGED_CPU_BW_FACTOR
-        overhead = 0.0
-        if proc is ProcessorKind.GPU and not buf.gpu_touched:
-            overhead = buf.nbytes * cal.MANAGED_FIRST_TOUCH_S_PER_BYTE
-            buf.gpu_touched = True
-        return AccessCost((), overhead, factor)
+                return _FREE
+            if buf.gpu_touched:
+                return _MANAGED_GPU.get(kernel_class, _MANAGED_GPU_DEFAULT)
+            return self._first_touch(buf, kernel_class)
+        buf.cpu_wrote = True
+        if buf.kind is AllocKind.REGULAR:
+            buf.host_valid = True
+            if not buf.gpu_wrote:
+                buf.device_valid = False
+            return _FREE
+        return _MANAGED_CPU
+
+    @staticmethod
+    def _first_touch(buf: Buffer, kernel_class: str) -> AccessCost:
+        """The GPU's first touch of a managed buffer: page set-up on top
+        of the kernel class's coherent-path bandwidth factor."""
+        buf.gpu_touched = True
+        factor = cal.MANAGED_GPU_BW_FACTORS.get(
+            kernel_class, _MANAGED_GPU_DEFAULT_FACTOR
+        )
+        return AccessCost(
+            (), buf.nbytes * cal.MANAGED_FIRST_TOUCH_S_PER_BYTE, factor
+        )
 
     def cowrite_penalty(self, buf: Buffer) -> float:
         """Consistency penalty if ``buf`` was written by both processors in
         the step just finished.  Zero for REGULAR buffers (each processor
         writes its own copy; an explicit merge copy reconciles them)."""
-        both = len(buf.writers_this_step) > 1
-        buf.writers_this_step = set()
+        both = buf.cpu_wrote and buf.gpu_wrote
+        buf.cpu_wrote = buf.gpu_wrote = False
         if both and buf.kind is AllocKind.MANAGED:
             return buf.nbytes * cal.MANAGED_COWRITE_PENALTY_S_PER_BYTE
         return 0.0

@@ -14,7 +14,7 @@ with per-kernel-class attained fractions from the calibration tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import SpecError
 from .specs import DeviceSpec, ProcessorSpec
@@ -68,9 +68,10 @@ class KernelWork:
         """
         if not 0.0 <= fraction <= 1.0:
             raise SpecError(f"fraction out of [0, 1]: {fraction}")
-        return replace(
-            self,
+        return KernelWork(
+            kernel_class=self.kernel_class,
             flops=self.flops * fraction,
+            act_in_bytes=self.act_in_bytes,
             weight_bytes=self.weight_bytes * fraction,
             out_bytes=self.out_bytes * fraction,
             out_elements=max(1.0, self.out_elements * fraction),

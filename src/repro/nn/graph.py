@@ -17,7 +17,9 @@ plus:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 import numpy as np
 
@@ -29,6 +31,8 @@ from .layer import Layer, Shape
 
 #: Name of the pseudo-node feeding the first layer.
 INPUT = "input"
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -97,6 +101,7 @@ class NetworkGraph:
         self._params: Optional[Dict[str, Dict[str, np.ndarray]]] = None
         self._segments: Optional[List[Segment]] = None
         self._output_name: Optional[str] = None
+        self._derived: Dict[Hashable, object] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -146,6 +151,7 @@ class NetworkGraph:
         self._order.append(name)
         self._last_added = name
         self._params = self._segments = self._output_name = None
+        self._derived = {}
         return name
 
     # -- structure --------------------------------------------------------------
@@ -208,6 +214,16 @@ class NetworkGraph:
             n for n in self._order
             if self._nodes[n].layer.kernel_class == kernel_class
         ]
+
+    def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """The value ``build()`` derives from the whole DAG, built on the
+        first call per ``key`` and kept until ``add()`` changes the DAG
+        (the executor keeps its run tables here)."""
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     # -- segmentation -------------------------------------------------------------
 

@@ -65,14 +65,20 @@ class Timeline:
         of every dependency, and ``not_before``.  Zero-duration events are
         allowed (pure ordering points) and are still traced when labelled.
         """
-        self._check(resource)
+        free_at = self._free_at
+        if resource not in free_at:
+            self._check(resource)
         if duration_s < 0:
             raise SimulationError(f"negative duration for {label!r}")
-        start = max(self._free_at[resource], not_before)
+        # The latest of the three, by comparison: max() costs a call.
+        start = free_at[resource]
+        if not_before > start:
+            start = not_before
         for dep in after:
-            start = max(start, dep.end_s)
+            if dep.end_s > start:
+                start = dep.end_s
         end = start + duration_s
-        self._free_at[resource] = end
+        free_at[resource] = end
         event = TraceEvent(
             resource=resource, label=label,
             start_s=start, end_s=end, category=category,

@@ -14,9 +14,13 @@ from typing import Iterator, List, Optional
 from ..errors import ReproError
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
-    """One interval of work on one resource."""
+    """One interval of work on one resource.
+
+    A value: nothing changes one after the timeline records it.  It is
+    not frozen because a frozen dataclass costs twice as much to build,
+    and an executor run builds one per kernel, copy and sync point."""
 
     resource: str      # e.g. "cpu", "gpu", "copy"
     label: str         # e.g. "conv1", "memcpy:fc6.weights"
@@ -65,14 +69,16 @@ class Trace:
         Events on a single resource never overlap (the timeline serializes
         them), so summing durations is exact.
         """
-        return sum(
-            e.duration_s
+        # A list, not a generator: the sum is the same, and a generator
+        # resumes once per event.
+        return sum([
+            e.end_s - e.start_s
             for e in self._events
             if e.resource == resource and (category is None or e.category == category)
-        )
+        ])
 
     def span(self) -> float:
         """Makespan: latest end time across all events (0 for empty traces)."""
         if not self._events:
             return 0.0
-        return max(e.end_s for e in self._events)
+        return max([e.end_s for e in self._events])

@@ -18,6 +18,13 @@ Both are fingerprinted here as sha256 hex digests over canonical
 the producers that built it and invalidate entries whose producers have
 since changed — without parsing source code or trusting version
 strings.
+
+A throttled variant (``jetson-agx-xavier@thr-c0.800-g0.600-b0.800``,
+see :func:`~repro.hardware.throttle.apply_throttle`) is in no catalog:
+its spec is its base device's spec under the factors its suffix spells.
+So :func:`device_fingerprint_for` digests the base's fingerprint
+together with the suffix, and editing the base makes the plans of its
+throttled variants stale as well.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import json
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..hardware.specs import DeviceSpec
 
@@ -58,9 +65,20 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+#: id(spec) -> (spec, fingerprint).  Holding the spec keeps its id from
+#: being reused by another object while the entry lives.
+_DEVICE_CACHE: Dict[int, Tuple[DeviceSpec, str]] = {}
+
+
 def device_fingerprint(spec: DeviceSpec) -> str:
-    """Stable content hash of one device spec's full parameterization."""
-    return _digest(spec)
+    """Stable content hash of one device spec's full parameterization,
+    computed once per spec object (specs are frozen)."""
+    cached = _DEVICE_CACHE.get(id(spec))
+    if cached is not None:
+        return cached[1]
+    fingerprint = _digest(spec)
+    _DEVICE_CACHE[id(spec)] = (spec, fingerprint)
+    return fingerprint
 
 
 _COST_MODEL_CACHE: Optional[str] = None
@@ -91,17 +109,23 @@ def cost_model_fingerprint() -> str:
 def device_fingerprint_for(name: str) -> str:
     """Fingerprint of a catalog device by name; "" when unknown.
 
-    Unknown devices (tests with synthetic specs, catalogs from a newer
-    build) fingerprint to the empty string, which the store treats as
-    "cannot check" rather than "stale".
+    A throttled name (``base@suffix``) fingerprints as the digest of its
+    base's fingerprint and its suffix.  Unknown devices, throttled
+    variants of unknown bases among them (tests with synthetic specs,
+    catalogs from a newer build), fingerprint to the empty string, which
+    the store treats as "cannot check" rather than "stale".
     """
     from ..hardware.specs import DEVICE_CATALOG
     from ..hardware.variants import VARIANT_CATALOG
 
-    spec = DEVICE_CATALOG.get(name) or VARIANT_CATALOG.get(name)
+    base, throttled, suffix = name.partition("@")
+    spec = DEVICE_CATALOG.get(base) or VARIANT_CATALOG.get(base)
     if spec is None:
         return ""
-    return device_fingerprint(spec)
+    fingerprint = device_fingerprint(spec)
+    if throttled:
+        return _digest({"base": fingerprint, "suffix": suffix})
+    return fingerprint
 
 
 __all__ = [

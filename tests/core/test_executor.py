@@ -1,10 +1,13 @@
 """Hybrid executor: scheduling, memory behaviour, reports."""
 
+import importlib
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from repro.compile.pipeline import compile_plan
+from repro.compile.pipeline import CompiledPlan, compile_key, compile_plan
+from repro.core import executor as executor_module
 from repro.core.executor import HybridExecutor
 from repro.core.memory_manager import MemoryPolicy, plan_allocations
 from repro.core.plan import (
@@ -15,10 +18,20 @@ from repro.core.plan import (
     split_layer,
 )
 from repro.errors import PlanError, ReproError
+from repro.hardware import calibration as cal
+from repro.hardware import memory as memory_module
+from repro.hardware.device import Device
+from repro.hardware.memory import MemoryModel
 from repro.hardware.specs import JETSON_AGX_XAVIER
 from repro.nn import tensor
+from repro.nn.graph import NetworkGraph
 from repro.nn.layer import Layer
-from repro.nn.models import build
+from repro.nn.models import MODEL_BUILDERS, build
+from repro.tuning.catalog import key_for
+
+# ``repro.hardware.device`` the module: the package exports a function
+# of that name.
+device_module = importlib.import_module("repro.hardware.device")
 
 
 def build_plan(net, device_spec, policy=MemoryPolicy.SEMANTIC, overrides=None):
@@ -245,28 +258,30 @@ class TestPrefetch:
                        for e in report.trace.events)
 
 
+def count_calls(monkeypatch, calls: Counter, owner, attr) -> None:
+    """Wrap ``owner.attr`` so that each call bumps ``calls[attr]``."""
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls[attr] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
 class TestStaticCostTerms:
     """A run reads the cost terms the graph stored when each layer was
-    added; it never re-derives them from shapes.  Counting calls does not
-    depend on host speed, unlike a wall-clock gate."""
+    added, and the run table built from them once per graph and device;
+    it never re-derives them.  Counting calls does not depend on host
+    speed, unlike a wall-clock gate."""
 
     @pytest.mark.parametrize("model", ["resnet18", "vgg16"])
     def test_run_derives_nothing_from_shapes(self, model, monkeypatch):
         compiled = compile_plan(model, JETSON_AGX_XAVIER)
         calls: Counter = Counter()
-
-        def counted(owner, attr):
-            original = getattr(owner, attr)
-
-            def wrapper(*args, **kwargs):
-                calls[attr] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, attr, wrapper)
-
-        counted(Layer, "work")
-        counted(Layer, "param_bytes")
-        counted(tensor, "validate_shape")
+        count_calls(monkeypatch, calls, Layer, "work")
+        count_calls(monkeypatch, calls, Layer, "param_bytes")
+        count_calls(monkeypatch, calls, tensor, "validate_shape")
         report = HybridExecutor(
             compiled.graph, compiled.device, compiled.plan
         ).run()
@@ -274,3 +289,157 @@ class TestStaticCostTerms:
         assert calls == Counter()
         build(model)  # the counters do see shape-derived work
         assert set(calls) == {"work", "param_bytes", "validate_shape"}
+
+    @pytest.mark.parametrize("model", ["resnet18", "vgg16"])
+    def test_compile_costs_each_unsplit_kernel_once(self, model, monkeypatch):
+        """One compile measures five plans.  An unsplit layer's roofline
+        cost is quoted once per (layer, processor, bandwidth factor) across
+        them; a split layer, whose fraction moves each round, quotes both
+        sides on every execution."""
+        unsplit: Counter = Counter()
+        split_quotes = 0
+        quote = device_module.kernel_cost
+
+        def counted(spec, proc, work, *, mem_bw_factor=1.0, include_launch=True):
+            nonlocal split_quotes
+            if include_launch:
+                unsplit[(id(work), proc.kind, mem_bw_factor)] += 1
+            else:
+                split_quotes += 1
+            return quote(
+                spec, proc, work,
+                mem_bw_factor=mem_bw_factor, include_launch=include_launch,
+            )
+
+        monkeypatch.setattr(device_module, "kernel_cost", counted)
+        split_runs = []
+        run = HybridExecutor.run
+
+        def counted_run(executor):
+            report = run(executor)
+            split_runs.append(sum(
+                1 for lr in report.layers if lr.assignment is Assignment.SPLIT
+            ))
+            return report
+
+        monkeypatch.setattr(HybridExecutor, "run", counted_run)
+        compile_key(key_for(model, JETSON_AGX_XAVIER, 1), JETSON_AGX_XAVIER)
+        assert len(split_runs) == 5
+        assert unsplit and max(unsplit.values()) == 1
+        assert sum(split_runs) > 0
+        assert split_quotes == 2 * sum(split_runs)
+
+    @pytest.mark.parametrize("model", ["resnet18", "vgg16"])
+    def test_rerun_reads_its_run_table(self, model, monkeypatch):
+        compiled = compile_plan(model, JETSON_AGX_XAVIER)
+        calls: Counter = Counter()
+        count_calls(monkeypatch, calls, NetworkGraph, "node")
+        for name in ("weights_buffer", "output_buffer", "scale_work"):
+            count_calls(monkeypatch, calls, executor_module, name)
+        report = compiled.execute()
+        assert len(report.layers) == len(compiled.graph)
+        assert calls == Counter()
+
+    @pytest.mark.parametrize("policy", [
+        MemoryPolicy.SEMANTIC, MemoryPolicy.ALL_MANAGED,
+        MemoryPolicy.ALL_REGULAR,
+    ])
+    def test_accesses_that_move_nothing_build_no_quote(self, policy, monkeypatch):
+        net = build("resnet18")
+        cpu_layers = [n for n in net.topo_order() if n.startswith("layer2")]
+        plan = build_plan(
+            net, JETSON_AGX_XAVIER, policy,
+            overrides=[cpu_layer(n) for n in cpu_layers]
+            + [split_layer("fc", 0.3)],
+        )
+        built = []
+        access_cost = memory_module.AccessCost
+
+        def counted_cost(*args, **kwargs):
+            built.append(access_cost(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(memory_module, "AccessCost", counted_cost)
+        quotes = []
+        for attr in ("read_cost", "write_cost"):
+            quoted = getattr(MemoryModel, attr)
+
+            def recording(model, *args, _quoted=quoted, **kwargs):
+                quotes.append(_quoted(model, *args, **kwargs))
+                return quotes[-1]
+
+            monkeypatch.setattr(MemoryModel, attr, recording)
+        HybridExecutor(net, Device(JETSON_AGX_XAVIER), plan).run()
+        moving = [q for q in quotes if q.transfers or q.overhead_s > 0]
+        assert len(quotes) > len(moving) > 0
+        assert len(built) == len(moving)
+
+
+def _scaled(spec, factor):
+    """``spec`` with every throughput times ``factor`` and its launch
+    overheads and copy latency zeroed."""
+
+    def proc(p):
+        p = replace(
+            p, clock_hz=p.clock_hz * factor,
+            max_stream_bw=p.max_stream_bw * factor, launch_overhead_s=0.0,
+        )
+        if p.peak_flops_override is not None:
+            p = replace(p, peak_flops_override=p.peak_flops_override * factor)
+        return p
+
+    return replace(
+        spec,
+        cpu=proc(spec.cpu),
+        gpu=proc(spec.gpu),
+        memory=replace(spec.memory, bandwidth=spec.memory.bandwidth * factor),
+        interconnect=replace(
+            spec.interconnect, rate=spec.interconnect.rate * factor,
+            latency_s=0.0,
+        ),
+    )
+
+
+class TestThroughputScaling:
+    """Metamorphic oracle: with the device-independent time terms zeroed,
+    every simulated time is work over a spec's rate.  So a spec four times
+    as fast in every throughput replays a plan in exactly a quarter of
+    the time (a power of two scales floats exactly), and tunes to the same
+    plan.  Both specs keep the device's name: a cost memo keyed by name
+    would serve the slow spec's costs to the fast one."""
+
+    @pytest.fixture(autouse=True)
+    def no_device_independent_terms(self, monkeypatch):
+        for name in (
+            "PARTITION_OVERHEAD_S", "JOIN_SYNC_OVERHEAD_S",
+            "MANAGED_COWRITE_PENALTY_S_PER_BYTE",
+            "MANAGED_FIRST_TOUCH_S_PER_BYTE",
+        ):
+            monkeypatch.setattr(cal, name, 0.0)
+
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_four_times_the_throughput_quarters_every_time(self, model):
+        base = _scaled(JETSON_AGX_XAVIER, 1.0)
+        fast = _scaled(JETSON_AGX_XAVIER, 4.0)
+        assert fast.name == base.name
+        compiled = compile_plan(model, base)
+        slow = compiled.execute()
+        # The same graph (and its run tables) on the fast spec.
+        quick = CompiledPlan(
+            graph=compiled.graph, device=Device(fast),
+            artifact=compiled.artifact,
+        ).execute()
+        assert quick.total_s == slow.total_s / 4
+        assert [lr.end_s for lr in quick.layers] == [
+            lr.end_s / 4 for lr in slow.layers
+        ]
+
+        retuned = compile_plan(model, fast).plan
+        assert retuned.alloc == compiled.plan.alloc
+        assert list(retuned.layers) == list(compiled.plan.layers)
+        for name, lp in compiled.plan.layers.items():
+            again = retuned.layers[name]
+            assert again.assignment is lp.assignment
+            assert again.cpu_fraction == pytest.approx(
+                lp.cpu_fraction, rel=1e-12
+            )

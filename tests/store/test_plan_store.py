@@ -1,13 +1,18 @@
 """PlanStore: content addressing, quarantine, staleness, rebuild."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.compile.pipeline import compile_fixed
+from repro.compile.pipeline import compile_fixed, compile_key
 from repro.errors import ReproError
 from repro.fsutil import sha256_text
+from repro.hardware import specs
+from repro.hardware.throttle import ThrottleFactors, apply_throttle
 from repro.hardware.variants import spec_by_name
+from repro.store.fingerprint import device_fingerprint, device_fingerprint_for
+from repro.tuning.catalog import key_for
 from repro.store.plan_store import (
     MANIFEST_NAME,
     PlanStore,
@@ -146,6 +151,33 @@ class TestStaleness:
         assert slug in store.stale_entries()
         assert store.sweep_stale() == [slug]
         assert not store.contains(artifact.key)
+
+    def test_throttled_name_fingerprints_from_its_base(self):
+        base = specs.JETSON_AGX_XAVIER
+        slow = apply_throttle(base, ThrottleFactors(0.8, 0.6, 0.8))
+        slower = apply_throttle(base, ThrottleFactors(0.5, 0.5, 0.5))
+        fingerprints = {
+            device_fingerprint_for(spec.name) for spec in (base, slow, slower)
+        }
+        assert len(fingerprints) == 3 and "" not in fingerprints
+        assert device_fingerprint_for(base.name) == device_fingerprint(base)
+        assert device_fingerprint_for("no-such-device@" + slow.name) == ""
+
+    def test_editing_the_base_device_stales_its_throttled_plans(
+        self, store, monkeypatch
+    ):
+        base = specs.JETSON_AGX_XAVIER
+        throttled = apply_throttle(base, ThrottleFactors(0.8, 0.6, 0.8))
+        artifact = compile_key(key_for("lenet", throttled, 1), throttled).artifact
+        store.put(artifact)
+        assert store.entries()[artifact.key.slug()].device_fingerprint
+        assert store.get(artifact.key) is not None
+        monkeypatch.setitem(
+            specs.DEVICE_CATALOG, base.name,
+            replace(base, price_usd=base.price_usd + 1.0),
+        )
+        assert store.get(artifact.key) is None
+        assert store.stale_misses == 1
 
     def test_check_fingerprints_off_serves_stale(self, tmp_path):
         store = PlanStore(tmp_path / "store", check_fingerprints=False)
