@@ -1,6 +1,6 @@
 """repro.analysis — domain-aware static analysis for this codebase.
 
-Three complementary passes, all exposed through ``repro analyze`` and
+Four complementary passes, all exposed through ``repro analyze`` and
 ``repro check-plan`` (and gated in CI):
 
 * **Lint** (:mod:`repro.analysis.lint`) — AST rules encoding this
@@ -9,16 +9,11 @@ Three complementary passes, all exposed through ``repro analyze`` and
   exceptions in the engine and backends, provenance records on tuner /
   degradation decision branches, no bare unit magnitudes outside
   :mod:`repro.units`.
-* **Locks** (:mod:`repro.analysis.locks`) — REPRO201 shared-state
-  mutations outside ``with self._lock`` in the threaded modules,
-  sharpened by a per-class lock escape analysis (helpers proven to run
-  with the lock held are exempt, not baselined).
 * **Dataflow** (:mod:`repro.analysis.callgraph` +
-  :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.locks` /
-  :mod:`repro.analysis.durability`) — interprocedural passes over a
-  project-wide call graph: REPRO21x seed-taint (every RNG descends
-  from an explicit seed), REPRO220 lock-acquisition-order cycles,
-  REPRO23x durability discipline (durable writes go through
+  :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.durability`) —
+  interprocedural passes over a project-wide call graph: REPRO21x
+  seed-taint (every RNG descends from an explicit seed), REPRO23x
+  durability discipline (durable writes go through
   ``fsutil.atomic_write_text``).
 * **Protocol** (:mod:`repro.analysis.protocol`) — REPRO240, an
   exhaustive two-worker model check of the tuning lease protocol
@@ -47,7 +42,6 @@ from .dataflow import check_seed_taint
 from .durability import check_durability
 from .findings import Finding, FindingCollector
 from .lint import ALL_RULES, LintContext, LintRule, lint_file, rules_by_id
-from .locks import analyze_class_escapes, check_lock_order, proven_lock_held
 from .protocol import LeaseModelChecker, check_lease_protocol
 from .runner import (
     AnalysisReport,
@@ -81,19 +75,16 @@ __all__ = [
     "LeaseModelChecker",
     "LintContext",
     "LintRule",
-    "analyze_class_escapes",
     "analyze_paths",
     "build_call_graph",
     "check_durability",
     "check_lease_protocol",
-    "check_lock_order",
     "check_seed_taint",
     "collect_python_files",
     "expand_rule_ids",
     "find_default_baseline",
     "known_rule_ids",
     "lint_file",
-    "proven_lock_held",
     "rules_by_id",
     "verify_artifact_file",
     "verify_catalogs",

@@ -12,10 +12,10 @@ recorded in a committed baseline file with a one-line justification:
       "entries": [
         {
           "fingerprint": "0123abcd0123abcd",
-          "rule": "REPRO201",
-          "path": "src/repro/core/plan_cache.py",
-          "symbol": "PlanCache._store",
-          "justification": "documented call-with-lock-held helper"
+          "rule": "REPRO101",
+          "path": "src/repro/tuning/fleet.py",
+          "symbol": "TuneFleet.run",
+          "justification": "monotonic reads only pace lease expiry"
         }
       ]
     }

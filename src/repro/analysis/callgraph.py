@@ -2,10 +2,10 @@
 
 Every rule before this module was *lexical*: it saw one file at a time
 and stopped at function boundaries.  The dataflow rule families
-(REPRO21x seed-taint, REPRO22x lock order, REPRO23x durability) need to
-answer questions like "is this RNG's seed argument tainted at *every*
-call site of the enclosing function?" — which requires knowing, for the
-whole analyzed tree at once, which function calls which.
+(REPRO21x seed-taint, REPRO23x durability) need to answer questions
+like "is this RNG's seed argument tainted at *every* call site of the
+enclosing function?" — which requires knowing, for the whole analyzed
+tree at once, which function calls which.
 
 The graph is deliberately modest and deliberately honest about it:
 
@@ -104,7 +104,8 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One class in the analyzed tree, with what the lock/taint passes need."""
+    """One class in the analyzed tree, with the attribute types calls
+    resolve through."""
 
     qualname: str                 # module.Class
     module: str
@@ -112,8 +113,6 @@ class ClassInfo:
     node: ast.ClassDef
     #: self.<attr> -> project class qualname, from __init__ evidence.
     attr_types: Dict[str, str] = field(default_factory=dict)
-    #: names of self.*_lock attributes this class assigns.
-    lock_attrs: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -249,7 +248,6 @@ class CallGraph:
             "classes": [
                 {
                     "qualname": cls.qualname,
-                    "locks": sorted(cls.lock_attrs),
                     "attr_types": dict(sorted(cls.attr_types.items())),
                 }
                 for _, cls in sorted(self.classes.items())
@@ -258,24 +256,6 @@ class CallGraph:
                 {(s.caller, s.callee) for s in self.calls}
             ),
         }
-
-
-def lock_attributes(cls: ast.ClassDef) -> Set[str]:
-    """Names of the ``self.*_lock`` attributes ``cls`` assigns (bound
-    from ``threading.Lock()`` / ``RLock()`` or just named like locks)."""
-    locks: Set[str] = set()
-    for node in ast.walk(cls):
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                and target.attr.endswith("_lock")
-            ):
-                locks.add(target.attr)
-    return locks
 
 
 class _DefCollector(ast.NodeVisitor):
@@ -293,7 +273,6 @@ class _DefCollector(ast.NodeVisitor):
             module=self.module.name,
             name=node.name,
             node=node,
-            lock_attrs=lock_attributes(node),
         )
         self.class_stack.append(node.name)
         self.generic_visit(node)
@@ -548,6 +527,5 @@ __all__ = [
     "MODULE_SCOPE",
     "ModuleInfo",
     "build_call_graph",
-    "lock_attributes",
     "module_name_for",
 ]

@@ -1,17 +1,16 @@
 """The analysis driver behind ``repro analyze``.
 
 One run = lint rules over every Python file under the given paths,
-the REPRO201 lock-discipline check over the threaded modules, the
-interprocedural dataflow passes (seed-taint, lock order, durability)
-over a project-wide call graph, the lease-protocol model check, and
+the interprocedural dataflow passes (seed-taint, durability) over a
+project-wide call graph, the lease-protocol model check, and
 (optionally) the in-process catalog verifiers — filtered through the
 committed baseline into *new* findings (fail CI) and *baselined*
 findings (explicitly accepted, with justification).
 
 Rule selection accepts **families**: ``REPRO21x`` expands to every
 registered rule sharing the first two digits (REPRO210, REPRO211), so
-CI can say ``--rules REPRO21x,REPRO22x,REPRO23x,REPRO24x`` and keep
-working as families grow.
+CI can say ``--rules REPRO21x,REPRO23x,REPRO24x`` and keep working as
+families grow.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from ..errors import ReproError
 from ..fsutil import atomic_write_text
-from . import dataflow, durability, locks, protocol
+from . import dataflow, durability, protocol
 from .baseline import Baseline, BaselineEntry
 from .callgraph import CallGraph, build_call_graph
 from .findings import Finding, FindingCollector
@@ -35,10 +34,8 @@ _SKIP_DIRS = {"__pycache__", ".git", ".venv", "build", "dist"}
 
 #: Non-lint rules the runner drives directly (id -> short description).
 EXTRA_RULES: Dict[str, str] = {
-    locks.RULE_ID: "shared-state mutation outside the lock",
     dataflow.RULE_UNSEEDED: "RNG constructed without a seed",
     dataflow.RULE_UNTAINTED: "RNG seed not derived from a taint source",
-    locks.RULE_ORDER: "lock-acquisition-order cycle",
     durability.RULE_RAW_WRITE: "non-atomic durable write",
     durability.RULE_RENAME_NO_FSYNC: "rename after write without fsync",
     protocol.RULE_ID: "lease-protocol invariant violation",
@@ -210,13 +207,10 @@ def analyze_paths(
 
     for ctx in contexts:
         collector.extend(_run_lint(ctx, lint_rules))
-        if locks.RULE_ID in active_set and locks.is_threaded_module(ctx.path):
-            collector.extend(locks.check_file(ctx))
 
     # Interprocedural passes share one call graph over all analyzed files.
     graph_rules = {
         dataflow.RULE_UNSEEDED, dataflow.RULE_UNTAINTED,
-        locks.RULE_ORDER,
         durability.RULE_RAW_WRITE, durability.RULE_RENAME_NO_FSYNC,
     }
     graph: Optional[CallGraph] = None
@@ -230,8 +224,6 @@ def analyze_paths(
                 f for f in dataflow.check_seed_taint(graph)
                 if f.rule in active_set
             )
-        if locks.RULE_ORDER in active_set:
-            collector.extend(locks.check_lock_order(graph))
         if active_set.intersection(
             {durability.RULE_RAW_WRITE, durability.RULE_RENAME_NO_FSYNC}
         ):

@@ -1135,17 +1135,17 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.set_defaults(func=cmd_metrics)
 
     analyze = sub.add_parser(
-        "analyze", help="static analysis: determinism lint, concurrency "
-                        "heuristic, interprocedural dataflow (seed-taint, "
-                        "lock order, durability), lease-protocol model "
-                        "check, catalog verifiers"
+        "analyze", help="static analysis: determinism lint, "
+                        "interprocedural dataflow (seed-taint, "
+                        "durability), lease-protocol model check, "
+                        "catalog verifiers"
     )
     analyze.add_argument("paths", nargs="*",
                          help="files/directories to analyze (default: src/)")
     analyze.add_argument("--rules", default=None, metavar="IDS",
                          help="comma-separated rule ids or families "
-                              "(default: all; e.g. REPRO101,REPRO201 or "
-                              "REPRO21x,REPRO22x,REPRO23x,REPRO24x)")
+                              "(default: all; e.g. REPRO101,REPRO230 or "
+                              "REPRO21x,REPRO23x,REPRO24x)")
     analyze.add_argument("--graph", default=None, metavar="FILE",
                          help="also dump the project call graph as "
                               "deterministic JSON to FILE")

@@ -16,8 +16,7 @@ by *name* (custom :class:`~repro.nn.graph.NetworkGraph` objects are
 never cached — two different user graphs may share a name), and so do
 the simulators' service-time models.
 
-Every public operation (including the hit/miss counters) runs under one
-lock.  Attach a :class:`~repro.store.plan_store.PlanStore` and the cache
+Attach a :class:`~repro.store.plan_store.PlanStore` and the cache
 becomes its read-through client: every freshly compiled artifact is
 ``put`` into the store, and a later process (or an ahead-of-time
 ``repro tune-fleet`` run) warm-starts from it with *zero* tuner rounds.
@@ -30,7 +29,6 @@ Store loads count as hits and are additionally reported in
 from __future__ import annotations
 
 import re
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -160,10 +158,9 @@ class PlanKey:
 
 @dataclass(frozen=True)
 class PlanCacheStats:
-    """Consistent point-in-time snapshot of a cache's counters.
+    """A cache's counters at one instant.
 
-    Reading the counters one by one can tear under concurrency; a fleet
-    run brackets itself with two snapshots and reports the difference.
+    A run brackets itself with two snapshots and reports the difference.
     """
 
     hits: int
@@ -202,7 +199,6 @@ class PlanCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
         self._entries: "OrderedDict[PlanKey, PlanArtifact]" = OrderedDict()
-        self._lock = threading.RLock()
         self._plan_store = store
         self.hits = 0
         self.misses = 0
@@ -217,23 +213,20 @@ class PlanCache:
         return self._plan_store
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: PlanKey) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def stats(self) -> PlanCacheStats:
-        """Atomic snapshot of the hit/miss counters and entry count."""
-        with self._lock:
-            return PlanCacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                disk_hits=self.disk_hits,
-                corrupt_loads=self.corrupt_loads,
-                entries=len(self._entries),
-            )
+        """Snapshot of the hit/miss counters and entry count."""
+        return PlanCacheStats(
+            hits=self.hits,
+            misses=self.misses,
+            disk_hits=self.disk_hits,
+            corrupt_loads=self.corrupt_loads,
+            entries=len(self._entries),
+        )
 
     def get_or_tune(
         self, key: PlanKey, tune: Callable[[], "PlanArtifact"]
@@ -243,24 +236,23 @@ class PlanCache:
         Lookup order: in-memory LRU, then the plan store (if attached),
         then ``tune()``, whose artifact is also put into the store.
         """
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return cached
-            loaded = self._load_from_store(key)
-            if loaded is not None:
-                self.hits += 1
-                self.disk_hits += 1
-                self._store(key, loaded)
-                return loaded
-            self.misses += 1
-            artifact = tune()
-            self._store(key, artifact)
-            if self._plan_store is not None:
-                self._plan_store.put(artifact)
-            return artifact
+        cached = self._entries.get(key)
+        if cached is not None:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return cached
+        loaded = self._load_from_store(key)
+        if loaded is not None:
+            self.hits += 1
+            self.disk_hits += 1
+            self._store(key, loaded)
+            return loaded
+        self.misses += 1
+        artifact = tune()
+        self._store(key, artifact)
+        if self._plan_store is not None:
+            self._plan_store.put(artifact)
+        return artifact
 
     def invalidate(self, key: PlanKey) -> bool:
         """Drop ``key``'s in-memory entry (graceful degradation: a plan
@@ -269,8 +261,7 @@ class PlanCache:
         The store entry stays: it is still valid for the device spec and
         cost model that built it.  Returns whether an entry was dropped.
         """
-        with self._lock:
-            return self._entries.pop(key, None) is not None
+        return self._entries.pop(key, None) is not None
 
     def clear(self) -> None:
         """Drop every in-memory entry and reset the counters.
@@ -278,14 +269,13 @@ class PlanCache:
         Plan-store entries are left on disk (they are the whole point
         of persistence); delete the store directory to clear those too.
         """
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.disk_hits = 0
-            self.corrupt_loads = 0
+        self._entries.clear()
+        self.hits = 0
+        self.misses = 0
+        self.disk_hits = 0
+        self.corrupt_loads = 0
 
-    # -- internals (call with the lock held) ---------------------------------
+    # -- internals ------------------------------------------------------------
 
     def _store(self, key: PlanKey, artifact: "PlanArtifact") -> None:
         self._entries[key] = artifact
@@ -309,16 +299,14 @@ class PlanCache:
 
 
 _DEFAULT: Optional[PlanCache] = None
-_DEFAULT_LOCK = threading.Lock()
 
 
 def default_plan_cache() -> PlanCache:
     """The process-wide cache :class:`~repro.core.engine.EdgeNN` uses."""
     global _DEFAULT
-    with _DEFAULT_LOCK:
-        if _DEFAULT is None:
-            _DEFAULT = PlanCache()
-        return _DEFAULT
+    if _DEFAULT is None:
+        _DEFAULT = PlanCache()
+    return _DEFAULT
 
 
 def configure_default_plan_cache(
@@ -335,14 +323,11 @@ def configure_default_plan_cache(
         from ..store.plan_store import PlanStore
 
         store = PlanStore(store_dir)
-    with _DEFAULT_LOCK:
-        _DEFAULT = PlanCache(store=store)
-        return _DEFAULT
+    _DEFAULT = PlanCache(store=store)
+    return _DEFAULT
 
 
 def clear_plan_cache() -> None:
     """Drop every cached plan (tests / memory pressure)."""
-    with _DEFAULT_LOCK:
-        cache = _DEFAULT
-    if cache is not None:
-        cache.clear()
+    if _DEFAULT is not None:
+        _DEFAULT.clear()

@@ -19,7 +19,6 @@ from .plan_store import (
     STORE_VERSION,
     PlanStore,
     StoreEntry,
-    StoreStats,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "STORE_SCHEMA",
     "STORE_VERSION",
     "StoreEntry",
-    "StoreStats",
     "cost_model_fingerprint",
     "device_fingerprint",
     "device_fingerprint_for",

@@ -32,15 +32,13 @@ product (MITuna's model), so the store has database obligations:
 Process model: many processes may *read* and may write *objects*
 concurrently; manifest updates are last-writer-wins atomic replaces, so
 concurrent manifest writers should be funneled through one coordinator
-(what :class:`repro.tuning.fleet.TuneFleet` does).  In-process the
-store is thread-safe: every public operation runs under one lock.
+(what :class:`repro.tuning.fleet.TuneFleet` does).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
@@ -112,17 +110,6 @@ class StoreEntry:
             raise ReproError(f"malformed store entry: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class StoreStats:
-    """Point-in-time snapshot of a store's counters."""
-
-    hits: int
-    misses: int
-    stale_misses: int
-    quarantined: int
-    entries: int
-
-
 class PlanStore:
     """Content-addressed plan database rooted at one directory."""
 
@@ -136,7 +123,6 @@ class PlanStore:
         self.root = Path(root)
         self._check_fingerprints = check_fingerprints
         self._obs = obs
-        self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
         #: misses caused by producer-fingerprint drift (entry kept).
@@ -230,10 +216,9 @@ class PlanStore:
         produce identical digests, no matter which workers did what in
         which order.
         """
-        with self._lock:
-            return sha256_text(
-                json.dumps(self._manifest_doc(), sort_keys=True)
-            )
+        return sha256_text(
+            json.dumps(self._manifest_doc(), sort_keys=True)
+        )
 
     # -- fingerprints ---------------------------------------------------------
 
@@ -281,20 +266,19 @@ class PlanStore:
 
     def put(self, artifact: PlanArtifact) -> StoreEntry:
         """Store an artifact and index it under its key's slug."""
-        with self._lock:
-            sha = self.write_object(artifact)
-            entry = StoreEntry(
-                key=artifact.key,
-                sha256=sha,
-                size=len(self.artifact_text(artifact)),
-                **{
-                    f"{k}_fingerprint": v
-                    for k, v in self._fingerprints_for(artifact.key).items()
-                },
-            )
-            self._entries[artifact.key.slug()] = entry
-            self._persist_manifest()
-            return entry
+        sha = self.write_object(artifact)
+        entry = StoreEntry(
+            key=artifact.key,
+            sha256=sha,
+            size=len(self.artifact_text(artifact)),
+            **{
+                f"{k}_fingerprint": v
+                for k, v in self._fingerprints_for(artifact.key).items()
+            },
+        )
+        self._entries[artifact.key.slug()] = entry
+        self._persist_manifest()
+        return entry
 
     def register(self, key: PlanKey, sha256: str) -> StoreEntry:
         """Index an object some *other* process already wrote.
@@ -306,58 +290,57 @@ class PlanStore:
         quarantines the object and raises, so a corrupted write is
         retried instead of poisoning the manifest.
         """
-        with self._lock:
-            path = self.object_path(sha256)
-            slug = key.slug()
-            try:
-                text = path.read_text()
-            except OSError as exc:
-                raise ReproError(
-                    f"plan object {path} is unreadable: {exc}"
-                ) from exc
-            actual = sha256_text(text)
-            if actual != sha256:
-                self._quarantine_object(
-                    slug, path, expected_sha=sha256,
-                    reason=(
-                        f"content hashes to {actual[:12]}…, expected "
-                        f"{sha256[:12]}… (corrupted write)"
-                    ),
-                    network=key.network,
-                )
-                raise ReproError(
-                    f"plan object for {slug} failed its content check "
-                    f"and was quarantined"
-                )
-            try:
-                artifact = PlanArtifact.from_json(text)
-            except ReproError as exc:
-                self._quarantine_object(
-                    slug, path, expected_sha=sha256,
-                    reason=f"undecodable artifact: {exc}",
-                    network=key.network,
-                )
-                raise ReproError(
-                    f"plan object for {slug} is undecodable and was "
-                    f"quarantined"
-                ) from exc
-            if artifact.key != key:
-                raise ReproError(
-                    f"plan object {sha256[:12]}… was compiled under "
-                    f"{artifact.key.slug()!r}, not {slug!r}"
-                )
-            entry = StoreEntry(
-                key=key,
-                sha256=sha256,
-                size=len(text),
-                **{
-                    f"{k}_fingerprint": v
-                    for k, v in self._fingerprints_for(key).items()
-                },
+        path = self.object_path(sha256)
+        slug = key.slug()
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ReproError(
+                f"plan object {path} is unreadable: {exc}"
+            ) from exc
+        actual = sha256_text(text)
+        if actual != sha256:
+            self._quarantine_object(
+                slug, path, expected_sha=sha256,
+                reason=(
+                    f"content hashes to {actual[:12]}…, expected "
+                    f"{sha256[:12]}… (corrupted write)"
+                ),
+                network=key.network,
             )
-            self._entries[slug] = entry
-            self._persist_manifest()
-            return entry
+            raise ReproError(
+                f"plan object for {slug} failed its content check "
+                f"and was quarantined"
+            )
+        try:
+            artifact = PlanArtifact.from_json(text)
+        except ReproError as exc:
+            self._quarantine_object(
+                slug, path, expected_sha=sha256,
+                reason=f"undecodable artifact: {exc}",
+                network=key.network,
+            )
+            raise ReproError(
+                f"plan object for {slug} is undecodable and was "
+                f"quarantined"
+            ) from exc
+        if artifact.key != key:
+            raise ReproError(
+                f"plan object {sha256[:12]}… was compiled under "
+                f"{artifact.key.slug()!r}, not {slug!r}"
+            )
+        entry = StoreEntry(
+            key=key,
+            sha256=sha256,
+            size=len(text),
+            **{
+                f"{k}_fingerprint": v
+                for k, v in self._fingerprints_for(key).items()
+            },
+        )
+        self._entries[slug] = entry
+        self._persist_manifest()
+        return entry
 
     # -- reads ----------------------------------------------------------------
 
@@ -369,102 +352,85 @@ class PlanStore:
         wrong embedded key) quarantines the object and degrades to a
         miss — the caller re-tunes, the evidence is preserved.
         """
-        with self._lock:
-            slug = key.slug()
-            entry = self._entries.get(slug)
-            if entry is None:
-                self.misses += 1
-                return None
-            if self._entry_is_stale(entry):
-                self.stale_misses += 1
-                self.misses += 1
-                _LOG.warning(
-                    "plan-store entry %s is stale (producer fingerprint "
-                    "drift); re-tune or sweep_stale()", slug,
-                )
-                return None
-            path = self.object_path(entry.sha256)
-            try:
-                text = path.read_text()
-            except OSError as exc:
-                self._drop_entry(
-                    slug, path, entry, f"object missing/unreadable: {exc}"
-                )
-                return None
-            if sha256_text(text) != entry.sha256:
-                self._drop_entry(
-                    slug, path, entry,
-                    "object bytes do not hash to their address",
-                )
-                return None
-            try:
-                artifact = PlanArtifact.from_json(text)
-            except ReproError as exc:
-                self._drop_entry(slug, path, entry, f"undecodable: {exc}")
-                return None
-            if artifact.key != key:
-                self._drop_entry(
-                    slug, path, entry,
-                    f"object carries key {artifact.key.slug()!r}",
-                )
-                return None
-            self.hits += 1
-            return artifact
+        slug = key.slug()
+        entry = self._entries.get(slug)
+        if entry is None:
+            self.misses += 1
+            return None
+        if self._entry_is_stale(entry):
+            self.stale_misses += 1
+            self.misses += 1
+            _LOG.warning(
+                "plan-store entry %s is stale (producer fingerprint "
+                "drift); re-tune or sweep_stale()", slug,
+            )
+            return None
+        path = self.object_path(entry.sha256)
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            self._drop_entry(
+                slug, path, entry, f"object missing/unreadable: {exc}"
+            )
+            return None
+        if sha256_text(text) != entry.sha256:
+            self._drop_entry(
+                slug, path, entry,
+                "object bytes do not hash to their address",
+            )
+            return None
+        try:
+            artifact = PlanArtifact.from_json(text)
+        except ReproError as exc:
+            self._drop_entry(slug, path, entry, f"undecodable: {exc}")
+            return None
+        if artifact.key != key:
+            self._drop_entry(
+                slug, path, entry,
+                f"object carries key {artifact.key.slug()!r}",
+            )
+            return None
+        self.hits += 1
+        return artifact
 
     def contains(self, key: PlanKey) -> bool:
-        with self._lock:
-            return key.slug() in self._entries
+        return key.slug() in self._entries
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def entries(self) -> Dict[str, StoreEntry]:
         """Slug → entry snapshot (sorted)."""
-        with self._lock:
-            return {
-                slug: self._entries[slug] for slug in sorted(self._entries)
-            }
-
-    def stats(self) -> StoreStats:
-        with self._lock:
-            return StoreStats(
-                hits=self.hits,
-                misses=self.misses,
-                stale_misses=self.stale_misses,
-                quarantined=self.quarantined,
-                entries=len(self._entries),
-            )
+        return {
+            slug: self._entries[slug] for slug in sorted(self._entries)
+        }
 
     # -- invalidation ---------------------------------------------------------
 
     def stale_entries(self) -> List[str]:
         """Slugs whose producing fingerprints no longer match this build."""
-        with self._lock:
-            return sorted(
-                slug for slug, entry in self._entries.items()
-                if self._entry_is_stale(entry)
-            )
+        return sorted(
+            slug for slug, entry in self._entries.items()
+            if self._entry_is_stale(entry)
+        )
 
     def sweep_stale(self) -> List[str]:
         """Remove every stale entry (and object); returns their slugs."""
-        with self._lock:
-            stale = self.stale_entries()
-            for slug in stale:
-                entry = self._entries.pop(slug)
-                path = self.object_path(entry.sha256)
-                if path.exists():
-                    path.unlink()
-            if stale:
-                self._persist_manifest()
-            return stale
+        stale = self.stale_entries()
+        for slug in stale:
+            entry = self._entries.pop(slug)
+            path = self.object_path(entry.sha256)
+            if path.exists():
+                path.unlink()
+        if stale:
+            self._persist_manifest()
+        return stale
 
     def sweep_tmp(self) -> List[Path]:
         """Collect torn-write corpses under the store's directories."""
-        with self._lock:
-            removed = sweep_tmp_files(self.root)
-            removed += sweep_tmp_files(self.objects_dir)
-            return removed
+        removed = sweep_tmp_files(self.root)
+        removed += sweep_tmp_files(self.objects_dir)
+        return removed
 
     def rebuild(self) -> int:
         """Re-index the manifest from the object files themselves.
@@ -475,41 +441,40 @@ class PlanStore:
         entries.  Undecodable objects are quarantined.  Returns the
         number of indexed entries.
         """
-        with self._lock:
-            self._entries = {}
-            for path in sorted(self.objects_dir.glob("*.json")):
-                sha = path.stem
-                text = path.read_text()
-                if sha256_text(text) != sha:
-                    self._quarantine_object(
-                        path.stem[:12], path, expected_sha=sha,
-                        reason="object bytes do not hash to their address",
-                        network="",
-                    )
-                    continue
-                try:
-                    artifact = PlanArtifact.from_json(text)
-                except ReproError as exc:
-                    self._quarantine_object(
-                        path.stem[:12], path, expected_sha=sha,
-                        reason=f"undecodable during rebuild: {exc}",
-                        network="",
-                    )
-                    continue
-                entry = StoreEntry(
-                    key=artifact.key,
-                    sha256=sha,
-                    size=len(text),
-                    **{
-                        f"{k}_fingerprint": v
-                        for k, v in self._fingerprints_for(
-                            artifact.key
-                        ).items()
-                    },
+        self._entries = {}
+        for path in sorted(self.objects_dir.glob("*.json")):
+            sha = path.stem
+            text = path.read_text()
+            if sha256_text(text) != sha:
+                self._quarantine_object(
+                    path.stem[:12], path, expected_sha=sha,
+                    reason="object bytes do not hash to their address",
+                    network="",
                 )
-                self._entries[artifact.key.slug()] = entry
-            self._persist_manifest()
-            return len(self._entries)
+                continue
+            try:
+                artifact = PlanArtifact.from_json(text)
+            except ReproError as exc:
+                self._quarantine_object(
+                    path.stem[:12], path, expected_sha=sha,
+                    reason=f"undecodable during rebuild: {exc}",
+                    network="",
+                )
+                continue
+            entry = StoreEntry(
+                key=artifact.key,
+                sha256=sha,
+                size=len(text),
+                **{
+                    f"{k}_fingerprint": v
+                    for k, v in self._fingerprints_for(
+                        artifact.key
+                    ).items()
+                },
+            )
+            self._entries[artifact.key.slug()] = entry
+        self._persist_manifest()
+        return len(self._entries)
 
     # -- quarantine -----------------------------------------------------------
 
@@ -586,19 +551,18 @@ class PlanStore:
     def quarantine_records(self) -> List[Dict[str, object]]:
         """Parsed provenance sidecars of everything ever quarantined."""
         records: List[Dict[str, object]] = []
-        with self._lock:
-            if not self.quarantine_dir.is_dir():
-                return records
-            for path in sorted(self.quarantine_dir.glob("*.record")):
-                try:
-                    data = json.loads(path.read_text())
-                except (OSError, json.JSONDecodeError):
-                    continue
-                if (
-                    isinstance(data, dict)
-                    and data.get("schema") == QUARANTINE_SCHEMA
-                ):
-                    records.append(data)
+        if not self.quarantine_dir.is_dir():
+            return records
+        for path in sorted(self.quarantine_dir.glob("*.record")):
+            try:
+                data = json.loads(path.read_text())
+            except (OSError, json.JSONDecodeError):
+                continue
+            if (
+                isinstance(data, dict)
+                and data.get("schema") == QUARANTINE_SCHEMA
+            ):
+                records.append(data)
         return records
 
 
@@ -611,5 +575,4 @@ __all__ = [
     "STORE_SCHEMA",
     "STORE_VERSION",
     "StoreEntry",
-    "StoreStats",
 ]

@@ -16,17 +16,15 @@ never *hands over* a job — it **leases** it:
   e.g. batch-1 interactive plans) compile before the long tail, and the
   job-id tiebreak keeps claim order deterministic.
 
-The queue is *coordinator-owned* and lives in its memory: exactly one
-process mutates it (the fleet's scheduler thread; workers are pool
-tasks that report back), so there is no cross-process locking.  The
-plan store is the fleet's only durable record: a killed coordinator
-restarts by enqueueing the keys its store still lacks
-(:func:`~repro.tuning.fleet.run_fleet`).
+The queue is *coordinator-owned* and lives in its memory: only the
+fleet's coordinator mutates it (workers are pool processes that report
+back), so it takes no lock.  The plan store is the fleet's only durable
+record: a killed coordinator restarts by enqueueing the keys its store
+still lacks (:func:`~repro.tuning.fleet.run_fleet`).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -101,7 +99,6 @@ class JobQueue:
         )
         self.lease_timeout_s = lease_timeout_s
         self._obs = obs
-        self._lock = threading.RLock()
         self._jobs: Dict[str, TuneJob] = {}
         #: attempts re-queued after a reported failure.
         self.retries = 0
@@ -112,24 +109,22 @@ class JobQueue:
 
     def add(self, job: TuneJob) -> bool:
         """Enqueue a job; returns False if its id is already present."""
-        with self._lock:
-            if job.job_id in self._jobs:
-                return False
-            self._jobs[job.job_id] = job
-            self._gauge_depth()
-            return True
+        if job.job_id in self._jobs:
+            return False
+        self._jobs[job.job_id] = job
+        self._gauge_depth()
+        return True
 
     def add_all(self, jobs: List[TuneJob]) -> int:
         """Enqueue many jobs; returns how many were new."""
-        with self._lock:
-            added = 0
-            for job in jobs:
-                if job.job_id not in self._jobs:
-                    self._jobs[job.job_id] = job
-                    added += 1
-            if added:
-                self._gauge_depth()
-            return added
+        added = 0
+        for job in jobs:
+            if job.job_id not in self._jobs:
+                self._jobs[job.job_id] = job
+                added += 1
+        if added:
+            self._gauge_depth()
+        return added
 
     # -- lease protocol -------------------------------------------------------
 
@@ -141,19 +136,18 @@ class JobQueue:
         reported failure, so a job that kills every worker it lands on
         still poisons out after ``max_attempts``.
         """
-        with self._lock:
-            expired: List[str] = []
-            for job_id in sorted(self._jobs):
-                job = self._jobs[job_id]
-                if job.state == LEASED and now >= job.lease_deadline_s:
-                    expired.append(job_id)
-                    self.lease_expirations += 1
-                    self._fail_locked(
-                        job, f"lease expired (worker {job.worker!r})", now
-                    )
-            if expired:
-                self._gauge_depth()
-            return expired
+        expired: List[str] = []
+        for job_id in sorted(self._jobs):
+            job = self._jobs[job_id]
+            if job.state == LEASED and now >= job.lease_deadline_s:
+                expired.append(job_id)
+                self.lease_expirations += 1
+                self._record_failure(
+                    job, f"lease expired (worker {job.worker!r})", now
+                )
+        if expired:
+            self._gauge_depth()
+        return expired
 
     def claim(self, worker: str, now: float) -> Optional[TuneJob]:
         """Lease the highest-priority claimable job to ``worker``.
@@ -163,55 +157,54 @@ class JobQueue:
         so hot keys drain first and ties break deterministically.
         Returns None when nothing is claimable right now.
         """
-        with self._lock:
-            best: Optional[TuneJob] = None
-            for job in self._jobs.values():
-                if job.state != PENDING or job.not_before_s > now:
-                    continue
-                if best is None or (
-                    (job.priority, job.job_id)
-                    < (best.priority, best.job_id)
-                ):
-                    best = job
-            if best is None:
-                return None
-            leased = replace(
-                best,
-                state=LEASED,
-                worker=worker,
-                lease_deadline_s=now + self.lease_timeout_s,
-            )
-            self._jobs[leased.job_id] = leased
-            return leased
+        best: Optional[TuneJob] = None
+        for job in self._jobs.values():
+            if job.state != PENDING or job.not_before_s > now:
+                continue
+            if best is None or (
+                (job.priority, job.job_id)
+                < (best.priority, best.job_id)
+            ):
+                best = job
+        if best is None:
+            return None
+        leased = replace(
+            best,
+            state=LEASED,
+            worker=worker,
+            lease_deadline_s=now + self.lease_timeout_s,
+        )
+        self._jobs[leased.job_id] = leased
+        return leased
 
     def complete(self, job_id: str, sha256: str, now: float) -> TuneJob:
         """Mark a leased job done (its store object is ``sha256``)."""
-        with self._lock:
-            job = self._require(job_id)
-            if job.state != LEASED:
-                raise ReproError(
-                    f"cannot complete job {job_id!r} in state {job.state!r}"
-                )
-            done = replace(
-                job, state=DONE, sha256=sha256, lease_deadline_s=0.0
+        job = self._require(job_id)
+        if job.state != LEASED:
+            raise ReproError(
+                f"cannot complete job {job_id!r} in state {job.state!r}"
             )
-            self._jobs[job_id] = done
-            self._gauge_depth()
-            return done
+        done = replace(
+            job, state=DONE, sha256=sha256, lease_deadline_s=0.0
+        )
+        self._jobs[job_id] = done
+        self._gauge_depth()
+        return done
 
     def fail(self, job_id: str, reason: str, now: float) -> TuneJob:
         """Record a failed attempt; requeue with backoff or poison."""
-        with self._lock:
-            job = self._require(job_id)
-            if job.state not in (LEASED, PENDING):
-                raise ReproError(
-                    f"cannot fail job {job_id!r} in state {job.state!r}"
-                )
-            failed = self._fail_locked(job, reason, now)
-            self._gauge_depth()
-            return failed
+        job = self._require(job_id)
+        if job.state not in (LEASED, PENDING):
+            raise ReproError(
+                f"cannot fail job {job_id!r} in state {job.state!r}"
+            )
+        failed = self._record_failure(job, reason, now)
+        self._gauge_depth()
+        return failed
 
-    def _fail_locked(self, job: TuneJob, reason: str, now: float) -> TuneJob:
+    def _record_failure(
+        self, job: TuneJob, reason: str, now: float
+    ) -> TuneJob:
         attempts = job.attempts + 1
         failures = job.failures + (reason,)
         if attempts >= self.retry_policy.max_attempts:
@@ -254,11 +247,10 @@ class JobQueue:
 
     def counts(self) -> Dict[str, int]:
         """Jobs per state (every state present, zero-filled)."""
-        with self._lock:
-            counts = {state: 0 for state in _STATES}
-            for job in self._jobs.values():
-                counts[job.state] += 1
-            return counts
+        counts = {state: 0 for state in _STATES}
+        for job in self._jobs.values():
+            counts[job.state] += 1
+        return counts
 
     def outstanding(self) -> int:
         """Jobs that still need work (pending + leased)."""
@@ -272,26 +264,23 @@ class JobQueue:
         already.  The fleet uses this to sleep exactly through a
         backoff gap instead of polling.
         """
-        with self._lock:
-            gates = [
-                max(job.not_before_s, now)
-                for job in self._jobs.values()
-                if job.state == PENDING
-            ]
-            return min(gates) if gates else None
+        gates = [
+            max(job.not_before_s, now)
+            for job in self._jobs.values()
+            if job.state == PENDING
+        ]
+        return min(gates) if gates else None
 
     def jobs(self, state: Optional[str] = None) -> List[TuneJob]:
         """Snapshot of jobs (optionally one state), sorted by id."""
-        with self._lock:
-            selected = [
-                job for job in self._jobs.values()
-                if state is None or job.state == state
-            ]
-            return sorted(selected, key=lambda j: j.job_id)
+        selected = [
+            job for job in self._jobs.values()
+            if state is None or job.state == state
+        ]
+        return sorted(selected, key=lambda j: j.job_id)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._jobs)
+        return len(self._jobs)
 
     # -- obs ------------------------------------------------------------------
 

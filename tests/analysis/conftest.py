@@ -2,8 +2,8 @@
 
 Fixture modules live flat under ``fixtures/`` as data; tests copy them
 into a temp tree whose directory names trigger the analyzer's path
-scoping (``sim/`` -> virtual clock, ``core/`` -> engine, ``serving/``
--> threaded, a ``tuner.py`` file name -> decision module).  They are
+scoping (``sim/`` -> virtual clock, ``core/`` -> engine, a ``tuner.py``
+file name -> decision module).  They are
 copied rather than linted in place because the real fixture path
 contains an ``analysis`` component, which would exempt them from
 REPRO106 and skew scoping tests.

@@ -15,23 +15,22 @@ class DoubleGrantQueue(JobQueue):
     """claim() ignores the LEASED state: hands one job to two workers."""
 
     def claim(self, worker, now):
-        with self._lock:
-            best = None
-            for job in self._jobs.values():
-                if job.state not in (PENDING, LEASED):
-                    continue
-                if job.worker == worker:
-                    continue
-                if best is None or job.job_id < best.job_id:
-                    best = job
-            if best is None:
-                return None
-            leased = replace(
-                best, state=LEASED, worker=worker,
-                lease_deadline_s=now + self.lease_timeout_s,
-            )
-            self._jobs[leased.job_id] = leased
-            return leased
+        best = None
+        for job in self._jobs.values():
+            if job.state not in (PENDING, LEASED):
+                continue
+            if job.worker == worker:
+                continue
+            if best is None or job.job_id < best.job_id:
+                best = job
+        if best is None:
+            return None
+        leased = replace(
+            best, state=LEASED, worker=worker,
+            lease_deadline_s=now + self.lease_timeout_s,
+        )
+        self._jobs[leased.job_id] = leased
+        return leased
 
 
 class ForgetfulFailQueue(JobQueue):
@@ -39,7 +38,7 @@ class ForgetfulFailQueue(JobQueue):
     and the poison path never triggers (breaks retry monotonicity's
     exact-increment contract)."""
 
-    def _fail_locked(self, job, reason, now):
+    def _record_failure(self, job, reason, now):
         updated = replace(
             job, state=PENDING, lease_deadline_s=0.0, worker="",
             not_before_s=0.0,
@@ -54,10 +53,9 @@ class ReorderQueue(JobQueue):
     completion / lease-release reorder)."""
 
     def complete(self, job_id, sha256, now):
-        with self._lock:
-            job = self._require(job_id)
-            undone = replace(
-                job, state=PENDING, worker="", lease_deadline_s=0.0
-            )
-            self._jobs[job_id] = undone
-            return undone
+        job = self._require(job_id)
+        undone = replace(
+            job, state=PENDING, worker="", lease_deadline_s=0.0
+        )
+        self._jobs[job_id] = undone
+        return undone

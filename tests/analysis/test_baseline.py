@@ -9,12 +9,12 @@ from repro.analysis.findings import Finding
 from repro.errors import ReproError
 
 
-def make_finding(line=10, message="shared attribute self.x mutated"):
+def make_finding(line=10, message="wall-clock call time.monotonic()"):
     return Finding(
-        rule="REPRO201",
-        path="src/repro/core/plan_cache.py",
+        rule="REPRO101",
+        path="src/repro/tuning/fleet.py",
         line=line,
-        symbol="PlanCache._store",
+        symbol="TuneFleet.run",
         message=message,
     )
 
@@ -32,14 +32,14 @@ class TestFingerprint:
 class TestRoundTrip:
     def test_save_load(self, tmp_path):
         baseline = Baseline.from_findings(
-            [make_finding()], justification="documented lock-held helper"
+            [make_finding()], justification="paces lease expiry only"
         )
         path = baseline.save(tmp_path / "baseline.json")
         loaded = Baseline.load(path)
         assert len(loaded.entries) == 1
         entry = loaded.entries[0]
         assert entry.fingerprint == make_finding().fingerprint()
-        assert entry.justification == "documented lock-held helper"
+        assert entry.justification == "paces lease expiry only"
 
     def test_from_findings_dedupes_same_fingerprint(self):
         baseline = Baseline.from_findings([

@@ -21,19 +21,22 @@ class TestModuleNames:
 
 class TestResolution:
     def test_self_method_calls_resolve(self, tmp_path):
-        graph = build_graph(tmp_path, [("escape_bad.py", "store/shared.py")])
-        assert "store.shared.Shared._helper" in graph.callees_of(
-            "store.shared.Shared.put"
+        graph = build_graph(tmp_path, [("call_shapes.py", "store/shapes.py")])
+        assert "store.shapes.Shared._helper" in graph.callees_of(
+            "store.shapes.Shared.put"
         )
 
     def test_attr_typed_cross_class_calls_resolve(self, tmp_path):
-        graph = build_graph(tmp_path, [("lockorder_bad.py", "tuning/order.py")])
+        graph = build_graph(tmp_path, [("call_shapes.py", "tuning/shapes.py")])
         # self.left.prod() resolves through the annotated __init__ param.
-        assert "tuning.order.Left.prod" in graph.callees_of(
-            "tuning.order.Right.poke"
+        assert "tuning.shapes.Left.prod" in graph.callees_of(
+            "tuning.shapes.Right.poke"
         )
-        assert "tuning.order.Right.poke" in graph.callers_of(
-            "tuning.order.Left.prod"
+        assert "tuning.shapes.Right.poke" in graph.callers_of(
+            "tuning.shapes.Left.prod"
+        )
+        assert "tuning.shapes.Right.prod_inner" in graph.callees_of(
+            "tuning.shapes.Left.poke"
         )
 
     def test_plain_function_calls_resolve(self, tmp_path):
@@ -60,7 +63,7 @@ class TestDump:
     def test_to_dict_is_deterministic_json(self, tmp_path):
         plants = [
             ("taint_bad.py", "sim/rng.py"),
-            ("escape_bad.py", "store/shared.py"),
+            ("call_shapes.py", "store/shapes.py"),
         ]
         one = build_graph(tmp_path / "a", plants).to_dict()
         two = build_graph(tmp_path / "b", plants).to_dict()
@@ -69,10 +72,9 @@ class TestDump:
         assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
     def test_repo_graph_resolves_the_lease_failure_path(self):
-        """The real tree's expire_leases -> _fail_locked edge exists —
-        the edge REPRO220/REPRO240 reasoning leans on."""
+        """The real tree's expire_leases -> _record_failure edge exists."""
         queue_py = REPO_ROOT / "src" / "repro" / "tuning" / "queue.py"
         ctx = LintContext.for_file(queue_py, "src/repro/tuning/queue.py")
         graph = build_call_graph([ctx])
         callees = graph.callees_of("repro.tuning.queue.JobQueue.expire_leases")
-        assert "repro.tuning.queue.JobQueue._fail_locked" in callees
+        assert "repro.tuning.queue.JobQueue._record_failure" in callees

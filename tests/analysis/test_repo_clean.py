@@ -33,23 +33,16 @@ def test_every_baseline_entry_is_justified():
         assert "TODO" not in entry.justification, entry.fingerprint
 
 
-def test_baseline_carries_no_repro201_entries():
-    """Escape analysis proves the lock-held helpers instead of
-    baselining them — the REPRO201 entries PR 5 carried must be gone."""
-    baseline = Baseline.load(REPO_ROOT / "analysis-baseline.json")
-    assert not [e for e in baseline.entries if e.rule == "REPRO201"]
-
-
 def test_stale_entry_detection_fires():
-    """A fingerprint that matches nothing (here: a REPRO201 entry that
-    escape analysis obsoleted) must surface as stale, not vanish."""
+    """A fingerprint that matches nothing (here: an entry of REPRO201,
+    a rule that no longer exists) must surface as stale, not vanish."""
     baseline = Baseline.load(REPO_ROOT / "analysis-baseline.json")
     ghost = BaselineEntry(
         fingerprint="cc39168bb776d9e5",
         rule="REPRO201",
         path="src/repro/core/plan_cache.py",
         symbol="PlanCache._load",
-        justification="obsoleted by the escape-analysis proof",
+        justification="its rule was deleted with the lock checker",
     )
     padded = Baseline(entries=[*baseline.entries, ghost])
     report = analyze_paths(

@@ -1,6 +1,4 @@
-"""PlanCache satellites: store persistence, thread safety, key validation."""
-
-import threading
+"""PlanCache satellites: store persistence and key validation."""
 
 import pytest
 
@@ -100,51 +98,6 @@ class TestDiskPersistence:
         assert store.object_path(entry.sha256).read_text() == (
             PlanStore.artifact_text(artifact)
         )
-
-
-class TestThreadSafety:
-    def test_racing_threads_tune_once(self):
-        cache = PlanCache()
-        key = make_key()
-        calls = []
-        gate = threading.Barrier(8)
-
-        def tune():
-            calls.append(1)
-            return tune_lenet()
-
-        def worker():
-            gate.wait()
-            cache.get_or_tune(key, tune)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(calls) == 1
-        assert cache.misses == 1
-        assert cache.hits == 7
-
-    def test_counters_consistent_across_keys(self):
-        cache = PlanCache()
-        keys = [make_key(batch_size=b) for b in (1, 2, 4, 8)]
-        gate = threading.Barrier(8)
-
-        def worker(i):
-            gate.wait()
-            for key in keys:
-                cache.get_or_tune(key, lambda: f"plan-{i}")
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert cache.misses == len(keys)
-        assert cache.hits + cache.misses == 8 * len(keys)
 
 
 class TestFromConfigValidation:
