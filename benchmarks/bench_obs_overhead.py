@@ -3,13 +3,24 @@
 Every hot path in the engine, executor, and serving loop is gated on
 ``obs.enabled`` against shared no-op singletons.  Wall-clock A/B timing
 of a simulated run is too noisy for a 2% assertion in CI, so the guard
-is analytic: time the no-op operations themselves, count how many of
-them one run actually performs (by running once with tracing *on* and
-counting what was recorded), and assert the product stays under 2% of
-the run's real cost.  The no-ops and the run are timed in interleaved
-rounds, so a burst of host contention slows both sides, not one.  A
-second test pins the structural invariant the bound relies on: a
-default-constructed engine really does share the no-op singletons.
+is analytic: count what one disabled run performs, time each kind of
+operation as the statement it runs, and assert the sum stays under 2%
+of the run's real cost.  A run performs three kinds of operation:
+
+* the executor's per-layer and per-copy gates, which read a bool the
+  executor cached from ``obs.enabled`` when the run began; they are
+  counted by running once with tracing on (each layer span and memcpy
+  record there is one gate in the disabled run);
+* run-level gates, reads of ``obs.enabled`` itself, counted on the
+  disabled run;
+* ungated calls on the no-op singletons (``NOOP_TRACER``,
+  ``NULL_REGISTRY``, ``NULL_PROVENANCE``), counted per method on the
+  disabled run and each charged at the cost of its own call chain.
+
+The operations and the run are timed in interleaved rounds, so a burst
+of host contention slows both sides, not one.  A second test pins the
+structural invariant the bound relies on: a default-constructed engine
+really does share the no-op singletons.
 
 Timelines and the fleet's batch trace cost the event loops nothing by
 construction: they are derived after the run, so their guards are
@@ -17,7 +28,11 @@ structural (no recorder method and no batch trace event inside the
 event loop), plus a bound on the post-run timeline pass.
 """
 
+import inspect
 import timeit
+from collections import Counter
+
+import pytest
 
 from repro.core.engine import EdgeNN
 from repro.core.plan_cache import PlanCache
@@ -33,34 +48,99 @@ def _best_of(stmt, repeats=5, number=2000):
     return min(timeit.repeat(stmt, repeat=repeats, number=number)) / number
 
 
-#: The disabled path's no-ops, each timed as a statement (no wrapping
-#: call): the gate itself, and the dearest no-op calls behind it.
-NOOP_STATEMENTS = (
-    "NOOP_OBS.enabled",
-    # The few non-gated no-op calls (engine.tune's span on the cold
-    # path) are covered by charging every gate at the dearest rate.
-    'NOOP_TRACER.span("x", a=1).__exit__(None, None, None)',
-    'NULL_REGISTRY.counter("c").labels(a="b").inc()',
-    "NULL_PROVENANCE.record_placement(None)",
-)
+class _Gate:
+    """Stands in for the executor, whose per-layer and per-copy gates
+    read the bool it cached from ``obs.enabled`` (``self._traced``)."""
+
+    def __init__(self) -> None:
+        self._traced = NOOP_OBS.enabled
 
 
-def _interleaved_minima(run, rounds=25, runs=3, number=2000):
-    """Best per-call time of ``run`` and of each no-op statement.
+GATE = _Gate()
+
+#: What each kind of gate runs, timed as a statement.
+GATE_STATEMENTS = {
+    "cached": "if GATE._traced: pass",
+    "run": "if NOOP_OBS.enabled: pass",
+}
+
+#: The no-op singletons, and the call chain each method heads, timed as
+#: a statement.  A disabled run that calls a method missing here fails
+#: the guard until its chain is added.
+NOOP_SINGLETONS = {
+    "NOOP_TRACER": NOOP_TRACER,
+    "NULL_REGISTRY": NULL_REGISTRY,
+    "NULL_PROVENANCE": NULL_PROVENANCE,
+}
+NOOP_CALLS = {
+    "NOOP_TRACER.span":
+        'with NOOP_TRACER.span("x", category="c", a=1) as s: '
+        's.set_attributes(a=1)',
+    "NOOP_TRACER.record": 'NOOP_TRACER.record("x", 0.0, 1.0, category="c", a=1)',
+    "NOOP_TRACER.event": 'NOOP_TRACER.event("x", 0.0, a=1)',
+    "NULL_REGISTRY.counter":
+        'NULL_REGISTRY.counter("c", "h", labels=("a",)).labels(a="b").inc()',
+    "NULL_REGISTRY.gauge":
+        'NULL_REGISTRY.gauge("g", "h", labels=("a",)).labels(a="b").set(1.0)',
+    "NULL_REGISTRY.histogram":
+        'NULL_REGISTRY.histogram("h", "h", labels=("a",))'
+        '.labels(a="b").observe(1.0)',
+    **{
+        f"NULL_PROVENANCE.{name}": f"NULL_PROVENANCE.{name}(None)"
+        for name in (
+            "record_placement", "record_partition", "record_degradation",
+            "record_scaling", "record_alert",
+        )
+    },
+}
+
+
+def count_disabled_operations(run) -> Counter:
+    """Run ``run`` once and count its ``obs.enabled`` reads (``"run"``)
+    and its calls on each no-op singleton, by ``"NAME.method"``."""
+    counts: Counter = Counter()
+    enabled = Observability.enabled
+
+    def counted_enabled(obs):
+        counts["run"] += 1
+        return enabled.fget(obs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Observability, "enabled", property(counted_enabled))
+        for label, singleton in NOOP_SINGLETONS.items():
+            cls = type(singleton)
+            for name, member in inspect.getmembers(cls, inspect.isfunction):
+                if name.startswith("_"):
+                    continue
+
+                def counted(self, *args, _key=f"{label}.{name}",
+                            _member=member, _singleton=singleton, **kwargs):
+                    if self is _singleton:
+                        counts[_key] += 1
+                    return _member(self, *args, **kwargs)
+
+                patch.setattr(cls, name, counted)
+        run()
+    return counts
+
+
+def _interleaved_minima(run, statements, rounds=25, runs=3, number=2000):
+    """Best per-call time of ``run`` and of each statement.
 
     Each round times the run once and every statement once, and each
     keeps its minimum over the rounds."""
     run_timer = timeit.Timer(run)
-    timers = [
-        timeit.Timer(stmt, globals=globals()) for stmt in NOOP_STATEMENTS
-    ]
+    timers = {
+        key: timeit.Timer(stmt, globals=globals())
+        for key, stmt in statements.items()
+    }
     run_s = float("inf")
-    noop_s = [float("inf")] * len(timers)
+    best = {key: float("inf") for key in statements}
     for _ in range(rounds):
         run_s = min(run_s, run_timer.timeit(number=runs) / runs)
-        for k, timer in enumerate(timers):
-            noop_s[k] = min(noop_s[k], timer.timeit(number=number) / number)
-    return run_s, noop_s
+        for key, timer in timers.items():
+            best[key] = min(best[key], timer.timeit(number=number) / number)
+    return run_s, best
 
 
 def test_disabled_observability_overhead_under_2_percent():
@@ -69,35 +149,48 @@ def test_disabled_observability_overhead_under_2_percent():
     engine = EdgeNN("alexnet", plan_cache=PlanCache())
     engine.tune()
 
-    # The disabled path performs exactly one ``obs.enabled`` boolean
-    # check per gated block: one per layer step, one per scheduled copy,
-    # plus a handful of run-level gates.  Count the blocks by running
-    # once with tracing on — each layer span / memcpy record produced
-    # there is one boolean check in the disabled case.
+    # One gate per layer step and one per scheduled copy: count them by
+    # running once with tracing on, where each layer span and memcpy
+    # record is one gate of the disabled run.
     obs = Observability.on()
     counted = EdgeNN("alexnet", plan_cache=PlanCache(), obs=obs)
     counted.run()
     (execute,) = obs.tracer.find(f"execute:{counted.graph.name}")
-    n_layer_gates = len(execute.children)
-    n_copy_gates = sum(
+    cached_gates = len(execute.children) + sum(
         1 for s in obs.tracer.iter_spans() if s.category == "memcpy"
     )
-    gated_checks = n_layer_gates + n_copy_gates + 8   # + run-level gates
+    # Run-level gates and no-op calls: count them on the disabled run.
+    counts = count_disabled_operations(engine.run)
+    counts["cached"] = cached_gates
+    unpriced = sorted(
+        key for key in counts if key not in GATE_STATEMENTS
+        and key not in NOOP_CALLS
+    )
+    assert not unpriced, (
+        f"a disabled run calls {unpriced}; add their call chains to "
+        f"NOOP_CALLS so the guard charges them"
+    )
 
-    run_s, noop_s = _interleaved_minima(engine.run)
-    per_check_s = max(noop_s)
-
-    worst_case_overhead = gated_checks * per_check_s
+    statements = {**GATE_STATEMENTS, **{
+        key: NOOP_CALLS[key] for key in counts if key in NOOP_CALLS
+    }}
+    run_s, cost_s = _interleaved_minima(engine.run, statements)
+    worst_case_overhead = sum(
+        count * cost_s[key] for key, count in counts.items()
+    )
+    charged = ", ".join(
+        f"{count} x {key} at {cost_s[key] * 1e9:.0f} ns"
+        for key, count in sorted(counts.items())
+    )
     assert worst_case_overhead < 0.02 * run_s, (
         f"disabled observability could add "
         f"{worst_case_overhead / run_s:.2%} to a "
-        f"{run_s * 1e3:.2f} ms run ({gated_checks} gated checks at "
-        f"{per_check_s * 1e9:.0f} ns each); budget is 2%"
+        f"{run_s * 1e3:.2f} ms run ({charged}); budget is 2%"
     )
     write_bench_json("obs_overhead", {
         "run_s": run_s,
-        "gated_checks": gated_checks,
-        "per_check_ns": per_check_s * 1e9,
+        "operations": dict(counts),
+        "cost_ns": {key: value * 1e9 for key, value in cost_s.items()},
         "worst_case_overhead_pct": 100.0 * worst_case_overhead / run_s,
         "budget_pct": 2.0,
     })

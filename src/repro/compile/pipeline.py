@@ -43,7 +43,7 @@ from ..hardware.device import Device
 from ..hardware.specs import DeviceSpec
 from ..hardware.variants import spec_by_name
 from ..nn.graph import NetworkGraph
-from ..nn.models import build as build_model
+from ..nn.models import shared
 from ..nn.precision import Precision
 from ..obs import NOOP_OBS, Observability
 from .artifact import Lowering, PlanArtifact, TunerProvenance
@@ -100,13 +100,13 @@ class CompiledPlan:
     ) -> "CompiledPlan":
         """Rebind a deserialized artifact to a live graph and device.
 
-        With no overrides, the graph is rebuilt from the model catalog
-        and the device looked up in the full device catalog — exactly
-        what a fresh process reloading a saved artifact needs.  No tuner
-        is constructed anywhere on this path.
+        With no overrides, the graph is the process's shared catalog
+        graph and the device is looked up in the full device catalog —
+        exactly what a fresh process reloading a saved artifact needs.
+        No tuner is constructed anywhere on this path.
         """
         if graph is None:
-            graph = build_model(artifact.key.network)
+            graph = shared(artifact.key.network)
         if device is None:
             device = spec_by_name(artifact.key.device)
         if not isinstance(device, Device):
@@ -236,11 +236,12 @@ def compile_plan(
     ``config`` may be an :class:`~repro.core.engine.EdgeNNConfig`, a
     :class:`~repro.core.tuner.TunerConfig`, or ``None`` (defaults).
     This is the full five-stage pipeline; use :func:`compile_fixed` for
-    the degenerate single-processor plans the baselines need.
+    the degenerate single-processor plans the baselines need.  A network
+    named by string compiles on the process's shared graph.
     """
     from ..core.tuner import AdaptiveTuner, TunerConfig
 
-    graph = build_model(network) if isinstance(network, str) else network
+    graph = shared(network) if isinstance(network, str) else network
     if device is None:
         device = spec_by_name("jetson-agx-xavier")
     if not isinstance(device, Device):
@@ -308,7 +309,7 @@ def compile_fixed(
         raise ReproError(
             f"fixed placement must be 'cpu' or 'gpu', got {placement!r}"
         )
-    graph = build_model(network) if isinstance(network, str) else network
+    graph = shared(network) if isinstance(network, str) else network
     dev = device if isinstance(device, Device) else Device(device)
     obs = obs if obs is not None else NOOP_OBS
     make = cpu_layer if placement == "cpu" else gpu_layer

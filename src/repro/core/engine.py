@@ -21,7 +21,7 @@ or the full system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union, TYPE_CHECKING
+from typing import Dict, Optional, Union, TYPE_CHECKING
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from ..errors import ReproError
 from ..hardware.device import Device
 from ..hardware.specs import JETSON_AGX_XAVIER, DeviceSpec
 from ..nn.graph import NetworkGraph
-from ..nn.models import MODEL_BUILDERS, build as build_model
+from ..nn.models import MODEL_BUILDERS, shared
 from ..nn.precision import Precision
 from ..obs import NOOP_OBS, Observability
 from .memory_manager import MemoryPolicy
@@ -119,6 +119,7 @@ class EdgeNN:
                 f"{self.device.name!r} is not (use the baselines for it)"
             )
         self.config = config or EdgeNNConfig()
+        self._params: Optional[Dict[str, Dict[str, np.ndarray]]] = None
         self._tuning: Optional[TuningResult] = None
         self._artifact: Optional["PlanArtifact"] = None
         self._compiled: Optional["CompiledPlan"] = None
@@ -136,10 +137,12 @@ class EdgeNN:
 
     @property
     def graph(self) -> NetworkGraph:
-        """The network graph, built from the catalog on first use: a plan
-        served from the cache is executed or inspected without one."""
+        """The network graph: for a catalog network, the process's shared
+        one (:func:`repro.nn.models.shared`), looked up on first use, so
+        a plan served from the cache is executed or inspected without
+        one."""
         if self._graph is None:
-            self._graph = build_model(self._network)
+            self._graph = shared(self._network)
         return self._graph
 
     # -- tuning & simulated execution ----------------------------------------
@@ -185,8 +188,9 @@ class EdgeNN:
 
     def _compile(self) -> "PlanArtifact":
         """Compile this engine's plan: a catalog network through
-        :func:`~repro.compile.pipeline.compile_key` (whose graph the
-        engine keeps), a custom graph through the pipeline directly."""
+        :func:`~repro.compile.pipeline.compile_key` (on the shared graph,
+        which the engine keeps), a custom graph through the pipeline
+        directly."""
         from ..compile.pipeline import CompilerPipeline, compile_key
 
         if self._cache_key is not None:
@@ -252,9 +256,13 @@ class EdgeNN:
         Independent of the timing simulation: the placement of a layer on
         CPU or GPU never changes its mathematical result, so this path
         needs no plan and never triggers tuning.  Parameters are
-        materialized on the first call and kept by the graph.
+        materialized on the first call and kept by this engine, not by
+        the graph (which the whole process may share): dropping the
+        engine frees them.
         """
-        return self.graph.forward(x)
+        if self._params is None:
+            self._params = self.graph.materialize_params()
+        return self.graph.forward(x, self._params)
 
     def summary(self) -> str:
         """Engine + plan description for logs."""

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import PlanError, SpecError
 from ..hardware import calibration as cal
 from ..hardware.device import Device
-from ..hardware.memory import AllocKind, Buffer
+from ..hardware.memory import AllocKind, Buffer, footprint
 from ..hardware.power import energy_for_run
 from ..hardware.roofline import KernelWork
 from ..hardware.specs import DeviceSpec, ProcessorKind
@@ -91,19 +91,20 @@ class RunTable:
     :class:`KernelWork`, the allocation list in allocation order, and a
     memo of each unsplit kernel's roofline time.
 
-    The executor keeps one on its graph (``NetworkGraph.derived``, which
-    ``add()`` clears), keyed by the spec's identity: two spec objects
-    never share a memo, even with one name (throttled variants, scaled
-    test specs).
+    The executor keeps one on its graph (``NetworkGraph.derived``), keyed
+    by the spec's value (:attr:`DeviceSpec.value_key`): equal specs share
+    a table, such as the throttled variant a serving re-tune rebuilds for
+    every window, and two specs with one name but other values never do
+    (scaled test specs).
+
+    The table also keeps the :class:`Buffer` objects of finished runs, so
+    that a run resets their state instead of allocating new ones.
     """
 
     def __init__(
         self, graph: NetworkGraph, spec: DeviceSpec, precision: Precision,
         batch_size: int, namespace: str,
     ) -> None:
-        # Held so that the spec outlives the table and its id() stays
-        # unique among the graph's keys.
-        self.spec = spec
         self.cpu_launch_s = spec.cpu.launch_overhead_s
         self.gpu_launch_s = (
             spec.gpu.launch_overhead_s if spec.gpu is not None else 0.0
@@ -152,6 +153,23 @@ class RunTable:
         self.weight_slots = tuple(weight_slots)
         #: layer name -> slot of the buffer holding its output
         self.output_slots = slot_of
+        #: buffer sets that finished runs handed back
+        self._idle: List[List[Buffer]] = []
+
+    def claim_buffers(self) -> List[Buffer]:
+        """One buffer per slot for a run, which resets them: a set that
+        an earlier run released, or a new one.  Runs that overlap (on
+        other devices, or abandoned) never share a set."""
+        if self._idle:
+            return self._idle.pop()
+        return [
+            Buffer(physical, nbytes, AllocKind.REGULAR, role)
+            for physical, nbytes, _, role in self.allocations
+        ]
+
+    def release_buffers(self, buffers: List[Buffer]) -> None:
+        """Hand a finished run's buffers back for the next run."""
+        self._idle.append(buffers)
 
 
 def _span(events: Sequence[TraceEvent]) -> Tuple[float, float]:
@@ -208,11 +226,16 @@ class HybridExecutor:
         # co-running) without colliding allocations.
         spec = device.spec
         self._table = graph.derived(
-            ("run-table", id(spec), precision, batch_size, namespace),
+            ("run-table", spec.value_key, precision, batch_size, namespace),
             lambda: RunTable(graph, spec, precision, batch_size, namespace),
         )
         self._shared_timeline = False
         self._validate()
+        # Each slot's allocation kind under the plan and their summed
+        # footprint, on the first run.
+        self._kinds: Optional[List[AllocKind]] = None
+        self._footprint = 0.0
+        self._refused: Optional[int] = None
 
     def _validate(self) -> None:
         layers = self._plan.layers
@@ -254,7 +277,7 @@ class HybridExecutor:
         )
         self._traced = self._obs.enabled
         self._mem = self._device.memory
-        self._bufs = self._allocate_buffers()
+        self._bufs = self._claim_buffers()
         # Latest event producing each buffer slot's data.
         self._producer: List[Optional[TraceEvent]] = [None] * len(self._bufs)
         self._last_event: Optional[TraceEvent] = None
@@ -291,6 +314,7 @@ class HybridExecutor:
     def finish(self) -> InferenceReport:
         """Read the output back and assemble the report."""
         self._readback_output()
+        self._table.release_buffers(self._bufs)
         if self._shared_timeline:
             # Tenant view: completion time of this network's own events;
             # per-processor busy approximated from its own kernels.
@@ -345,27 +369,47 @@ class HybridExecutor:
 
     # -- buffer setup -----------------------------------------------------------
 
-    def _allocate_buffers(self) -> List[Buffer]:
-        """Allocate the table's buffers under the plan's memory mechanisms;
-        returns them by slot."""
-        allocate = self._mem.allocate
-        alloc_kind = self._plan.alloc_kind
-        integrated = self._device.is_integrated
-        bufs: List[Buffer] = []
-        for physical, nbytes, buffer_name, role in self._table.allocations:
-            kind = alloc_kind(buffer_name)
-            if kind is AllocKind.MANAGED and not integrated:
-                raise PlanError(
-                    f"plan uses managed memory for {buffer_name!r} on "
-                    f"non-integrated device {self._device.name!r}"
-                )
-            bufs.append(allocate(physical, nbytes, kind, role=role))
+    def _claim_buffers(self) -> List[Buffer]:
+        """The table's buffers, reset to the plan's memory mechanisms and
+        adopted by the device's memory model; returns them by slot."""
+        if self._kinds is None:
+            self._kinds, self._footprint, self._refused = self._buffer_kinds()
+        bufs = self._table.claim_buffers()
+        for buf, kind in zip(bufs, self._kinds):
+            buf.reset(kind)
+        if self._refused is not None:
+            # Allocated in order, the buffers before the refused one come
+            # first: one of them may not fit.
+            self._mem.adopt(bufs[:self._refused], self._footprint)
+            raise PlanError(
+                f"plan uses managed memory for "
+                f"{self._table.allocations[self._refused][2]!r} on "
+                f"non-integrated device {self._device.name!r}"
+            )
+        self._mem.adopt(bufs, self._footprint)
         if self._warm_weights:
             for slot in self._table.weight_slots:
                 buf = bufs[slot]
                 buf.device_valid = True   # regular: copy already done
                 buf.gpu_touched = True    # managed: pages already mapped
         return bufs
+
+    def _buffer_kinds(self) -> Tuple[List[AllocKind], float, Optional[int]]:
+        """Each slot's allocation kind under the plan, their footprint
+        summed in allocation order, and the slot of the first managed
+        buffer on a non-integrated device (None when there is none; the
+        footprint then stops before it)."""
+        allocations = self._table.allocations
+        alloc = self._plan.alloc  # what ExecutionPlan.alloc_kind reads
+        regular = AllocKind.REGULAR
+        kinds = [alloc.get(name, regular) for _, _, name, _ in allocations]
+        refused = None
+        if not self._device.is_integrated and AllocKind.MANAGED in kinds:
+            refused = kinds.index(AllocKind.MANAGED)
+        total = 0.0
+        for (_, nbytes, _, _), kind in zip(allocations[:refused], kinds):
+            total += footprint(nbytes, kind)
+        return kinds, total, refused
 
     # -- layer scheduling ---------------------------------------------------------
 
@@ -508,8 +552,6 @@ class HybridExecutor:
 
     def _exec_split(self, row: _Row, cpu_fraction: float) -> LayerResult:
         out_buf = self._bufs[row.out]
-        cpu_work = row.cpu_work.scaled(cpu_fraction)
-        gpu_work = row.gpu_work.scaled(1.0 - cpu_fraction)
         kernel_class = row.kernel_class
         events: List[TraceEvent] = []
         consistency_s = 0.0
@@ -525,13 +567,10 @@ class HybridExecutor:
         ovh_gpu += wc_gpu.overhead_s + cal.PARTITION_OVERHEAD_S
         f_cpu = min(f_cpu, wc_cpu.bw_factor)
         f_gpu = min(f_gpu, wc_gpu.bw_factor)
-        cpu_cost = self._device.kernel_cost(
-            _CPU_KIND, cpu_work, mem_bw_factor=f_cpu, include_launch=False,
+        cpu_body, gpu_body = self._device.split_bodies(
+            row.cpu_work, row.gpu_work, cpu_fraction,
+            cpu_bw_factor=f_cpu, gpu_bw_factor=f_gpu,
         )
-        gpu_cost = self._device.kernel_cost(
-            _GPU_KIND, gpu_work, mem_bw_factor=f_gpu, include_launch=False,
-        )
-        cpu_body, gpu_body = self._device.corun(cpu_cost, gpu_cost)
         # Both sides start together once all inputs are ready on both
         # processors (the co-run contention math assumes a common start).
         joint_deps = deps_cpu + deps_gpu

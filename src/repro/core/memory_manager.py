@@ -23,22 +23,20 @@ audited decision by decision.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..hardware import calibration as cal
 from ..hardware.memory import AllocKind
 from ..hardware.specs import DeviceSpec
-from ..nn.graph import INPUT, NetworkGraph
+from ..nn.graph import NetworkGraph
 from ..obs import Observability
-from ..obs.provenance import MemoryPlacementRecord, PlacementCandidate
-from .plan import Assignment, ExecutionPlan
-from .semantics import (
-    BufferRole,
-    classify_buffers,
-    input_buffer,
-    output_buffer,
-    weights_buffer,
+from ..obs.provenance import (
+    MemoryPlacementRecord,
+    PlacementCandidate,
+    ProvenanceLog,
 )
+from .plan import Assignment, ExecutionPlan
+from .semantics import BufferRole, classify_buffers, graph_buffers
 
 
 class MemoryPolicy(enum.Enum):
@@ -47,18 +45,6 @@ class MemoryPolicy(enum.Enum):
     ALL_REGULAR = "all_regular"       # the original programs' behaviour
     ALL_MANAGED = "all_managed"       # naive zero-copy everywhere
     SEMANTIC = "semantic"             # EdgeNN: choose by data semantics
-
-
-def _buffer_sizes(graph: NetworkGraph) -> Dict[str, float]:
-    """Base (fp32, batch 1) byte size of every named buffer."""
-    sizes: Dict[str, float] = {input_buffer(): float(graph.out_bytes(INPUT))}
-    for name in graph.topo_order():
-        node = graph.node(name)
-        if node.param_bytes > 0:
-            sizes[weights_buffer(name)] = float(node.param_bytes)
-        if not node.layer.is_noop:
-            sizes[output_buffer(name)] = node.work.out_bytes
-    return sizes
 
 
 def _placement_candidates(
@@ -123,7 +109,7 @@ class MemoryPlacer:
 
     def buffer_catalog(self) -> Dict[str, float]:
         """Every named buffer and its base (fp32, batch-1) byte size."""
-        return _buffer_sizes(self.graph)
+        return dict(graph_buffers(self.graph).sizes)
 
     def apply(self, plan: ExecutionPlan, *, stage: str = "") -> Dict[str, AllocKind]:
         """Decide every buffer's mechanism for the plan's current placements."""
@@ -131,6 +117,50 @@ class MemoryPlacer:
             self.graph, plan, self.device, self.policy,
             obs=self._obs, stage=stage,
         )
+
+
+def _decide(
+    role: BufferRole, policy: MemoryPolicy, managed_possible: bool
+) -> Tuple[AllocKind, str]:
+    """The mechanism for one buffer role, and why."""
+    if not managed_possible or policy is MemoryPolicy.ALL_REGULAR:
+        return AllocKind.REGULAR, (
+            "managed memory unavailable on non-integrated device"
+            if not managed_possible
+            else "policy forces regular allocation (ablation)"
+        )
+    if policy is MemoryPolicy.ALL_MANAGED:
+        return (
+            AllocKind.MANAGED, "policy forces zero-copy everywhere (ablation)"
+        )
+    if role is BufferRole.COWRITTEN_OUTPUT:
+        return AllocKind.REGULAR, (
+            "both processors write slices in one step; explicit "
+            "merge beats the zero-copy consistency storm"
+        )
+    return AllocKind.MANAGED, (
+        "single-writer semantics; zero-copy eliminates the "
+        "explicit transfer"
+    )
+
+
+class _Placements:
+    """The decisions that depend only on (graph, policy, integrated), kept
+    on the graph: every buffer's mechanism under a plan that splits
+    nothing, and the mechanism of a split layer's output."""
+
+    def __init__(
+        self, graph: NetworkGraph, policy: MemoryPolicy, managed_possible: bool
+    ) -> None:
+        self.buffers = graph_buffers(graph)
+        self.decisions = {
+            role: _decide(role, policy, managed_possible) for role in BufferRole
+        }
+        self.base: Dict[str, AllocKind] = {
+            name: self.decisions[role][0]
+            for name, role in self.buffers.roles.items()
+        }
+        self.cowritten = self.decisions[BufferRole.COWRITTEN_OUTPUT][0]
 
 
 def plan_allocations(
@@ -144,67 +174,65 @@ def plan_allocations(
 ) -> Dict[str, AllocKind]:
     """Decide the allocation kind of every buffer and record it in ``plan``.
 
-    Returns the mapping (also stored in ``plan.alloc``).  With ``obs``
-    given, each decision and its compared candidate costs land in the
-    provenance log under ``stage``.
+    Returns the mapping (also stored in ``plan.alloc``).  Only the
+    outputs of split layers change between plans, so the other decisions
+    are made once per (graph, policy, integrated) and kept on the graph.
+    With ``obs`` given, each decision and its compared candidate costs
+    land in the provenance log under ``stage``.
     """
-    roles = classify_buffers(graph, plan)
-    alloc: Dict[str, AllocKind] = {}
     managed_possible = device.is_integrated
+    placements: _Placements = graph.derived(
+        ("placements", policy, managed_possible),
+        lambda: _Placements(graph, policy, managed_possible),
+    )
+    alloc = dict(placements.base)
+    for out in placements.buffers.split_outputs(plan):
+        alloc[out] = placements.cowritten
     provenance = obs.provenance if obs is not None else None
-    record = provenance is not None and provenance.enabled
-    if record:
-        sizes = _buffer_sizes(graph)
-        if device.interconnect is not None:
-            copy_rate: Optional[float] = device.interconnect.rate
-            copy_latency_s = device.interconnect.latency_s
-        else:
-            copy_rate, copy_latency_s = None, 0.0
-    for buffer_name, role in roles.items():
-        if not managed_possible or policy is MemoryPolicy.ALL_REGULAR:
-            kind = AllocKind.REGULAR
-            reason = (
-                "managed memory unavailable on non-integrated device"
-                if not managed_possible
-                else "policy forces regular allocation (ablation)"
-            )
-        elif policy is MemoryPolicy.ALL_MANAGED:
-            kind = AllocKind.MANAGED
-            reason = "policy forces zero-copy everywhere (ablation)"
-        else:  # SEMANTIC
-            if role is BufferRole.COWRITTEN_OUTPUT:
-                kind = AllocKind.REGULAR
-                reason = (
-                    "both processors write slices in one step; explicit "
-                    "merge beats the zero-copy consistency storm"
-                )
-            else:
-                kind = AllocKind.MANAGED
-                reason = (
-                    "single-writer semantics; zero-copy eliminates the "
-                    "explicit transfer"
-                )
-        alloc[buffer_name] = kind
-        if record:
-            cpu_fraction = 0.0
-            if role is BufferRole.COWRITTEN_OUTPUT:
-                layer = buffer_name[: -len(".out")]
-                lp = plan.layers.get(layer)
-                if lp is not None and lp.assignment is Assignment.SPLIT:
-                    cpu_fraction = lp.cpu_fraction
-            provenance.record_placement(MemoryPlacementRecord(
-                network=graph.name,
-                buffer=buffer_name,
-                role=role.value,
-                policy=policy.value,
-                chosen=kind.value,
-                nbytes=sizes.get(buffer_name, 0.0),
-                stage=stage,
-                candidates=_placement_candidates(
-                    role, sizes.get(buffer_name, 0.0),
-                    copy_rate, copy_latency_s, cpu_fraction,
-                ),
-                reason=reason,
-            ))
+    if provenance is not None and provenance.enabled:
+        _record_placements(
+            graph, plan, device, policy, placements, provenance, stage,
+        )
     plan.alloc = alloc
     return alloc
+
+
+def _record_placements(
+    graph: NetworkGraph,
+    plan: ExecutionPlan,
+    device: DeviceSpec,
+    policy: MemoryPolicy,
+    placements: _Placements,
+    provenance: ProvenanceLog,
+    stage: str,
+) -> None:
+    """Provenance: every buffer's decision and the candidate costs it
+    compared, in allocation order."""
+    if device.interconnect is not None:
+        copy_rate: Optional[float] = device.interconnect.rate
+        copy_latency_s = device.interconnect.latency_s
+    else:
+        copy_rate, copy_latency_s = None, 0.0
+    sizes = placements.buffers.sizes
+    for buffer_name, role in classify_buffers(graph, plan).items():
+        kind, reason = placements.decisions[role]
+        cpu_fraction = 0.0
+        if role is BufferRole.COWRITTEN_OUTPUT:
+            layer = buffer_name[: -len(".out")]
+            lp = plan.layers.get(layer)
+            if lp is not None and lp.assignment is Assignment.SPLIT:
+                cpu_fraction = lp.cpu_fraction
+        provenance.record_placement(MemoryPlacementRecord(
+            network=graph.name,
+            buffer=buffer_name,
+            role=role.value,
+            policy=policy.value,
+            chosen=kind.value,
+            nbytes=sizes.get(buffer_name, 0.0),
+            stage=stage,
+            candidates=_placement_candidates(
+                role, sizes.get(buffer_name, 0.0),
+                copy_rate, copy_latency_s, cpu_fraction,
+            ),
+            reason=reason,
+        ))

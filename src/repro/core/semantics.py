@@ -26,9 +26,9 @@ Roles drive the memory manager's REGULAR/MANAGED choice:
 from __future__ import annotations
 
 import enum
-from typing import Dict
+from typing import Dict, List
 
-from ..nn.graph import NetworkGraph
+from ..nn.graph import INPUT, NetworkGraph
 from .plan import Assignment, ExecutionPlan
 
 
@@ -57,6 +57,60 @@ def output_buffer(layer: str) -> str:
     return f"{layer}.out"
 
 
+class GraphBuffers:
+    """Every buffer of one graph's inference run, walked once per graph
+    (:func:`graph_buffers`): its role under a plan that splits nothing,
+    its base (fp32, batch-1) byte size, and each layer's output buffer.
+    A plan changes only the roles of its split layers' outputs."""
+
+    def __init__(self, graph: NetworkGraph) -> None:
+        #: buffer -> role, in allocation order (the plan's ``alloc`` order)
+        self.roles: Dict[str, BufferRole] = {
+            input_buffer(): BufferRole.NETWORK_INPUT
+        }
+        #: buffer -> base byte size, in the same order
+        self.sizes: Dict[str, float] = {
+            input_buffer(): float(graph.out_bytes(INPUT))
+        }
+        #: layer -> its output buffer; no-op layers alias their input
+        self.outputs: Dict[str, str] = {}
+        output_layer = graph.output_name
+        for name in graph.topo_order():
+            node = graph.node(name)
+            if node.param_bytes > 0:
+                self.roles[weights_buffer(name)] = BufferRole.WEIGHTS
+                self.sizes[weights_buffer(name)] = float(node.param_bytes)
+            if node.layer.is_noop:
+                continue  # aliases its input; no buffer of its own
+            out = self.outputs[name] = output_buffer(name)
+            self.roles[out] = (
+                BufferRole.NETWORK_OUTPUT if name == output_layer
+                else BufferRole.ACTIVATION
+            )
+            self.sizes[out] = node.work.out_bytes
+
+    def split_outputs(self, plan: ExecutionPlan) -> List[str]:
+        """The output buffers of ``plan``'s split layers, which both
+        processors write (``COWRITTEN_OUTPUT``).  Raises
+        :class:`~repro.errors.PlanError` when the plan misses a layer
+        that owns a buffer."""
+        layers = plan.layers
+        if not layers.keys() >= self.outputs.keys():
+            for name in self.outputs:
+                plan.layer_plan(name)  # raises for the first missing one
+        outputs = self.outputs
+        return [
+            outputs[name] for name, lp in layers.items()
+            if lp.assignment is Assignment.SPLIT and name in outputs
+        ]
+
+
+def graph_buffers(graph: NetworkGraph) -> GraphBuffers:
+    """The graph's :class:`GraphBuffers`, built on first use and kept on
+    the graph."""
+    return graph.derived(("buffers",), lambda: GraphBuffers(graph))
+
+
 def classify_buffers(graph: NetworkGraph, plan: ExecutionPlan) -> Dict[str, BufferRole]:
     """Assign a :class:`BufferRole` to every buffer of an inference run.
 
@@ -66,19 +120,8 @@ def classify_buffers(graph: NetworkGraph, plan: ExecutionPlan) -> Dict[str, Buff
     which is exactly why the paper's memory management must cooperate with
     its hybrid execution.
     """
-    roles: Dict[str, BufferRole] = {input_buffer(): BufferRole.NETWORK_INPUT}
-    output_layer = graph.output_name
-    for name in graph.topo_order():
-        node = graph.node(name)
-        if node.param_bytes > 0:
-            roles[weights_buffer(name)] = BufferRole.WEIGHTS
-        if node.layer.is_noop:
-            continue  # aliases its input; no buffer of its own
-        layer_plan = plan.layer_plan(name)
-        if layer_plan.assignment is Assignment.SPLIT:
-            roles[output_buffer(name)] = BufferRole.COWRITTEN_OUTPUT
-        elif name == output_layer:
-            roles[output_buffer(name)] = BufferRole.NETWORK_OUTPUT
-        else:
-            roles[output_buffer(name)] = BufferRole.ACTIVATION
+    buffers = graph_buffers(graph)
+    roles = dict(buffers.roles)
+    for out in buffers.split_outputs(plan):
+        roles[out] = BufferRole.COWRITTEN_OUTPUT
     return roles

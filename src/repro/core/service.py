@@ -25,7 +25,7 @@ from typing import Union
 from ..hardware.device import Device
 from ..hardware.specs import DeviceSpec
 from ..nn.graph import NetworkGraph
-from ..nn.models import build as build_model
+from ..nn.models import shared
 from .engine import EdgeNN, EdgeNNConfig
 from .memory_manager import MemoryPolicy
 
@@ -62,7 +62,7 @@ def profile_service(
     config: EdgeNNConfig | None = None,
 ) -> ServiceProfile:
     """Cold/warm latency profile of an EdgeNN-tuned inference service."""
-    graph = build_model(network) if isinstance(network, str) else network
+    graph = shared(network) if isinstance(network, str) else network
     engine = EdgeNN(graph, device, config)
     compiled = engine.compiled()
     overrides = _lowering_overrides(config)

@@ -19,7 +19,7 @@ from ..core.report import InferenceReport
 from ..hardware.device import Device
 from ..hardware.specs import JETSON_AGX_XAVIER, DeviceSpec, ProcessorKind
 from ..nn.graph import NetworkGraph
-from ..nn.models import build as build_model
+from ..nn.models import shared
 from .formatting import render_table
 
 
@@ -55,7 +55,7 @@ def roofline_breakdown(
     device: Union[Device, DeviceSpec] = JETSON_AGX_XAVIER,
 ) -> Tuple[LayerBoundness, ...]:
     """Per-layer roofline characterization (no execution needed)."""
-    graph = build_model(network) if isinstance(network, str) else network
+    graph = shared(network) if isinstance(network, str) else network
     dev = device if isinstance(device, Device) else Device(device)
     rows: List[LayerBoundness] = []
     for name in graph.topo_order():
@@ -89,7 +89,7 @@ def split_candidates(
     """Layers whose CPU:GPU time ratio suggests a profitable split (the
     tuner's shortlist): partitionable layers where the CPU is within
     ``max_ratio`` of the GPU."""
-    graph = build_model(network) if isinstance(network, str) else network
+    graph = shared(network) if isinstance(network, str) else network
     candidates = []
     for row in roofline_breakdown(graph, device):
         node = graph.node(row.layer)

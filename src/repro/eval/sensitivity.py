@@ -20,7 +20,7 @@ from ..core.engine import EdgeNN
 from ..hardware.device import Device
 from ..hardware.specs import JETSON_AGX_XAVIER, DeviceSpec, InterconnectSpec
 from ..nn.graph import NetworkGraph
-from ..nn.models import build as build_model
+from ..nn.models import shared
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def sweep(
     points = []
     for scale in scales:
         spec = _perturbed_spec(parameter, scale)
-        graph = build_model(network) if isinstance(network, str) else network
+        graph = shared(network) if isinstance(network, str) else network
         edgenn = EdgeNN(graph, Device(spec)).run()
         gpu = run_gpu_only(network, spec)
         cpu = run_cpu_only(network, spec)

@@ -12,10 +12,10 @@ from typing import Optional
 
 from ..errors import SpecError
 from . import calibration as cal
-from .contention import StreamJob, corun_pair
+from .contention import corun_pair
 from .copy_engine import CopyEngine
 from .memory import MemoryModel
-from .roofline import KernelCost, KernelWork, kernel_cost
+from .roofline import KernelCost, KernelWork, kernel_cost, split_cost_terms
 from .specs import DeviceSpec, ProcessorKind, ProcessorSpec
 
 
@@ -94,22 +94,60 @@ class Device:
         runs at solo speed.  Launch overheads are *not* included (callers
         schedule them separately on each stream).
         """
+        return self._corun(
+            cpu_cost.compute_s, cpu_cost.memory_s, cpu_cost.bytes_moved,
+            gpu_cost.compute_s, gpu_cost.memory_s, gpu_cost.bytes_moved,
+        )
+
+    def split_bodies(
+        self,
+        cpu_work: KernelWork,
+        gpu_work: KernelWork,
+        cpu_fraction: float,
+        *,
+        cpu_bw_factor: float = 1.0,
+        gpu_bw_factor: float = 1.0,
+    ) -> tuple[float, float]:
+        """Body finish times of one layer split ``cpu_fraction`` /
+        ``1 - cpu_fraction`` between the CPU and the GPU: :meth:`corun` of
+        both sides' launch-free :meth:`kernel_cost` on
+        ``cpu_work.scaled(cpu_fraction)`` and
+        ``gpu_work.scaled(1 - cpu_fraction)``, in the same float
+        operations and with the same checks, but with no per-call
+        objects."""
+        cpu = split_cost_terms(
+            self.spec, self.spec.cpu, cpu_work, cpu_fraction,
+            mem_bw_factor=cpu_bw_factor,
+        )
+        gpu = split_cost_terms(
+            self.spec, self.processor(ProcessorKind.GPU), gpu_work,
+            1.0 - cpu_fraction, mem_bw_factor=gpu_bw_factor,
+        )
+        return self._corun(*cpu, *gpu)
+
+    def _corun(
+        self,
+        cpu_compute_s: float, cpu_memory_s: float, cpu_bytes: float,
+        gpu_compute_s: float, gpu_memory_s: float, gpu_bytes: float,
+    ) -> tuple[float, float]:
+        """:meth:`corun` of two kernels' roofline terms."""
+        cpu_body = max(cpu_compute_s, cpu_memory_s)
+        gpu_body = max(gpu_compute_s, gpu_memory_s)
         if not self.is_integrated:
-            return cpu_cost.body_s, gpu_cost.body_s
-        cpu_job = StreamJob(
-            compute_s=cpu_cost.compute_s,
-            bytes_total=cpu_cost.bytes_moved,
-            solo_rate=cpu_cost.demand_bw if cpu_cost.bytes_moved else 1.0,
-        )
-        gpu_job = StreamJob(
-            compute_s=gpu_cost.compute_s,
-            bytes_total=gpu_cost.bytes_moved,
-            solo_rate=gpu_cost.demand_bw if gpu_cost.bytes_moved else 1.0,
-        )
+            return cpu_body, gpu_body
+        # Each side streams at the bandwidth it would consume alone.
         cpu_s, gpu_s = corun_pair(
-            cpu_job,
-            gpu_job,
+            cpu_compute_s, cpu_bytes, _solo_rate(cpu_bytes, cpu_body),
+            gpu_compute_s, gpu_bytes, _solo_rate(gpu_bytes, gpu_body),
             self.spec.memory.bandwidth,
             corun_efficiency=self.spec.corun_dram_efficiency,
         )
         return cpu_s * cal.CORUN_CPU_SLOWDOWN, gpu_s * cal.CORUN_GPU_SLOWDOWN
+
+
+def _solo_rate(bytes_moved: float, body_s: float) -> float:
+    """A kernel's stream rate alone (:attr:`KernelCost.demand_bw`), or 1
+    for a kernel that moves nothing."""
+    if not bytes_moved:
+        return 1.0
+    return 0.0 if body_s == 0 else bytes_moved / body_s

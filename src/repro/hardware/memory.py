@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import AllocationError, MemoryModelError
 from . import calibration as cal
@@ -42,9 +42,11 @@ class AllocKind(enum.Enum):
     MANAGED = "managed"   # zero-copy unified memory
 
 
-@dataclass
+@dataclass(slots=True)
 class Buffer:
-    """One logical array of the inference process."""
+    """One logical array of the inference process.  The executor keeps a
+    run table's buffers between runs and resets their state per run
+    (:meth:`reset`)."""
 
     name: str
     nbytes: float
@@ -63,6 +65,19 @@ class Buffer:
     def __post_init__(self) -> None:
         if self.nbytes < 0:
             raise AllocationError(f"buffer {self.name!r} has negative size")
+
+    def reset(self, kind: AllocKind) -> None:
+        """The state of a newly allocated buffer of ``kind``."""
+        self.kind = kind
+        self.host_valid = True
+        self.device_valid = self.gpu_touched = False
+        self.cpu_wrote = self.gpu_wrote = False
+
+
+def footprint(nbytes: float, kind: AllocKind) -> float:
+    """Bytes an allocation takes: REGULAR buffers count twice (host +
+    device copies)."""
+    return nbytes * (2.0 if kind is AllocKind.REGULAR else 1.0)
 
 
 @dataclass(frozen=True)
@@ -109,13 +124,43 @@ class MemoryModel:
     def allocate(self, name: str, nbytes: float, kind: AllocKind,
                  role: str = "activation") -> Buffer:
         """Allocate a buffer; REGULAR buffers count twice (host + device)."""
+        size = self._admit(name, nbytes, kind)
+        buf = Buffer(name=name, nbytes=nbytes, kind=kind, role=role)
+        self._buffers[name] = buf
+        self._allocated_bytes += size
+        return buf
+
+    def adopt(self, buffers: Sequence[Buffer], total: float) -> None:
+        """Account ``buffers``, built and reset by the caller, as if each
+        had been allocated in order: same checks, same errors, same
+        footprint.  ``total`` is their :func:`footprint` summed in order.
+        The executor adopts a run's whole buffer set at once."""
+        if (
+            self._buffers
+            or self._allocated_bytes + total > self._capacity
+            or not self._integrated
+        ):
+            # Another run's buffers share the device, one of these would
+            # not fit, or managed ones would be refused: account them one
+            # by one, to raise what allocate() would.
+            for buf in buffers:
+                size = self._admit(buf.name, buf.nbytes, buf.kind)
+                self._buffers[buf.name] = buf
+                self._allocated_bytes += size
+            return
+        self._buffers = {buf.name: buf for buf in buffers}
+        self._allocated_bytes = total
+
+    def _admit(self, name: str, nbytes: float, kind: AllocKind) -> float:
+        """The footprint of a new buffer; raises when the name is taken,
+        the buffer would not fit, or it is managed on a discrete device."""
         if name in self._buffers:
             raise AllocationError(f"buffer {name!r} already allocated")
-        footprint = nbytes * (2.0 if kind is AllocKind.REGULAR else 1.0)
+        size = footprint(nbytes, kind)
         capacity = self._capacity
-        if self._allocated_bytes + footprint > capacity:
+        if self._allocated_bytes + size > capacity:
             raise AllocationError(
-                f"allocating {name!r} ({footprint:.0f} B) exceeds device "
+                f"allocating {name!r} ({size:.0f} B) exceeds device "
                 f"capacity {capacity:.0f} B"
             )
         if kind is AllocKind.MANAGED and not self._integrated:
@@ -127,10 +172,7 @@ class MemoryModel:
                 f"managed allocation of {name!r} on non-integrated device "
                 f"{self._device.name!r}"
             )
-        buf = Buffer(name=name, nbytes=nbytes, kind=kind, role=role)
-        self._buffers[name] = buf
-        self._allocated_bytes += footprint
-        return buf
+        return size
 
     def get(self, name: str) -> Buffer:
         try:

@@ -119,12 +119,37 @@ def occupancy_factor(proc: ProcessorSpec, work: KernelWork) -> float:
     degenerate single-output kernels stay finite.  Processors without a
     saturation table (CPUs) always return 1.
     """
+    return _occupancy(proc, work.kernel_class, work.out_elements)
+
+
+def _occupancy(proc: ProcessorSpec, kernel_class: str, out_elements: float) -> float:
     if proc.saturation_elements is None:
         return 1.0
-    saturation = proc.saturation_elements.get(work.kernel_class)
+    saturation = proc.saturation_elements.get(kernel_class)
     if saturation is None or saturation <= 0:
         return 1.0
-    return max(0.01, min(1.0, work.out_elements / saturation))
+    return max(0.01, min(1.0, out_elements / saturation))
+
+
+def _roofline(
+    device: DeviceSpec,
+    proc: ProcessorSpec,
+    kernel_class: str,
+    flops: float,
+    total_bytes: float,
+    out_elements: float,
+    mem_bw_factor: float,
+) -> tuple[float, float]:
+    """``(compute_s, memory_s)`` of a kernel's terms on ``proc``."""
+    if mem_bw_factor <= 0:
+        raise SpecError(f"mem_bw_factor must be positive, got {mem_bw_factor}")
+    eff = proc.efficiency_for(kernel_class)
+    occupancy = _occupancy(proc, kernel_class, out_elements)
+    attained_flops = proc.peak_flops * eff.compute * occupancy
+    attained_bw = (
+        device.stream_bandwidth(proc) * eff.memory * mem_bw_factor * occupancy
+    )
+    return flops / attained_flops, total_bytes / attained_bw
 
 
 def kernel_cost(
@@ -140,20 +165,40 @@ def kernel_cost(
     ``mem_bw_factor`` scales the attained bandwidth, used for managed
     (zero-copy) buffers whose coherent access path is slower.
     """
-    if mem_bw_factor <= 0:
-        raise SpecError(f"mem_bw_factor must be positive, got {mem_bw_factor}")
-    eff = proc.efficiency_for(work.kernel_class)
-    occupancy = occupancy_factor(proc, work)
-    attained_flops = proc.peak_flops * eff.compute * occupancy
-    attained_bw = (
-        device.stream_bandwidth(proc) * eff.memory * mem_bw_factor * occupancy
+    total_bytes = work.total_bytes
+    compute_s, memory_s = _roofline(
+        device, proc, work.kernel_class, work.flops, total_bytes,
+        work.out_elements, mem_bw_factor,
     )
-    compute_s = work.flops / attained_flops
-    memory_s = work.total_bytes / attained_bw
-    launch_s = proc.launch_overhead_s if include_launch else 0.0
     return KernelCost(
         compute_s=compute_s,
         memory_s=memory_s,
-        launch_s=launch_s,
-        bytes_moved=work.total_bytes,
+        launch_s=proc.launch_overhead_s if include_launch else 0.0,
+        bytes_moved=total_bytes,
     )
+
+
+def split_cost_terms(
+    device: DeviceSpec,
+    proc: ProcessorSpec,
+    work: KernelWork,
+    fraction: float,
+    *,
+    mem_bw_factor: float = 1.0,
+) -> tuple[float, float, float]:
+    """``(compute_s, memory_s, bytes_moved)`` of one side of a split
+    kernel: the :func:`kernel_cost` of ``work.scaled(fraction)``, in the
+    same float operations and with the same checks, but without building
+    the scaled work or its cost (the executor prices every split layer
+    on every run)."""
+    if not 0.0 <= fraction <= 1.0:
+        raise SpecError(f"fraction out of [0, 1]: {fraction}")
+    total_bytes = (
+        work.act_in_bytes + work.weight_bytes * fraction
+        + work.out_bytes * fraction
+    )
+    compute_s, memory_s = _roofline(
+        device, proc, work.kernel_class, work.flops * fraction, total_bytes,
+        max(1.0, work.out_elements * fraction), mem_bw_factor,
+    )
+    return compute_s, memory_s, total_bytes

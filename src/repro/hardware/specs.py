@@ -19,8 +19,9 @@ own measurements, ``[fit]`` from :mod:`repro.hardware.calibration`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+import functools
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Hashable, Mapping, Optional
 
 from .. import units
 from ..errors import SpecError
@@ -172,6 +173,15 @@ class DeviceSpec:
         if not 0.0 < self.corun_dram_efficiency <= 1.0:
             raise SpecError(f"{self.name}: corun efficiency out of (0, 1]")
 
+    @functools.cached_property
+    def value_key(self) -> Hashable:
+        """The spec's whole parameterization as one hashable value, built
+        once per spec object.  Equal specs have equal keys although they
+        are distinct objects (serving rebuilds a throttled variant for
+        every fault window), and two specs that share a name but differ
+        in any value do not; what is derived per device is keyed by it."""
+        return _value(self)
+
     @property
     def is_integrated(self) -> bool:
         """True when CPU and GPU share one physical DRAM (zero-copy capable)."""
@@ -200,6 +210,18 @@ class DeviceSpec:
         if self.gpu is not None:
             out["gpu"] = self.gpu.peak_flops / self.stream_bandwidth(self.gpu)
         return out
+
+
+def _value(value: object) -> Hashable:
+    """``value`` as a hashable value: a dataclass by its type and fields,
+    a mapping by its sorted items."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return (type(value).__name__, *(
+            _value(getattr(value, f.name)) for f in fields(value)
+        ))
+    if isinstance(value, Mapping):
+        return tuple(sorted((k, _value(v)) for k, v in value.items()))
+    return value  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ execution sequences of layers" (§IV-A).  :class:`NetworkGraph` is that DAG,
 plus:
 
 * shape inference and validation at construction time,
+* freezing: a built catalog graph is immutable, so every compile in a
+  process can share it and the tables it derives,
 * per-layer :class:`~repro.hardware.roofline.KernelWork` accounting,
 * a reference NumPy forward pass,
 * **segmentation** into chain parts and branch (non-chain) parts — the
@@ -97,8 +99,8 @@ class NetworkGraph:
         self._nodes: Dict[str, Node] = {}
         self._order: List[str] = []       # insertion order == topological
         self._last_added: Optional[str] = None
+        self._frozen = False
         # Derived from the whole DAG; add() drops them.
-        self._params: Optional[Dict[str, Dict[str, np.ndarray]]] = None
         self._segments: Optional[List[Segment]] = None
         self._output_name: Optional[str] = None
         self._derived: Dict[Hashable, object] = {}
@@ -110,8 +112,14 @@ class NetworkGraph:
 
         ``inputs`` defaults to the previously added layer (or the network
         input for the first layer) so linear networks read naturally.
-        Returns the layer name.
+        Returns the layer name.  A frozen graph raises
+        :class:`GraphError`.
         """
+        if self._frozen:
+            raise GraphError(
+                f"network {self.name!r} is frozen; build a new graph to "
+                "change it"
+            )
         name = layer.name
         if name == INPUT:
             raise GraphError(f"layer may not be named {INPUT!r}")
@@ -150,9 +158,16 @@ class NetworkGraph:
                 self._nodes[src].successors.append(name)
         self._order.append(name)
         self._last_added = name
-        self._params = self._segments = self._output_name = None
+        self._segments = self._output_name = None
         self._derived = {}
         return name
+
+    def freeze(self) -> "NetworkGraph":
+        """Make the graph immutable (``add()`` raises from now on) and
+        return it.  A frozen graph can be shared by every compile in a
+        process, together with what :meth:`derived` keeps on it."""
+        self._frozen = True
+        return self
 
     # -- structure --------------------------------------------------------------
 
@@ -217,8 +232,9 @@ class NetworkGraph:
 
     def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
         """The value ``build()`` derives from the whole DAG, built on the
-        first call per ``key`` and kept until ``add()`` changes the DAG
-        (the executor keeps its run tables here)."""
+        first call per ``key`` and kept until ``add()`` changes the DAG:
+        on a frozen graph, for the graph's lifetime.  The executor keeps
+        its run tables here and the memory manager its buffer roles."""
         try:
             return self._derived[key]  # type: ignore[return-value]
         except KeyError:
@@ -386,21 +402,20 @@ class NetworkGraph:
     ) -> np.ndarray:
         """Reference forward pass; validates the input shape.
 
-        Without ``params`` the graph's own parameters are used: they are
-        materialized on the first such call and kept for the graph's
-        lifetime (adding a layer discards them).  Each activation is
-        dropped as soon as its last consumer has run, so the pass holds
-        only the live frontier of the DAG rather than every layer's
-        output.  ``x`` itself is never written to.
+        Without ``params`` the parameters are materialized for this call
+        only.  The graph keeps none, so a graph that a whole process
+        shares never pins them; a caller that runs many passes keeps its
+        own (:meth:`~repro.core.engine.EdgeNN.infer` does).  Each
+        activation is dropped as soon as its last consumer has run, so
+        the pass holds only the live frontier of the DAG rather than
+        every layer's output.  ``x`` itself is never written to.
         """
         if tuple(x.shape) != self.input_shape:
             raise ShapeError(
                 f"input shape {x.shape} != network input {self.input_shape}"
             )
         if params is None:
-            if self._params is None:
-                self._params = self.materialize_params()
-            params = self._params
+            params = self.materialize_params()
         pending: Dict[str, int] = {
             name: node.out_degree for name, node in self._nodes.items()
         }

@@ -1,6 +1,7 @@
 """Builders for the six paper benchmark networks (Section V-A) plus
 extension models (MobileNetV1)."""
 
+import functools
 from typing import Callable, Dict, List
 
 from ..graph import NetworkGraph
@@ -37,13 +38,25 @@ def benchmark_names() -> List[str]:
 
 
 def build(name: str) -> NetworkGraph:
-    """Build any registered network by name."""
+    """Build any registered network by name: a new, frozen graph."""
     try:
-        return MODEL_BUILDERS[name]()
+        builder = MODEL_BUILDERS[name]
     except KeyError as exc:
         raise KeyError(
             f"unknown network {name!r}; available: {sorted(MODEL_BUILDERS)}"
         ) from exc
+    return builder().freeze()
+
+
+@functools.cache
+def shared(name: str) -> NetworkGraph:
+    """The process's one graph of a registered network, built on first
+    use.  It is frozen and keeps no parameters, so every compile in the
+    process can run on it, and the run tables and buffer roles derived
+    on it carry over from one compile to the next (a tuning-fleet
+    worker keeps them across its jobs).  ``shared.cache_clear()`` starts
+    a fresh registry."""
+    return build(name)
 
 
 __all__ = [
@@ -58,4 +71,5 @@ __all__ = [
     "build_resnet18",
     "build_squeezenet",
     "build_vgg16",
+    "shared",
 ]

@@ -12,7 +12,7 @@ from typing import Union
 import numpy as np
 
 from ..nn.graph import NetworkGraph
-from ..nn.models import build as build_model
+from ..nn.models import shared
 
 
 def input_for(network: Union[str, NetworkGraph], seed: int = 0) -> np.ndarray:
@@ -20,7 +20,7 @@ def input_for(network: Union[str, NetworkGraph], seed: int = 0) -> np.ndarray:
 
     Values are drawn uniformly from [0, 1) like a normalized image.
     """
-    graph = build_model(network) if isinstance(network, str) else network
+    graph = shared(network) if isinstance(network, str) else network
     rng = np.random.default_rng(seed)
     return rng.random(graph.input_shape, dtype=np.float32)
 

@@ -15,6 +15,7 @@ from repro.hardware.specs import (
     RASPBERRY_PI_4,
     RTX_2080TI_HOST,
 )
+from repro.nn import models
 from repro.nn.graph import NetworkGraph
 from repro.nn.layers import (
     Add,
@@ -27,6 +28,16 @@ from repro.nn.layers import (
     ReLU,
     Softmax,
 )
+
+
+@pytest.fixture
+def fresh_graphs():
+    """A fresh process-wide graph registry (``repro.nn.models.shared``)
+    for the test, so that nothing an earlier test derived on a shared
+    graph (run tables, cost memos, buffer roles) is warm."""
+    models.shared.cache_clear()
+    yield
+    models.shared.cache_clear()
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from repro.errors import ReproError
 from repro.hardware.device import Device
 from repro.hardware.specs import JETSON_AGX_XAVIER, RASPBERRY_PI_4, RTX_2080TI_HOST
 from repro.nn.graph import NetworkGraph
-from repro.nn.models import MODEL_BUILDERS
+from repro.nn.models import MODEL_BUILDERS, shared
 from repro.workloads import input_for
 
 
@@ -42,11 +42,13 @@ class TestConstruction:
 
 
 class TestLazyGraph:
-    """A plan served from the cache needs no graph: the engine builds
-    one only when a plan is tuned or executed."""
+    """A plan served from the cache needs no graph: the engine looks one
+    up only when a plan is tuned or executed, and a catalog network's
+    graph is the process's shared one."""
 
-    def test_cache_hit_builds_no_graph(self, monkeypatch):
+    def test_cache_hit_builds_no_graph(self, monkeypatch, fresh_graphs):
         EdgeNN("lenet").tune()  # the plan is cached from here on
+        shared.cache_clear()
         builds = []
         builder = MODEL_BUILDERS["lenet"]
 
@@ -61,6 +63,8 @@ class TestLazyGraph:
         assert builds == []
         assert engine.graph.name == "lenet"
         assert engine.graph is engine.graph
+        assert builds == ["lenet"]
+        assert EdgeNN("lenet").graph is engine.graph is shared("lenet")
         assert builds == ["lenet"]
 
 
@@ -136,9 +140,10 @@ class TestInfer:
         ).infer(x)
         np.testing.assert_allclose(full, plain, rtol=1e-6)
 
-    def test_params_cached_per_graph(self, chain_net, monkeypatch):
-        # The graph owns its parameters: any number of forward passes and
-        # engine calls on one graph materialize them exactly once.
+    def test_params_kept_per_engine(self, chain_net, monkeypatch):
+        # The engine owns its parameters: any number of its calls
+        # materialize them once.  The graph keeps none, so each bare
+        # forward pass materializes its own.
         calls = []
         materialize = NetworkGraph.materialize_params
 
@@ -152,5 +157,6 @@ class TestInfer:
         second = chain_net.forward(x)
         engine = EdgeNN(chain_net, JETSON_AGX_XAVIER)
         np.testing.assert_array_equal(engine.infer(x), first)
+        np.testing.assert_array_equal(engine.infer(x), first)
         np.testing.assert_array_equal(second, first)
-        assert calls == [chain_net]
+        assert calls == [chain_net] * 3

@@ -8,6 +8,7 @@ import pytest
 
 from repro.compile.pipeline import CompiledPlan, compile_key, compile_plan
 from repro.core import executor as executor_module
+from repro.core import memory_manager, semantics
 from repro.core.executor import HybridExecutor
 from repro.core.memory_manager import MemoryPolicy, plan_allocations
 from repro.core.plan import (
@@ -17,16 +18,21 @@ from repro.core.plan import (
     gpu_layer,
     split_layer,
 )
-from repro.errors import PlanError, ReproError
+from repro.errors import AllocationError, GraphError, PlanError, ReproError
 from repro.hardware import calibration as cal
 from repro.hardware import memory as memory_module
+from repro.hardware.contention import StreamJob
 from repro.hardware.device import Device
-from repro.hardware.memory import MemoryModel
-from repro.hardware.specs import JETSON_AGX_XAVIER
+from repro.hardware.memory import AllocKind, Buffer, MemoryModel, footprint
+from repro.hardware.roofline import KernelCost, KernelWork
+from repro.hardware.specs import JETSON_AGX_XAVIER, RTX_2080TI_HOST
+from repro.hardware.throttle import ThrottleFactors, apply_throttle
+from repro.hardware.variants import spec_by_name
 from repro.nn import tensor
 from repro.nn.graph import NetworkGraph
 from repro.nn.layer import Layer
-from repro.nn.models import MODEL_BUILDERS, build
+from repro.nn.layers import Dense
+from repro.nn.models import MODEL_BUILDERS, build, shared
 from repro.tuning.catalog import key_for
 
 # ``repro.hardware.device`` the module: the package exports a function
@@ -291,27 +297,35 @@ class TestStaticCostTerms:
         assert set(calls) == {"work", "param_bytes", "validate_shape"}
 
     @pytest.mark.parametrize("model", ["resnet18", "vgg16"])
-    def test_compile_costs_each_unsplit_kernel_once(self, model, monkeypatch):
+    def test_compile_costs_each_unsplit_kernel_once(
+        self, model, monkeypatch, fresh_graphs,
+    ):
         """One compile measures five plans.  An unsplit layer's roofline
         cost is quoted once per (layer, processor, bandwidth factor) across
-        them; a split layer, whose fraction moves each round, quotes both
-        sides on every execution."""
+        them; a split layer, whose fraction moves each round, prices both
+        sides on every execution.  The registry is fresh: on a shared
+        graph that an earlier compile warmed, the unsplit costs are
+        already memoized."""
         unsplit: Counter = Counter()
         split_quotes = 0
         quote = device_module.kernel_cost
+        split_terms = device_module.split_cost_terms
 
         def counted(spec, proc, work, *, mem_bw_factor=1.0, include_launch=True):
-            nonlocal split_quotes
-            if include_launch:
-                unsplit[(id(work), proc.kind, mem_bw_factor)] += 1
-            else:
-                split_quotes += 1
+            assert include_launch
+            unsplit[(id(work), proc.kind, mem_bw_factor)] += 1
             return quote(
                 spec, proc, work,
                 mem_bw_factor=mem_bw_factor, include_launch=include_launch,
             )
 
+        def counted_split(*args, **kwargs):
+            nonlocal split_quotes
+            split_quotes += 1
+            return split_terms(*args, **kwargs)
+
         monkeypatch.setattr(device_module, "kernel_cost", counted)
+        monkeypatch.setattr(device_module, "split_cost_terms", counted_split)
         split_runs = []
         run = HybridExecutor.run
 
@@ -373,6 +387,196 @@ class TestStaticCostTerms:
         moving = [q for q in quotes if q.transfers or q.overhead_s > 0]
         assert len(quotes) > len(moving) > 0
         assert len(built) == len(moving)
+
+
+def counted_inits(monkeypatch, calls: Counter, *classes) -> None:
+    """Count each construction of ``classes`` in ``calls``, by class name."""
+    for cls in classes:
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            calls[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+
+class TestSharedGraph:
+    """Every compile in a process runs on one frozen graph per network,
+    so per-network work happens once per process, per-graph work once
+    per graph and only per-run work in each measured run.  Like
+    :class:`TestStaticCostTerms`, these count calls, which does not
+    depend on host speed."""
+
+    def test_built_graphs_are_frozen(self):
+        for graph in (build("lenet"), shared("lenet")):
+            with pytest.raises(GraphError, match="frozen"):
+                graph.add(Dense("extra", 4))
+        assert build("lenet") is not build("lenet")
+        assert shared("lenet") is shared("lenet")
+
+    @pytest.mark.parametrize("model", ["resnet18", "vgg16"])
+    def test_second_device_derives_nothing_from_shapes(
+        self, model, monkeypatch, fresh_graphs,
+    ):
+        builds = []
+        builder = MODEL_BUILDERS[model]
+
+        def counted_build():
+            builds.append(model)
+            return builder()
+
+        monkeypatch.setitem(MODEL_BUILDERS, model, counted_build)
+        first, second = (spec_by_name(name) for name in (
+            "jetson-agx-xavier", "amd-ryzen-apu",
+        ))
+        compile_key(key_for(model, first, 1), first)
+        calls: Counter = Counter()
+        count_calls(monkeypatch, calls, Layer, "work")
+        count_calls(monkeypatch, calls, Layer, "param_bytes")
+        count_calls(monkeypatch, calls, tensor, "validate_shape")
+        compiled = compile_key(key_for(model, second, 1), second)
+        assert compiled.graph is shared(model)
+        assert builds == [model]
+        assert calls == Counter()
+
+    def test_role_walk_runs_once_per_graph(self, monkeypatch, fresh_graphs):
+        calls: Counter = Counter()
+        count_calls(monkeypatch, calls, memory_manager, "plan_allocations")
+        counted_inits(monkeypatch, calls, semantics.GraphBuffers)
+        compile_key(key_for("resnet18", JETSON_AGX_XAVIER, 1), JETSON_AGX_XAVIER)
+        # Two profile passes, the seed plan and at least one feedback
+        # round place buffers; one walk serves them all.
+        assert calls["plan_allocations"] >= 4
+        assert calls["GraphBuffers"] == 1
+        compile_key(key_for("resnet18", JETSON_AGX_XAVIER, 2), JETSON_AGX_XAVIER)
+        assert calls["GraphBuffers"] == 1
+
+    def test_runs_reset_buffers_instead_of_building_them(
+        self, monkeypatch, fresh_graphs,
+    ):
+        calls: Counter = Counter()
+        count_calls(monkeypatch, calls, MemoryModel, "allocate")
+        counted_inits(monkeypatch, calls, Buffer)
+        runs = []
+        run = HybridExecutor.run
+
+        def counted_run(executor):
+            runs.append(executor)
+            return run(executor)
+
+        monkeypatch.setattr(HybridExecutor, "run", counted_run)
+        compile_key(key_for("resnet18", JETSON_AGX_XAVIER, 1), JETSON_AGX_XAVIER)
+        assert len(runs) == 5
+        # The first run builds the graph's one buffer set; the next four
+        # reset it.
+        slots = len(runs[0]._table.allocations)
+        assert calls == Counter({"Buffer": slots})
+
+    def test_split_execution_builds_no_cost_objects(self, monkeypatch):
+        net = shared("resnet18")
+        splits = [split_layer(name, 0.3) for name in ("conv1", "fc")]
+        plan = build_plan(net, JETSON_AGX_XAVIER, overrides=splits)
+        executor = HybridExecutor(net, Device(JETSON_AGX_XAVIER), plan)
+        executor.run()  # fills the unsplit kernels' cost memos
+        calls: Counter = Counter()
+        counted_inits(monkeypatch, calls, StreamJob, KernelWork, KernelCost)
+        report = executor.run()
+        split = [lr for lr in report.layers if lr.assignment is Assignment.SPLIT]
+        assert len(split) == len(splits)
+        assert calls == Counter()
+
+    def test_equal_throttled_specs_share_one_table(self, fresh_graphs):
+        def compile_throttled():
+            spec = apply_throttle(
+                JETSON_AGX_XAVIER, ThrottleFactors(0.8, 0.6, 0.8),
+            )
+            return compile_key(key_for("lenet", spec, 1), spec)
+
+        graph = compile_throttled().graph
+        tables = len(graph._derived)
+        for _ in range(3):
+            assert compile_throttled().graph is graph
+        assert len(graph._derived) == tables
+
+
+def allocate_one_by_one(executor, memory):
+    """What a run allocated before buffers were reused: one
+    ``MemoryModel.allocate`` per slot, in allocation order, refusing a
+    managed buffer on a non-integrated device first."""
+    plan = executor._plan
+    for physical, nbytes, name, role in executor._table.allocations:
+        kind = plan.alloc_kind(name)
+        if kind is AllocKind.MANAGED and not memory._integrated:
+            raise PlanError(
+                f"plan uses managed memory for {name!r} on non-integrated "
+                f"device {memory._device.name!r}"
+            )
+        memory.allocate(physical, nbytes, kind, role=role)
+
+
+class TestPerRunBuffers:
+    """A run resets a buffer set that an earlier run released, and the
+    device's memory model adopts it whole, with the errors and the
+    footprint of one ``allocate`` per buffer."""
+
+    def test_capacity_error_is_the_one_allocate_raised(self, chain_net):
+        plan = build_plan(chain_net, JETSON_AGX_XAVIER)
+        probe = HybridExecutor(chain_net, Device(JETSON_AGX_XAVIER), plan)
+        total = sum(
+            footprint(nbytes, plan.alloc_kind(name))
+            for _, nbytes, name, _ in probe._table.allocations
+        )
+        spec = replace(JETSON_AGX_XAVIER, memory=replace(
+            JETSON_AGX_XAVIER.memory, capacity_bytes=total / 2,
+        ))
+        expected = MemoryModel(spec)
+        with pytest.raises(AllocationError, match="capacity") as want:
+            allocate_one_by_one(probe, expected)
+        device = Device(spec)
+        with pytest.raises(AllocationError) as got:
+            HybridExecutor(chain_net, device, plan).run()
+        assert str(got.value) == str(want.value)
+        assert device.memory.allocated_bytes == expected.allocated_bytes
+        assert [b.name for b in device.memory.buffers] == [
+            b.name for b in expected.buffers
+        ]
+
+    def test_managed_buffer_on_a_discrete_device_is_refused(self, chain_net):
+        plan = build_plan(chain_net, JETSON_AGX_XAVIER)  # managed buffers
+        device = Device(RTX_2080TI_HOST)
+        executor = HybridExecutor(chain_net, device, plan)
+        expected = MemoryModel(RTX_2080TI_HOST)
+        with pytest.raises(PlanError, match="managed memory for") as want:
+            allocate_one_by_one(executor, expected)
+        for _ in range(2):
+            with pytest.raises(PlanError) as got:
+                executor.run()
+            assert str(got.value) == str(want.value)
+            assert device.memory.allocated_bytes == expected.allocated_bytes
+
+    def test_overlapping_runs_never_share_a_buffer_set(self, chain_net):
+        plan = build_plan(chain_net, JETSON_AGX_XAVIER)
+        alone = HybridExecutor(chain_net, Device(JETSON_AGX_XAVIER), plan).run()
+        first, second = (
+            HybridExecutor(chain_net, Device(JETSON_AGX_XAVIER), plan)
+            for _ in range(2)
+        )
+        first.begin()
+        second.begin()
+        assert first._table is second._table
+        assert not {id(b) for b in first._bufs} & {id(b) for b in second._bufs}
+        while first.step() | second.step():
+            pass
+        reports = [first.finish(), second.finish()]
+        reports.append(
+            HybridExecutor(chain_net, Device(JETSON_AGX_XAVIER), plan).run()
+        )
+        for report in reports:
+            assert [
+                (lr.start_s, lr.end_s, lr.copy_s) for lr in report.layers
+            ] == [(lr.start_s, lr.end_s, lr.copy_s) for lr in alone.layers]
+            assert report.total_s == alone.total_s
 
 
 def _scaled(spec, factor):

@@ -11,6 +11,11 @@ from repro.hardware.contention import (
 )
 
 
+def terms(job):
+    """A job's demands as :func:`corun_pair` takes them."""
+    return job.compute_s, job.bytes_total, job.solo_rate
+
+
 class TestWaterfill:
     def test_under_subscribed_keeps_caps(self):
         assert waterfill([10.0, 20.0], total=100.0) == [10.0, 20.0]
@@ -105,17 +110,17 @@ class TestCorun:
         assert times[1] >= b.solo_time - 1e-12
 
     def test_pair_applies_corun_efficiency(self):
-        a = StreamJob(compute_s=0.0, bytes_total=1e9, solo_rate=2e9)
-        b = StreamJob(compute_s=0.0, bytes_total=1e9, solo_rate=2e9)
-        full = corun_pair(a, b, dram_bw=2e9, corun_efficiency=1.0)
-        derated = corun_pair(a, b, dram_bw=2e9, corun_efficiency=0.5)
+        a = terms(StreamJob(compute_s=0.0, bytes_total=1e9, solo_rate=2e9))
+        b = terms(StreamJob(compute_s=0.0, bytes_total=1e9, solo_rate=2e9))
+        full = corun_pair(*a, *b, dram_bw=2e9, corun_efficiency=1.0)
+        derated = corun_pair(*a, *b, dram_bw=2e9, corun_efficiency=0.5)
         assert derated[0] > full[0]
         assert derated[1] > full[1]
 
     def test_pair_rejects_bad_efficiency(self):
-        a = StreamJob(compute_s=0.0, bytes_total=1.0, solo_rate=1.0)
+        a = terms(StreamJob(compute_s=0.0, bytes_total=1.0, solo_rate=1.0))
         with pytest.raises(SimulationError):
-            corun_pair(a, a, dram_bw=1.0, corun_efficiency=0.0)
+            corun_pair(*a, *a, dram_bw=1.0, corun_efficiency=0.0)
 
     def test_rejects_nonpositive_bandwidth(self):
         a = StreamJob(compute_s=0.0, bytes_total=1.0, solo_rate=1.0)

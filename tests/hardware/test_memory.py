@@ -5,7 +5,7 @@ import pytest
 from repro.errors import AllocationError, MemoryModelError
 from repro.hardware import calibration as cal
 from repro.hardware.copy_engine import CopyDirection
-from repro.hardware.memory import AllocKind, MemoryModel
+from repro.hardware.memory import AllocKind, Buffer, MemoryModel, footprint
 from repro.hardware.specs import (
     JETSON_AGX_XAVIER,
     RASPBERRY_PI_4,
@@ -47,6 +47,48 @@ class TestAllocation:
     def test_unknown_buffer(self, mem):
         with pytest.raises(MemoryModelError):
             mem.get("nope")
+
+
+SET = (("a", 0.1, AllocKind.REGULAR), ("b", 3.3, AllocKind.MANAGED),
+       ("c", 7.7, AllocKind.REGULAR))
+
+
+class TestAdopt:
+    """``adopt`` accounts a buffer set as one ``allocate`` per buffer in
+    order would."""
+
+    def test_accounts_like_allocate(self, mem):
+        expected = MemoryModel(JETSON_AGX_XAVIER)
+        total = 0.0
+        for name, nbytes, kind in SET:
+            expected.allocate(name, nbytes, kind)
+            total += footprint(nbytes, kind)
+        bufs = [Buffer(name, nbytes, kind) for name, nbytes, kind in SET]
+        mem.adopt(bufs, total)
+        assert mem.allocated_bytes == expected.allocated_bytes
+        assert mem.buffers == bufs
+        assert mem.get("b") is bufs[1]
+
+    def test_checks_each_buffer_in_a_used_model(self, mem):
+        mem.allocate("b", 1.0, AllocKind.MANAGED)
+        bufs = [Buffer(name, nbytes, kind) for name, nbytes, kind in SET]
+        with pytest.raises(AllocationError, match="'b' already allocated"):
+            mem.adopt(bufs, 1.0)
+        assert mem.allocated_bytes == 1.0 + footprint(0.1, AllocKind.REGULAR)
+
+    def test_refuses_what_allocate_refuses(self):
+        rpi = MemoryModel(RASPBERRY_PI_4)
+        bufs = [Buffer(name, nbytes, kind) for name, nbytes, kind in SET]
+        with pytest.raises(MemoryModelError, match="'b' on non-integrated"):
+            rpi.adopt(bufs, 0.0)
+
+    def test_reset_restores_a_new_buffer(self):
+        buf = Buffer("a", 1.0, AllocKind.REGULAR)
+        buf.host_valid = False
+        buf.device_valid = buf.gpu_touched = True
+        buf.cpu_wrote = buf.gpu_wrote = True
+        buf.reset(AllocKind.MANAGED)
+        assert buf == Buffer("a", 1.0, AllocKind.MANAGED)
 
 
 class TestRegularBufferProtocol:

@@ -52,6 +52,20 @@ class TestConstruction:
             NetworkGraph("", (4,))
 
 
+class TestFreeze:
+    def test_add_to_a_frozen_graph_raises(self):
+        net = make_chain_net().freeze()
+        with pytest.raises(GraphError, match="frozen"):
+            net.add(Dense("fc3", 4))
+        assert "fc3" not in net
+
+    def test_freeze_keeps_what_the_graph_derived(self):
+        net = make_chain_net()
+        first = net.derived("k", object)
+        assert net.freeze() is net
+        assert net.derived("k", object) is first
+
+
 class TestStructure:
     def test_topo_order_is_insertion_order(self):
         net = make_chain_net()
@@ -151,23 +165,39 @@ class TestForward:
         x = rng.random(net.input_shape, dtype=np.float32)
         np.testing.assert_array_equal(net.forward(x, params), net.forward(x))
 
-    def test_graph_keeps_its_params_until_a_layer_is_added(self, rng):
+    @pytest.fixture
+    def materialized(self, monkeypatch):
+        """The graphs ``materialize_params`` ran for, in call order."""
+        calls = []
+        materialize = NetworkGraph.materialize_params
+
+        def counting(graph):
+            calls.append(graph)
+            return materialize(graph)
+
+        monkeypatch.setattr(NetworkGraph, "materialize_params", counting)
+        return calls
+
+    def test_graph_keeps_no_params(self, rng, materialized):
+        # A graph that every compile in a process shares must not pin
+        # parameters: each bare forward materializes its own for that call.
         net = NetworkGraph("n", (4,))
         net.add(Dense("fc1", 4))
         x = rng.random(net.input_shape, dtype=np.float32)
         net.forward(x)
-        kept = net._params
         net.forward(x)
-        assert net._params is kept
+        assert materialized == [net] * 2
         net.add(Dense("fc2", 3))
         assert net.forward(x).shape == (3,)
-        assert set(net._params) == {"fc1", "fc2"}
 
-    def test_supplied_params_do_not_populate_the_cache(self, rng):
+    def test_supplied_params_do_not_populate_the_cache(self, rng, materialized):
         net = make_chain_net()
+        params = net.materialize_params()
         x = rng.random(net.input_shape, dtype=np.float32)
-        net.forward(x, net.materialize_params())
-        assert net._params is None
+        materialized.clear()
+        net.forward(x, params)
+        assert materialized == []
+        assert net._derived == {}
 
     @pytest.mark.parametrize("build", [make_chain_net, make_branch_net])
     def test_forward_leaves_input_unmodified(self, rng, build):

@@ -4,6 +4,7 @@
 peak a call adds on top of what was already allocated before it.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -69,3 +70,33 @@ def test_forward_peak_does_not_grow_with_depth(rng):
         peaks.append(peak)
     activation = 8 * 64 * 64 * 4
     assert peaks[1] <= peaks[0] + activation // 2
+
+
+def test_dropping_an_engine_frees_its_parameters(fresh_graphs):
+    # The process shares one graph per network, so the graph keeps no
+    # parameters: the engine that materialized them frees them with it.
+    from repro.core.engine import EdgeNN
+    from repro.nn.models import build, shared
+
+    warm = build("squeezenet")  # lazy imports and NumPy's first use
+    x = np.zeros(warm.input_shape, dtype=np.float32)
+    warm.forward(x, warm.materialize_params())
+    graph = shared("squeezenet")
+    param_bytes = graph.total_param_bytes()
+
+    def infer_and_drop():
+        engine = EdgeNN("squeezenet")
+        engine.infer(x)
+        engine.infer(x)
+        return engine.graph
+
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        assert infer_and_drop() is graph
+        gc.collect()
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base >= param_bytes
+    assert left - base <= param_bytes // 20

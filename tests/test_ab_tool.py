@@ -3,10 +3,11 @@ wins at least 9 pairs in 10, ties counting for neither side, its median
 beats the base median by more than the base's interquartile range, in
 the metric's better direction, and it fails no larger share of its
 operations than the base.  ``--record`` appends each comparison as one
-row to a JSON list."""
+row to a JSON list, naming the working tree it measured."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -115,3 +116,38 @@ def test_record_appends_one_row_per_line(tmp_path):
         first, second,
     ]
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def git_in(repo, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.com",
+         *args],
+        cwd=repo, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+def test_worktree_tree_names_the_measured_files(tmp_path):
+    """A row names the tree it measured: HEAD's tree when clean, and
+    otherwise the tree a commit of every edit, new files included,
+    would have.  The real index is left as it was."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git_in(repo, "init", "-q")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "a.py").write_text("a = 1\n")
+    git_in(repo, "add", "-A")
+    git_in(repo, "commit", "-q", "-m", "base")
+    assert ab.worktree_tree(repo) == git_in(repo, "rev-parse", "HEAD^{tree}")
+
+    (repo / "a.py").write_text("a = 2\n")
+    (repo / "new.py").write_text("b = 3\n")
+    (repo / "ignored.txt").write_text("scratch\n")
+    status = git_in(repo, "status", "--porcelain")
+    measured = ab.worktree_tree(repo)
+    assert git_in(repo, "status", "--porcelain") == status
+    assert git_in(repo, "diff", "--cached", "--name-only") == ""
+    assert measured != git_in(repo, "rev-parse", "HEAD^{tree}")
+
+    git_in(repo, "add", "a.py", "new.py")
+    git_in(repo, "commit", "-q", "-m", "change")
+    assert measured == git_in(repo, "rev-parse", "HEAD^{tree}")

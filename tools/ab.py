@@ -20,11 +20,15 @@ exit.
 ``--record PATH`` appends the comparison as one row to the JSON list in
 ``PATH`` (created when missing), one row per line: both heads (REV's
 commit, and the working tree's ``HEAD`` with whether it had uncommitted
-edits), nproc, the Python and NumPy versions, the workload, the seed
-(null: ``run.py``'s default), the pair count, each side's attempted and
-failed operations, whether every run passed its checks and, per
-end-to-end metric, both sides' median and quartiles, the win count and
-whether the rule holds.
+edits), ``change_tree``: the git tree of the measured working tree (its
+tracked and untracked files, not ignored ones, as ``git add -A`` would
+stage them, so a commit of exactly that change has this tree; a ``PATH``
+inside the repository is part of it, so rows recorded one after another
+name different trees), nproc, the Python and NumPy versions, the
+workload, the seed (null: ``run.py``'s default), the pair count, each
+side's attempted and failed operations, whether every run passed its
+checks and, per end-to-end metric, both sides' median and quartiles,
+the win count and whether the rule holds.
 
 Standard library only.  The exit code is 0 when every run passed its
 checks, 1 when one failed and 2 when a run produced no result.
@@ -60,6 +64,27 @@ def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def worktree_tree(root: Path) -> str:
+    """The git tree id of the working tree at ``root``: every tracked and
+    untracked file that is not ignored, as ``git add -A`` would stage
+    it.  It is written through a copy of the index, so the real index
+    is left as it was."""
+    index = Path(subprocess.run(
+        ["git", "rev-parse", "--git-path", "index"], cwd=root, check=True,
+        capture_output=True, text=True,
+    ).stdout.strip())
+    with tempfile.TemporaryDirectory(prefix="ab-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        if (root / index).exists():
+            shutil.copyfile(root / index, env["GIT_INDEX_FILE"])
+        for command in (["add", "-A"], ["write-tree"]):
+            out = subprocess.run(
+                ["git", *command], cwd=root, env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout.strip()
+    return out
 
 
 def precompile(tree: Path) -> None:
@@ -228,6 +253,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {args.workload!r}")
     specs = bench["end_to_end"]
     rev = git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
+    measured_tree = worktree_tree(ROOT)
 
     # A SIGTERM unwinds through the finally below, like Ctrl-C.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
@@ -262,6 +288,7 @@ def main(argv=None) -> int:
                 "change_dirty": bool(
                     git("status", "--porcelain", "--untracked-files=no")
                 ),
+                "change_tree": measured_tree,
                 **host_facts(),
                 "workload": args.workload,
                 "seed": args.seed,
